@@ -1,149 +1,25 @@
-//! Join-path performance: vectorized build/probe kernels, inner-stage Bloom
-//! semi-joins, and cross-query RouteBatch piggybacking.  Emits
-//! `BENCH_joinpath.json` with three gated ratios:
+//! Join-path performance: inner-stage Bloom semi-joins.  Emits
+//! `BENCH_joinpath.json` with one gated ratio:
 //!
-//! * **probe_throughput_ratio** — an in-process micro-benchmark of the join
-//!   site's hot loop: the scalar reference path (per-tuple `HashMap` store,
-//!   `Value` clones, row-at-a-time concat + filter) against the vectorized
-//!   columnar build/probe (`JoinBuild` + `probe_joined`), on the same
-//!   message stream, asserting bit-identical output rows.
 //! * **inner_rehash_ratio** — a skewed 3-way join on the testbed where the
 //!   final stage's right relation is large but mostly irrelevant: the
-//!   inner-stage Bloom semi-join must cut the stage-≥1 right-relation
-//!   rehash messages by at least 2× against the unfiltered run, at
-//!   identical results.
-//! * **shared_frame_ratio** — 16 concurrent copies of the join from one
-//!   origin with a cross-tick flush window: cross-query piggybacking must
-//!   measurably reduce total engine wire messages against the same workload
-//!   with piggybacking off, again at identical results.
+//!   inner-stage Bloom semi-join cuts the stage-≥1 right-relation rehash
+//!   messages against the unfiltered run, at identical results.
 //!
-//! Environment knobs: `PIER_NODES` (default 40), `PIER_SEED` (default 1),
-//! `PIER_MIN_PROBE` (default 2.0), `PIER_MIN_INNER` (default 2.0),
-//! `PIER_MIN_SHARED` (default 1.02).
+//! Environment knobs: `PIER_NODES` (default 40), `PIER_SEED` (default 1).
 //!
 //! Run with: `cargo run --release -p pier-bench --bin bench_joinpath`
 
 use pier_apps::netmon::netstats_table;
 use pier_apps::snort::intrusions_table;
 use pier_apps::topology::links_table;
-use pier_bench::{
-    env_parse, experiment_config, fmt_thousands, skewed_catalog, skewed_workload, SkewedWorkload,
-};
-use pier_core::dataflow::join::{probe_joined, JoinBuild};
-use pier_core::dataflow::ops::FilterOp;
+use pier_bench::{env_parse, experiment_config, skewed_catalog, skewed_workload, SkewedWorkload};
 use pier_core::prelude::*;
 use pier_core::trace::OpTrace;
-use pier_core::{same_rows, Catalog, Expr, Kernel, Planner, QueryKind};
-use std::collections::HashMap;
+use pier_core::{same_rows, Catalog, Planner, QueryKind};
 
 const JOIN_SQL: &str = "SELECT i.host, i.rule_id, l.dst, n.out_rate FROM intrusions i \
      JOIN links l ON i.host = l.src JOIN netstats n ON l.dst = n.host";
-
-// ---------------------------------------------------------------------
-// Phase 1: vectorized probe micro-benchmark
-// ---------------------------------------------------------------------
-
-/// One simulated `JoinBatch` delivery: (side, key, tuples).  Every message
-/// shares one key across its tuples, exactly like the wire format.
-type Delivery = (u8, Value, Vec<Tuple>);
-
-fn probe_workload() -> Vec<Delivery> {
-    // Deterministic LCG so both paths replay the identical stream.
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let mut next = move |m: u64| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 33) % m
-    };
-    let mut stream = Vec::new();
-    for key in 0..64i64 {
-        for _round in 0..10 {
-            for side in [0u8, 1u8] {
-                // Left values span 0..1000, right values 0..100, so the
-                // post-filter keeps ~5% of the cross product: the probe and
-                // filter sweep dominate, not output materialization.
-                let span = if side == 0 { 1000 } else { 100 };
-                let rows: Vec<Tuple> = (0..8)
-                    .map(|_| Tuple::new(vec![Value::Int(key), Value::Int(next(span) as i64)]))
-                    .collect();
-                stream.push((side, Value::Int(key), rows));
-            }
-        }
-    }
-    stream
-}
-
-/// The scalar reference loop, as `on_join_tuples` runs it without kernels.
-fn scalar_probe_all(stream: &[Delivery], post: &Expr) -> Vec<Tuple> {
-    let mut left: HashMap<Value, Vec<Tuple>> = HashMap::new();
-    let mut right: HashMap<Value, Vec<Tuple>> = HashMap::new();
-    let filter = FilterOp::new(post.clone());
-    let mut out = Vec::new();
-    for (side, key, tuples) in stream {
-        let matches: Vec<Tuple> = if *side == 0 {
-            left.entry(key.clone()).or_default().extend(tuples.iter().cloned());
-            right.get(key).cloned().unwrap_or_default()
-        } else {
-            right.entry(key.clone()).or_default().extend(tuples.iter().cloned());
-            left.get(key).cloned().unwrap_or_default()
-        };
-        for tuple in tuples {
-            for m in &matches {
-                let joined = if *side == 0 { tuple.concat(m) } else { m.concat(tuple) };
-                if filter.accepts(&joined) {
-                    out.push(joined);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The vectorized path: columnar build chunks + batch probe kernels.
-fn vectorized_probe_all(stream: &[Delivery], post: &Expr) -> Vec<Tuple> {
-    let mut build = JoinBuild::default();
-    let kernel = Kernel::compile(post);
-    let mut out = Vec::new();
-    for (side, key, tuples) in stream {
-        let incoming = build.insert(*side as usize, key, tuples);
-        out.extend(probe_joined(
-            &incoming,
-            *side,
-            build.matches(1 - *side as usize, key),
-            2,
-            Some(&kernel),
-        ));
-    }
-    out
-}
-
-fn phase_probe() -> (f64, bool, usize) {
-    let stream = probe_workload();
-    // Joined rows are [l.key, l.v, r.key, r.v]; keep roughly half.
-    let post = Expr::col(3).gt(Expr::col(1));
-    let reps = 5;
-    let mut scalar_best = f64::MAX;
-    let mut vec_best = f64::MAX;
-    let mut identical = true;
-    let mut rows = 0usize;
-    for _ in 0..reps {
-        // Interleaved so cache/thermal drift hits both paths equally.
-        let t0 = std::time::Instant::now();
-        let scalar_rows = scalar_probe_all(&stream, &post);
-        let scalar_t = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let vec_rows = vectorized_probe_all(&stream, &post);
-        let vec_t = t1.elapsed().as_secs_f64();
-        scalar_best = scalar_best.min(scalar_t);
-        vec_best = vec_best.min(vec_t);
-        identical &= scalar_rows == vec_rows;
-        rows = scalar_rows.len();
-    }
-    (scalar_best / vec_best.max(1e-12), identical, rows)
-}
-
-// ---------------------------------------------------------------------
-// Phases 2 & 3: testbed workload
-// ---------------------------------------------------------------------
 
 /// The skew knobs of this benchmark's instance of the shared workload.
 const WORKLOAD: SkewedWorkload = SkewedWorkload { readings_per_host: 20, intrusion_every: 8 };
@@ -225,119 +101,35 @@ fn run_inner(nodes: usize, seed: u64, inner_bloom: bool) -> InnerOutcome {
     InnerOutcome { rows, trace, inner_rehash_msgs, wall_ms: started.elapsed().as_millis() }
 }
 
-struct SharedOutcome {
-    rows: Vec<Vec<Tuple>>,
-    messages: u64,
-    shared_frames: u64,
-    piggybacked: u64,
-    wall_ms: u128,
-}
-
-/// One piggybacking measurement run: 16 concurrent copies of the join from
-/// one origin, with a cross-tick flush window so deferred intermediate
-/// rehashes and results from different queries coalesce.
-fn run_shared(nodes: usize, seed: u64, queries: usize, piggyback: bool) -> SharedOutcome {
-    let started = std::time::Instant::now();
-    let cat = catalog(nodes);
-    let stmt = pier_core::sql::parse_select(JOIN_SQL).expect("join SQL parses");
-    let planned = Planner::with_join_strategy(&cat, JoinStrategy::SymmetricHash)
-        .plan_select(&stmt)
-        .expect("join SQL plans");
-
-    let mut pier = experiment_config();
-    pier.piggyback = piggyback;
-    // Let deferred buffers span several upcall drains: 16 concurrent
-    // queries' deliveries interleave tick-by-tick, so the window must cover
-    // one delivery per query before traffic from different queries
-    // coalesces (the hold-down flush timer still bounds latency).
-    pier.batch_flush_ticks = 16;
-    pier.bloom_fallback_delay = Duration::from_secs(8);
-    let mut bed = build_bed(nodes, seed, pier);
-
-    let origin = bed.nodes()[1];
-    let before = bed.engine_totals();
-    let ids: Vec<QueryId> = (0..queries)
-        .map(|_| {
-            bed.submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
-                .expect("join submits")
-        })
-        .collect();
-    bed.run_for(Duration::from_secs(40));
-    let after = bed.engine_totals();
-    let rows: Vec<Vec<Tuple>> = ids.iter().map(|&q| bed.results(origin, q, 0)).collect();
-    SharedOutcome {
-        rows,
-        messages: after.messages_sent - before.messages_sent,
-        shared_frames: after.shared_frames - before.shared_frames,
-        piggybacked: after.piggybacked_payloads - before.piggybacked_payloads,
-        wall_ms: started.elapsed().as_millis(),
-    }
-}
-
 fn main() {
     let nodes: usize = env_parse("PIER_NODES", 40);
     let seed: u64 = env_parse("PIER_SEED", 1);
-    let min_probe: f64 = env_parse("PIER_MIN_PROBE", 2.0);
-    let min_inner: f64 = env_parse("PIER_MIN_INNER", 2.0);
-    let min_shared: f64 = env_parse("PIER_MIN_SHARED", 1.02);
 
-    eprintln!("[joinpath] phase 1: vectorized probe micro-benchmark …");
-    let (probe_ratio, probe_identical, probe_rows) = phase_probe();
-    eprintln!(
-        "[joinpath] probe throughput {probe_ratio:.2}x ({} joined rows, identical: \
-         {probe_identical})",
-        fmt_thousands(probe_rows as f64)
-    );
-
-    eprintln!("[joinpath] phase 2: inner-stage Bloom semi-join ({nodes} nodes, seed {seed}) …");
+    eprintln!("[joinpath] inner-stage Bloom semi-join ({nodes} nodes, seed {seed}) …");
     let bloom_on = run_inner(nodes, seed, true);
     let bloom_off = run_inner(nodes, seed, false);
-    let inner_identical = same_rows(&bloom_on.rows, &bloom_off.rows);
+    let identical = same_rows(&bloom_on.rows, &bloom_off.rows);
     let inner_ratio = bloom_off.inner_rehash_msgs as f64 / bloom_on.inner_rehash_msgs.max(1) as f64;
     let tested: u64 = bloom_on.trace.stage_bloom_tested.values().sum();
     let passed: u64 = bloom_on.trace.stage_bloom_passed.values().sum();
     eprintln!(
         "[joinpath] inner rehash msgs: {} filtered vs {} unfiltered ({inner_ratio:.2}x); \
-         bloom passed {passed}/{tested}; fallbacks {}; identical: {inner_identical}",
+         bloom passed {passed}/{tested}; fallbacks {}; identical: {identical}",
         bloom_on.inner_rehash_msgs, bloom_off.inner_rehash_msgs, bloom_on.trace.bloom_fallbacks
     );
-
-    eprintln!("[joinpath] phase 3: cross-query piggybacking (16 queries) …");
-    let pig_on = run_shared(nodes, seed, 16, true);
-    let pig_off = run_shared(nodes, seed, 16, false);
-    let shared_identical = pig_on.rows.len() == pig_off.rows.len()
-        && pig_on.rows.iter().zip(&pig_off.rows).all(|(a, b)| same_rows(a, b));
-    let shared_ratio = pig_off.messages as f64 / pig_on.messages.max(1) as f64;
-    eprintln!(
-        "[joinpath] wire messages: {} piggybacked vs {} separate ({shared_ratio:.2}x); \
-         {} shared frames carried {} free payloads; identical: {shared_identical}",
-        fmt_thousands(pig_on.messages as f64),
-        fmt_thousands(pig_off.messages as f64),
-        fmt_thousands(pig_on.shared_frames as f64),
-        fmt_thousands(pig_on.piggybacked as f64),
-    );
-
-    let identical = probe_identical && inner_identical && shared_identical;
 
     println!();
     println!("Join-path performance ({nodes} nodes, seed {seed})");
     println!();
-    println!("{:<44} {:>12}", "vectorized probe throughput", format!("{probe_ratio:.2}x"));
     println!("{:<44} {:>12}", "inner-stage rehash messages (off/on)", format!("{inner_ratio:.2}x"));
-    println!("{:<44} {:>12}", "wire messages, 16 queries (off/on)", format!("{shared_ratio:.2}x"));
     println!("{:<44} {:>12}", "results identical", identical.to_string());
 
     let json = format!(
         "{{\n  \"workload\": {{\"nodes\": {nodes}, \"seed\": {seed}, \"query\": \"{}\"}},\n  \
-         \"probe\": {{\"joined_rows\": {probe_rows}}},\n  \
          \"inner_bloom\": {{\"rehash_msgs_on\": {}, \"rehash_msgs_off\": {}, \
          \"bloom_tested\": {tested}, \"bloom_passed\": {passed}, \"fallbacks\": {}, \
          \"result_rows\": {}, \"wall_clock_ms\": {}}},\n  \
-         \"piggyback\": {{\"messages_on\": {}, \"messages_off\": {}, \
-         \"shared_frames\": {}, \"piggybacked_payloads\": {}, \"wall_clock_ms\": {}}},\n  \
-         \"probe_throughput_ratio\": {probe_ratio:.3},\n  \
          \"inner_rehash_ratio\": {inner_ratio:.3},\n  \
-         \"shared_frame_ratio\": {shared_ratio:.3},\n  \
          \"results_identical\": {identical}\n}}\n",
         JOIN_SQL.replace('"', "'"),
         bloom_on.inner_rehash_msgs,
@@ -345,26 +137,9 @@ fn main() {
         bloom_on.trace.bloom_fallbacks,
         bloom_on.rows.len(),
         bloom_on.wall_ms + bloom_off.wall_ms,
-        pig_on.messages,
-        pig_off.messages,
-        pig_on.shared_frames,
-        pig_on.piggybacked,
-        pig_on.wall_ms + pig_off.wall_ms,
     );
     std::fs::write("BENCH_joinpath.json", &json).expect("write BENCH_joinpath.json");
     eprintln!("[joinpath] wrote BENCH_joinpath.json");
 
-    assert!(identical, "an optimization changed a query answer");
-    assert!(
-        probe_ratio >= min_probe,
-        "vectorized probe speedup {probe_ratio:.2}x below required {min_probe:.2}x"
-    );
-    assert!(
-        inner_ratio >= min_inner,
-        "inner-Bloom rehash reduction {inner_ratio:.2}x below required {min_inner:.2}x"
-    );
-    assert!(
-        shared_ratio >= min_shared,
-        "piggybacking message reduction {shared_ratio:.2}x below required {min_shared:.2}x"
-    );
+    assert!(identical, "the inner-stage Bloom semi-join changed the query's answer");
 }

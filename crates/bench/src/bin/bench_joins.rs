@@ -19,9 +19,7 @@
 //! Both runs must produce identical join answers; the optimized order must
 //! ship strictly fewer join tuples *and* fewer engine wire messages.
 //!
-//! Environment knobs: `PIER_NODES` (default 60), `PIER_SEED` (default 1),
-//! `PIER_MIN_RATIO` (assert at least this wire-messages improvement;
-//! default 1.0).
+//! Environment knobs: `PIER_NODES` (default 60), `PIER_SEED` (default 1).
 //!
 //! Run with: `cargo run --release -p pier-bench --bin bench_joins`
 
@@ -141,7 +139,6 @@ fn mode_json(r: &RunOutcome) -> String {
 fn main() {
     let nodes: usize = env_parse("PIER_NODES", 60);
     let seed: u64 = env_parse("PIER_SEED", 1);
-    let min_ratio: f64 = env_parse("PIER_MIN_RATIO", 1.0);
 
     eprintln!("[joins] 3-way {JOIN_SQL}");
     eprintln!("[joins] {nodes} nodes, seed {seed}; running stats-driven order …");
@@ -195,9 +192,5 @@ fn main() {
         "the stats-driven order must ship fewer wire messages ({} vs {})",
         optimized.stats.messages_sent,
         worst.stats.messages_sent
-    );
-    assert!(
-        msg_ratio >= min_ratio,
-        "messages-sent improvement {msg_ratio:.2}x below required {min_ratio:.2}x"
     );
 }

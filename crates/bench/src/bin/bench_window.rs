@@ -22,9 +22,7 @@
 //! run end-to-end: every closed window's rows must equal a reference
 //! evaluation of the logged per-round publishes.
 //!
-//! Environment knobs: `PIER_NODES` (default 60), `PIER_SEED` (default 1),
-//! `PIER_MIN_RATIO` (assert at least this tuples-scanned improvement;
-//! default 1.0).
+//! Environment knobs: `PIER_NODES` (default 60), `PIER_SEED` (default 1).
 //!
 //! Run with: `cargo run --release -p pier-bench --bin bench_window`
 
@@ -159,7 +157,6 @@ fn mode_json(r: &RunOutcome) -> String {
 fn main() {
     let nodes: usize = env_parse("PIER_NODES", 60);
     let seed: u64 = env_parse("PIER_SEED", 1);
-    let min_ratio: f64 = env_parse("PIER_MIN_RATIO", 1.0);
 
     eprintln!(
         "[window] self-monitoring GROUP BY host, {ROUNDS} rounds at {nodes} nodes, seed {seed}"
@@ -217,9 +214,5 @@ fn main() {
         "per-window emission must ship fewer result rows ({} vs {})",
         win.stats.results_sent,
         rescan.stats.results_sent
-    );
-    assert!(
-        scanned_ratio >= min_ratio,
-        "tuples-scanned improvement {scanned_ratio:.2}x below required {min_ratio:.2}x"
     );
 }

@@ -3,8 +3,8 @@
 //! Binaries and benches that regenerate the evaluation artifacts of the
 //! SIGMOD 2004 demo paper (Figure 1 and Table 1) plus ablation benchmarks for
 //! the reproduction's main design choices (routing scalability, in-network vs
-//! direct aggregation, join strategies, churn robustness, recursive queries,
-//! batched wire paths); see `docs/ARCHITECTURE.md` at the repository root.
+//! direct aggregation, join strategies, churn robustness, recursive queries);
+//! see `docs/BENCHMARKS.md` at the repository root.
 //!
 //! Shared helpers live here so the binaries and Criterion benches stay small.
 

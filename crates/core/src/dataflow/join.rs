@@ -1,6 +1,6 @@
-//! Vectorized symmetric-hash join state: a columnar build side with a
-//! keyed chunk index, and a batch probe that produces the joined output
-//! through column gathers instead of per-row `Value` clones.
+//! Symmetric-hash join state: a columnar build side with a keyed chunk
+//! index, and a batch probe that produces the joined output through column
+//! gathers instead of per-row `Value` clones.
 //!
 //! The wire format hands us an exploitable invariant: every `JoinTuple` /
 //! `JoinBatch` message carries **one** join-key value shared by all its
@@ -12,11 +12,11 @@
 //! incoming rows, an inner tile of the stored rows) plus one vectorized
 //! post-filter kernel pass.
 //!
-//! The scalar path in `engine::on_join_tuples` stays as the reference
-//! implementation; this module must reproduce its output rows in exactly
-//! the same order (incoming-major over the stored rows in arrival order),
-//! so downstream float folds, result batches, and wire accounting are
-//! bit-identical.
+//! The output order is fixed: incoming-major over the stored rows in
+//! arrival order, the order of a nested loop over per-key row lists.  The
+//! tests below (and `tests/join_path.rs`) hold the probe to exactly that
+//! loop, so downstream float folds, result batches, and wire accounting
+//! are deterministic.
 
 use crate::column::{Column, ColumnarBatch};
 use crate::kernel::Kernel;
@@ -33,9 +33,9 @@ pub struct JoinBuild {
 
 #[derive(Default)]
 struct SideBuild {
-    /// Arrival-ordered chunks per key value.  `Value` keys use the same
-    /// hash/equality as the scalar path's `HashMap`, so numeric identity
-    /// (`Int(3)` matching `Float(3.0)`) and NaN handling agree exactly.
+    /// Arrival-ordered chunks per key value.  `Value` keys use `Value`'s own
+    /// hash/equality, so numeric identity (`Int(3)` matching `Float(3.0)`)
+    /// and NaN handling follow the rest of the engine exactly.
     chunks: HashMap<Value, Vec<ColumnarBatch>>,
     rows: usize,
 }
@@ -64,17 +64,17 @@ impl JoinBuild {
 }
 
 /// Cross-join an incoming chunk against the stored chunks of the other side
-/// and return the post-filter survivors as materialized tuples, in exactly
-/// the scalar probe's order: for each incoming tuple (in batch order), all
-/// stored tuples in arrival order.
+/// and return the post-filter survivors as materialized tuples, in nested
+/// loop order: for each incoming tuple (in batch order), all stored tuples
+/// in arrival order.
 ///
 /// `side` is the incoming chunk's side: side-0 rows form the left
 /// (leading) columns of the joined row, side-1 rows the right — matching
-/// `Tuple::concat` in the scalar loop.
+/// `Tuple::concat`.
 ///
 /// `stored_width` is the expected arity of stored rows; chunks of any other
-/// width are skipped, mirroring the scalar path's layout guard against
-/// tuples stored under a superseded spec.
+/// width are skipped — the layout guard against tuples stored under a
+/// superseded spec.
 pub fn probe_joined(
     incoming: &ColumnarBatch,
     side: u8,
@@ -100,7 +100,7 @@ pub fn probe_joined(
         .collect();
     // Outer index repeats each incoming row m times; inner tiles the stored
     // rows n times — together they enumerate the cross product
-    // incoming-major, exactly like the scalar nested loop.
+    // incoming-major, exactly like a nested loop.
     let mut outer = Vec::with_capacity(n * m);
     let mut inner = Vec::with_capacity(n * m);
     for i in 0..n as u32 {
@@ -133,8 +133,7 @@ mod tests {
         Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect())
     }
 
-    /// The scalar reference: clone + concat + per-row filter, as
-    /// `on_join_tuples` runs it.
+    /// The row-at-a-time reference: clone + concat + per-row filter.
     fn scalar_probe(
         incoming: &[Tuple],
         side: u8,

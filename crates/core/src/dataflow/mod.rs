@@ -1,14 +1,10 @@
-//! PIER's dataflow layer: local relational operators and the generic
-//! "boxes and arrows" graph executor (trees, DAGs, and cyclic/recursive
-//! graphs).
+//! PIER's dataflow layer: the local relational operators each node runs
+//! over its own data, and the columnar symmetric-hash join state.  The
+//! engine composes them per [`QueryKind`](crate::query::QueryKind); the
+//! algebraic interface is [`PierNode::submit`](crate::engine::PierNode::submit)
+//! (or [`PierTestbed::submit_query`](crate::testbed::PierTestbed::submit_query)).
 
-pub mod graph;
 pub mod join;
 pub mod ops;
 
-pub use graph::{
-    AggregateBox, DataflowOp, DedupBox, FilterBox, HashJoinBox, OpGraph, OpId, ProjectBox, UnionBox,
-};
-pub use ops::{
-    compare_on, sort_tuples, Distinct, FilterOp, GroupAggregator, GroupKey, Limit, ProjectOp, TopK,
-};
+pub use ops::{compare_on, sort_tuples, FilterOp, GroupAggregator, GroupKey, ProjectOp, TopK};

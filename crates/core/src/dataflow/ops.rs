@@ -2,9 +2,8 @@
 //!
 //! These are the building blocks each PIER node runs over its local data:
 //! selection, projection, grouped aggregation (producing *mergeable partial
-//! state*, see [`crate::aggregate`]), duplicate elimination, limits, and a
-//! top-k collector used at the query origin for `ORDER BY … LIMIT` queries
-//! like the paper's Table 1.
+//! state*, see [`crate::aggregate`]), and a top-k collector used at the
+//! query origin for `ORDER BY … LIMIT` queries like the paper's Table 1.
 
 use crate::aggregate::AggState;
 use crate::column::{Column, ColumnData, ColumnarBatch};
@@ -33,11 +32,6 @@ impl FilterOp {
     pub fn accepts(&self, tuple: &Tuple) -> bool {
         self.predicate.matches(tuple)
     }
-
-    /// Filter a vector of tuples.
-    pub fn apply(&self, tuples: Vec<Tuple>) -> Vec<Tuple> {
-        tuples.into_iter().filter(|t| self.accepts(t)).collect()
-    }
 }
 
 /// Compute projections over a stream of tuples.
@@ -56,11 +50,6 @@ impl ProjectOp {
     /// Project one tuple.
     pub fn apply_one(&self, tuple: &Tuple) -> Tuple {
         Tuple::new(self.exprs.iter().map(|e| e.eval(tuple)).collect())
-    }
-
-    /// Project a vector of tuples.
-    pub fn apply(&self, tuples: &[Tuple]) -> Vec<Tuple> {
-        tuples.iter().map(|t| self.apply_one(t)).collect()
     }
 }
 
@@ -862,62 +851,6 @@ impl TopK {
     }
 }
 
-/// Duplicate elimination.
-#[derive(Clone, Debug, Default)]
-pub struct Distinct {
-    seen: std::collections::HashSet<Tuple>,
-}
-
-impl Distinct {
-    /// Construct.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns `true` the first time a tuple is seen.
-    pub fn insert(&mut self, tuple: &Tuple) -> bool {
-        self.seen.insert(tuple.clone())
-    }
-
-    /// Number of distinct tuples seen.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Nothing seen yet?
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-}
-
-/// Row-count limiter.
-#[derive(Clone, Debug)]
-pub struct Limit {
-    remaining: usize,
-}
-
-impl Limit {
-    /// Allow at most `n` rows through.
-    pub fn new(n: usize) -> Self {
-        Limit { remaining: n }
-    }
-
-    /// Returns `true` while the limit has not been exhausted.
-    pub fn admit(&mut self) -> bool {
-        if self.remaining == 0 {
-            false
-        } else {
-            self.remaining -= 1;
-            true
-        }
-    }
-
-    /// Rows still admissible.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -929,13 +862,10 @@ mod tests {
 
     #[test]
     fn filter_and_project() {
-        let rows = vec![row(1, 10), row(2, 20), row(3, 30)];
         let f = FilterOp::new(Expr::col(0).gt(Expr::lit(1i64)));
-        let kept = f.apply(rows.clone());
-        assert_eq!(kept.len(), 2);
+        assert!(!f.accepts(&row(1, 10)));
+        assert!(f.accepts(&row(2, 20)));
         let p = ProjectOp::new(vec![Expr::col(1), Expr::col(0)]);
-        let projected = p.apply(&kept);
-        assert_eq!(projected[0], row(20, 2));
         assert_eq!(p.apply_one(&row(5, 50)), row(50, 5));
     }
 
@@ -1094,22 +1024,6 @@ mod tests {
         assert_eq!(snap[1], row(1, 9));
         assert_eq!(topk.len(), 2);
         assert!(!topk.is_empty());
-    }
-
-    #[test]
-    fn distinct_and_limit() {
-        let mut d = Distinct::new();
-        assert!(d.is_empty());
-        assert!(d.insert(&row(1, 1)));
-        assert!(!d.insert(&row(1, 1)));
-        assert!(d.insert(&row(1, 2)));
-        assert_eq!(d.len(), 2);
-
-        let mut l = Limit::new(2);
-        assert!(l.admit());
-        assert!(l.admit());
-        assert!(!l.admit());
-        assert_eq!(l.remaining(), 0);
     }
 
     #[test]

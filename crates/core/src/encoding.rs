@@ -13,8 +13,7 @@
 //! the rows, and a columnar [`TupleBlock`] stores the **decoded** rows — so
 //! an encoding bug surfaces as wrong query answers, not just wrong byte
 //! accounting.  `wire_size` is computed from the encoded form, which keeps
-//! `bytes_shipped` and the `OpTrace` counters honest (they reconcile with the
-//! simulator's byte totals; see `tests/columnar_exec.rs`).
+//! `bytes_shipped` and the `OpTrace` counters honest.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -238,8 +237,9 @@ impl TupleBlock {
         TupleBlock { rows: wire.decode(), encoded_bytes, encodings }
     }
 
-    /// Encode with the given layout choice (`columnar` from
-    /// `PierConfig::columnar_wire`).
+    /// Encode with the given layout choice: [`TupleBlock::columnar`] when
+    /// `columnar`, else [`TupleBlock::plain`].  The engine always encodes
+    /// columnar (which falls back to plain where compression does not win).
     pub fn new(rows: Vec<Tuple>, columnar: bool) -> TupleBlock {
         if columnar {
             TupleBlock::columnar(rows)

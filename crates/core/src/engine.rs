@@ -137,10 +137,8 @@ pub enum WindowLatePolicy {
 /// use pier_simnet::Duration;
 ///
 /// let mut config = PierConfig::fast_test();
-/// // Batched wire paths are on by default; benchmarks flip this off to
-/// // measure against the one-message-per-tuple baseline.
-/// assert!(config.batching);
-/// config.batch_max = 128;          // cap tuples per batch (PIER_BATCH_MAX)
+/// config.batch_max = 128;          // cap tuples per batch message
+/// config.batch_flush_ticks = 4;    // let buffers span up to 4 engine ticks
 /// config.auto_stats = true;        // gossip table statistics automatically
 /// config.stats_interval = Duration::from_secs(2);
 /// assert!(config.adaptive);        // re-plan live queries when stats move
@@ -178,26 +176,12 @@ pub struct PierConfig {
     /// ship the right side unfiltered.  A lost summary therefore degrades to
     /// extra traffic, never to missing results the filter would have kept.
     pub bloom_fallback_delay: Duration,
-    /// Cross-query piggybacking: point-to-point payloads (results, partials,
-    /// pending statistics gossip) and deferred intermediate rehashes from
-    /// *different* queries that share a destination or next hop within one
-    /// flush window ride a single wire frame (`DirectBatch` /
-    /// `RouteBatch`).  Single-query traffic is unaffected — frames merge
-    /// only across ≥ 2 concurrent streams.
-    pub piggyback: bool,
     /// Aggregation routing mode.
     pub aggregation: AggregationMode,
-    /// Coalesce hot wire paths into batch messages (`TupleBatch`,
-    /// `JoinBatch`, `ResultBatch`, and DHT-level `RouteBatch`es).  `false`
-    /// reproduces the original one-message-per-tuple behaviour; benchmarks
-    /// flip this to measure the saving.
-    pub batching: bool,
-    /// Maximum tuples per batch message (the `PIER_BATCH_MAX` knob).  Larger
-    /// batches amortize per-message overhead further but make each loss
-    /// under churn costlier; buffers flush early once a batch reaches this
-    /// size.  The `pier-bench` binaries read the `PIER_BATCH_MAX` environment
-    /// variable into this field so deployments can tune it without
-    /// recompiling.
+    /// Maximum tuples per batch message (`TupleBatch`, `JoinBatch`,
+    /// `ResultBatch`).  Larger batches amortize per-message overhead further
+    /// but make each loss under churn costlier; buffers flush early once a
+    /// batch reaches this size.
     pub batch_max: usize,
     /// Time-based flush: with a value `n > 0`, result buffers and
     /// intermediate join-rehash buffers may span up to `n` engine ticks
@@ -250,19 +234,6 @@ pub struct PierConfig {
     /// per-item renewal inside a stored batch.  Off by default (publishers
     /// re-publish everything every TTL, as before).
     pub renewal: bool,
-    /// Vectorized execution: run local scans, filters, projections, and
-    /// grouped aggregation over [`crate::column::ColumnarBatch`]es with
-    /// compiled [`crate::kernel::Kernel`] pipelines instead of per-row
-    /// [`crate::expr::Expr::eval`].  Results are identical either way (the
-    /// row path is kept as the behavioural reference); benchmarks flip this
-    /// to measure the speedup.
-    pub vectorized: bool,
-    /// Compact columnar wire encoding for the batch payloads (`TupleBatch`,
-    /// `JoinBatch`, `ResultBatch`): per-column dictionary / run-length
-    /// compression where it wins over plain row-major, chosen per column per
-    /// block.  `false` reproduces the plain encoding's byte accounting
-    /// exactly.
-    pub columnar_wire: bool,
     /// What the aggregation root does with partials that arrive after the
     /// windows covering their epoch have closed (windowed continuous
     /// aggregates only; see [`WindowLatePolicy`]).  Interacts with
@@ -289,9 +260,7 @@ impl Default for PierConfig {
             bloom_bits_max: 65_536,
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(8_000),
-            piggyback: true,
             aggregation: AggregationMode::Hierarchical,
-            batching: true,
             batch_max: 512,
             batch_flush_ticks: 0,
             auto_stats: false,
@@ -301,8 +270,6 @@ impl Default for PierConfig {
             adaptive: true,
             feedback: false,
             renewal: false,
-            vectorized: true,
-            columnar_wire: true,
             window_late_policy: WindowLatePolicy::Drop,
         }
     }
@@ -323,9 +290,7 @@ impl PierConfig {
             bloom_bits_max: 16_384,
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(3_000),
-            piggyback: true,
             aggregation: AggregationMode::Hierarchical,
-            batching: true,
             batch_max: 512,
             batch_flush_ticks: 0,
             auto_stats: false,
@@ -335,8 +300,6 @@ impl PierConfig {
             adaptive: true,
             feedback: false,
             renewal: false,
-            vectorized: true,
-            columnar_wire: true,
             window_late_policy: WindowLatePolicy::Drop,
         }
     }
@@ -355,9 +318,7 @@ impl PierConfig {
             bloom_bits_max: 131_072,
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(10_000),
-            piggyback: true,
             aggregation: AggregationMode::Hierarchical,
-            batching: true,
             batch_max: 512,
             batch_flush_ticks: 0,
             auto_stats: false,
@@ -367,8 +328,6 @@ impl PierConfig {
             adaptive: true,
             feedback: false,
             renewal: false,
-            vectorized: true,
-            columnar_wire: true,
             window_late_policy: WindowLatePolicy::Drop,
         }
     }
@@ -547,13 +506,9 @@ struct RunningQuery {
     root_last_update: HashMap<u64, SimTime>,
     /// How many times finalization has been postponed, per epoch.
     root_extensions: HashMap<u64, u32>,
-    /// Join site hash tables: (stage, epoch, key) -> tuples.
-    join_left: HashMap<(u8, u64, Value), Vec<Tuple>>,
-    join_right: HashMap<(u8, u64, Value), Vec<Tuple>>,
-    /// Vectorized join state per (stage, epoch): columnar build sides with a
-    /// typed key-vector hash index, replacing `join_left` / `join_right`
-    /// when `PierConfig::vectorized` is on.
-    vec_join: HashMap<(u8, u64), JoinBuild>,
+    /// Join-site state per (stage, epoch): both sides' arrivals as columnar
+    /// chunks, indexed by join-key value.
+    join_builds: HashMap<(u8, u64), JoinBuild>,
     /// Origin-side Bloom collection per (stage, epoch).
     blooms: HashMap<(u8, u64), BloomFilter>,
     bloom_armed: HashSet<(u8, u64)>,
@@ -587,8 +542,8 @@ struct RunningQuery {
     /// node's per-epoch evaluation on a single strategy, so a flip never
     /// mixes strategies *within* one node-epoch.
     pending_spec: Option<QuerySpec>,
-    /// Kernels compiled once from the live spec and reused every epoch
-    /// (vectorized path).  Cleared when a re-planned spec is applied.
+    /// Kernels compiled once from the live spec and reused every epoch.
+    /// Cleared when a re-planned spec is applied.
     kernels: Option<Rc<CompiledKernels>>,
     /// Origin-side trace-fed costing state: a network-wide trace collection
     /// is outstanding for this query.
@@ -602,7 +557,7 @@ struct RunningQuery {
     observed: Option<crate::planner::ObservedStats>,
 }
 
-/// The vectorized pipeline for one query: every `Expr` the per-epoch hot
+/// The compiled pipeline for one query: every `Expr` the per-epoch hot
 /// loops evaluate, compiled to a [`Kernel`] exactly once per (node, spec).
 /// Re-planning invalidates the cache — the next epoch recompiles from the
 /// swapped spec.
@@ -614,7 +569,7 @@ struct CompiledKernels {
     /// `Select` projection kernels.
     project: Vec<Kernel>,
     /// Per join stage: `[left key, right key]` plus the pushed-down
-    /// right-side filter.
+    /// scan filters.
     stages: Vec<StageKernels>,
 }
 
@@ -622,6 +577,9 @@ struct CompiledKernels {
 struct StageKernels {
     keys: [Kernel; 2],
     right_filter: Option<Kernel>,
+    /// The pushed-down filter of a bushy subchain root's own left scan
+    /// ([`BranchScan::filter`](crate::query::BranchScan)).
+    scan_filter: Option<Kernel>,
     /// The stage's residual (non-equi) predicate, applied to joined rows.
     post: Option<Kernel>,
 }
@@ -659,6 +617,11 @@ impl CompiledKernels {
                     .map(|s| StageKernels {
                         keys: [Kernel::compile(&s.left_key), Kernel::compile(&s.right_key)],
                         right_filter: s.right_filter.as_ref().map(Kernel::compile),
+                        scan_filter: s
+                            .left_scan
+                            .as_ref()
+                            .and_then(|b| b.filter.as_ref())
+                            .map(Kernel::compile),
                         post: s.post_filter.as_ref().map(Kernel::compile),
                     })
                     .collect(),
@@ -692,9 +655,7 @@ impl RunningQuery {
             windows_closed: HashSet::new(),
             root_last_update: HashMap::new(),
             root_extensions: HashMap::new(),
-            join_left: HashMap::new(),
-            join_right: HashMap::new(),
-            vec_join: HashMap::new(),
+            join_builds: HashMap::new(),
             blooms: HashMap::new(),
             bloom_armed: HashSet::new(),
             bloom_sent: HashMap::new(),
@@ -855,7 +816,7 @@ pub struct PierNode {
     /// (query, epoch) and flushed as one `ResultBatch` per destination when
     /// the tick's upcall processing drains (the origin address is derived
     /// from the query id).  First-come order, so flushing preserves the
-    /// per-epoch row order the unbatched path would produce.
+    /// per-epoch order in which rows were produced.
     pending_results: Vec<((QueryId, u64), Vec<Tuple>)>,
     /// Join-rehash tuples deferred by the time-based flush
     /// (`batch_flush_ticks > 0`), per (query, stage, epoch, side); flushed
@@ -865,8 +826,7 @@ pub struct PierNode {
     /// during the current engine tick.  Flushed at every upcall drain —
     /// never deferred across ticks — so staging adds no latency; entries to
     /// the same destination from ≥ 2 distinct streams share one
-    /// `DirectBatch` frame (cross-query piggybacking).  Empty whenever
-    /// `PierConfig::piggyback` is off.
+    /// `DirectBatch` frame (cross-query piggybacking).
     pending_direct: Vec<(NodeAddr, DirectStream, PierPayload)>,
     /// Statistics-gossip payloads held for the deferred flush window
     /// (`batch_flush_ticks > 0`): unlike `pending_direct` they may span
@@ -979,13 +939,6 @@ impl PierNode {
         }
     }
 
-    /// Record one payload that costs exactly one wire message (direct sends,
-    /// unbatched routed sends).
-    fn note_send(&mut self, payload: &PierPayload) {
-        self.stats.messages_sent += 1;
-        self.note_payload(payload);
-    }
-
     /// Like [`note_payload`](Self::note_payload), but also mirrors the bytes
     /// and batch count into the query's execution trace, so `EXPLAIN ANALYZE`
     /// totals reconcile with the engine-wide counters.
@@ -1010,7 +963,8 @@ impl PierNode {
         }
     }
 
-    /// Like [`note_send`](Self::note_send), but query-scoped.
+    /// Record one query payload that costs exactly one wire message (a
+    /// direct send).
     fn note_query_send(&mut self, id: QueryId, payload: &PierPayload) {
         self.note_query_payload(id, payload);
         self.add_query_msgs(id, 1);
@@ -1109,20 +1063,13 @@ impl PierNode {
     /// Publish many tuples of one table with coalesced wire traffic: tuples
     /// sharing a partitioning value travel (and are stored) as a single
     /// `TupleBatch`, and batches whose first routing hop coincides share one
-    /// wire message.  With `batching` disabled this degenerates to per-tuple
-    /// puts, which benchmarks use as the baseline.
+    /// wire message.
     pub fn publish_batch(
         &mut self,
         ctx: &mut Ctx<'_>,
         table: &str,
         tuples: Vec<Tuple>,
     ) -> Result<(), PierError> {
-        if !self.config.batching {
-            for tuple in tuples {
-                self.publish(ctx, table, tuple)?;
-            }
-            return Ok(());
-        }
         let def = self
             .catalog
             .get(table)
@@ -1138,10 +1085,7 @@ impl PierNode {
                 let payload = if chunk.len() == 1 {
                     PierPayload::Tuple(chunk[0].clone())
                 } else {
-                    PierPayload::TupleBatch(TupleBlock::new(
-                        chunk.to_vec(),
-                        self.config.columnar_wire,
-                    ))
+                    PierPayload::TupleBatch(TupleBlock::columnar(chunk.to_vec()))
                 };
                 self.stats.tuples_published += chunk.len() as u64;
                 self.note_payload(&payload);
@@ -1597,57 +1541,37 @@ impl PierNode {
         let since = scan_since(&spec, now);
 
         match &spec.kind {
-            QueryKind::Select { table, filter, project, .. } => {
+            QueryKind::Select { table, .. } => {
+                // Batch → filter kernel → selection vector → projection
+                // kernels, then one output tuple per surviving row.
                 let rows = self.scan_traced(id, table, now, since);
-                if self.config.vectorized {
-                    // Batch → filter kernel → selection vector → projection
-                    // kernels, then one output tuple per surviving row.
-                    let Some(kern) = self.query_kernels(id) else { return };
-                    let batch = self.batch_for_scan(table, now, since, &rows);
-                    let sel = match &kern.filter {
-                        Some(k) => k.filter(&batch, &batch.full_selection()),
-                        None => batch.full_selection(),
-                    };
-                    let cols: Vec<crate::column::Column> =
-                        kern.project.iter().map(|k| k.eval(&batch, &sel)).collect();
-                    for j in 0..sel.len() {
-                        let out = Tuple::new(cols.iter().map(|c| c.value_at(j)).collect());
-                        self.send_result(ctx, &spec, epoch, out);
-                    }
-                } else {
-                    let filter_op = filter.clone().map(FilterOp::new);
-                    let project_op = ProjectOp::new(project.clone());
-                    for row in rows {
-                        if filter_op.as_ref().map(|f| f.accepts(&row)).unwrap_or(true) {
-                            let out = project_op.apply_one(&row);
-                            self.send_result(ctx, &spec, epoch, out);
-                        }
-                    }
+                let Some(kern) = self.query_kernels(id) else { return };
+                let batch = self.batch_for_scan(table, now, since, &rows);
+                let sel = match &kern.filter {
+                    Some(k) => k.filter(&batch, &batch.full_selection()),
+                    None => batch.full_selection(),
+                };
+                let cols: Vec<crate::column::Column> =
+                    kern.project.iter().map(|k| k.eval(&batch, &sel)).collect();
+                for j in 0..sel.len() {
+                    let out = Tuple::new(cols.iter().map(|c| c.value_at(j)).collect());
+                    self.send_result(ctx, &spec, epoch, out);
                 }
             }
-            QueryKind::Aggregate { table, filter, group_exprs, aggs, .. } => {
+            QueryKind::Aggregate { table, group_exprs, aggs, .. } => {
                 let rows = self.scan_traced(id, table, now, since);
+                let Some(kern) = self.query_kernels(id) else { return };
+                let batch = self.batch_for_scan(table, now, since, &rows);
+                let sel = match &kern.filter {
+                    Some(k) => k.filter(&batch, &batch.full_selection()),
+                    None => batch.full_selection(),
+                };
                 let mut agg = GroupAggregator::new(group_exprs.clone(), aggs.clone());
-                if self.config.vectorized {
-                    let Some(kern) = self.query_kernels(id) else { return };
-                    let batch = self.batch_for_scan(table, now, since, &rows);
-                    let sel = match &kern.filter {
-                        Some(k) => k.filter(&batch, &batch.full_selection()),
-                        None => batch.full_selection(),
-                    };
-                    agg.update_batch(&batch, &sel);
-                } else {
-                    let filter_op = filter.clone().map(FilterOp::new);
-                    for row in rows {
-                        if filter_op.as_ref().map(|f| f.accepts(&row)).unwrap_or(true) {
-                            agg.update(&row);
-                        }
-                    }
-                }
+                agg.update_batch(&batch, &sel);
                 let partials = agg.take_partials();
                 self.absorb_partials(ctx, id, epoch, partials, 1, false);
             }
-            QueryKind::Join { left_table, left_filter, stages, .. } => {
+            QueryKind::Join { left_table, stages, .. } => {
                 // Right sides first: every symmetric-hash stage's right
                 // relation is scanned and rehashed into that stage's
                 // namespace.  Fetch-Matches stages are probed on demand and
@@ -1655,7 +1579,6 @@ impl PierNode {
                 // combined filter.
                 let stages = stages.clone();
                 let left_table = left_table.clone();
-                let left_filter = left_filter.clone();
                 let kern = self.query_kernels(id);
                 for (k, stage) in stages.iter().enumerate() {
                     if stage.strategy == JoinStrategy::SymmetricHash {
@@ -1682,7 +1605,6 @@ impl PierNode {
                             &stage.right_table,
                             now,
                             since,
-                            &stage.right_filter,
                             kern.as_deref().and_then(|c| {
                                 c.stages.get(k).and_then(|s| s.right_filter.as_ref())
                             }),
@@ -1708,8 +1630,14 @@ impl PierNode {
                 // it; anything unexpected degrades to a symmetric rehash.
                 for (k, stage) in stages.iter().enumerate() {
                     let Some(scan) = &stage.left_scan else { continue };
-                    let rows =
-                        self.scan_filtered_traced(id, &scan.table, now, since, &scan.filter, None);
+                    let rows = self.scan_filtered_traced(
+                        id,
+                        &scan.table,
+                        now,
+                        since,
+                        kern.as_deref()
+                            .and_then(|c| c.stages.get(k).and_then(|s| s.scan_filter.as_ref())),
+                    );
                     match stage.strategy {
                         JoinStrategy::FetchMatches => {
                             let left_key = stage.left_key.clone();
@@ -1744,7 +1672,6 @@ impl PierNode {
                     &left_table,
                     now,
                     since,
-                    &left_filter,
                     kern.as_deref().and_then(|c| c.filter.as_ref()),
                 );
                 let stage0 = &stages[0];
@@ -1881,41 +1808,31 @@ impl PierNode {
         rows
     }
 
-    /// Scan a table and apply a pushed-down predicate before any tuple is
-    /// shipped (the optimizer places per-side join filters here).  The trace
-    /// counts the tuples *scanned*, before the filter drops any.  With a
-    /// compiled `kernel` for the predicate and vectorization on, the filter
-    /// runs as a selection-vector kernel over a columnar batch.
+    /// Scan a table and apply a pushed-down predicate, compiled to `kernel`,
+    /// before any tuple is shipped (the optimizer places per-side join
+    /// filters here).  The filter runs as a selection-vector kernel over a
+    /// columnar batch.  The trace counts the tuples *scanned*, before the
+    /// filter drops any.
     fn scan_filtered_traced(
         &mut self,
         id: QueryId,
         table: &str,
         now: SimTime,
         since: SimTime,
-        filter: &Option<crate::expr::Expr>,
         kernel: Option<&Kernel>,
     ) -> Vec<Tuple> {
         let rows = self.scan_traced(id, table, now, since);
-        if rows.is_empty() || filter.is_none() {
+        let Some(k) = kernel else { return rows };
+        if rows.is_empty() {
             return rows;
         }
-        if self.config.vectorized {
-            if let Some(k) = kernel {
-                let batch = self.batch_for_scan(table, now, since, &rows);
-                let sel = k.filter(&batch, &batch.full_selection());
-                let mut keep = vec![false; rows.len()];
-                for &j in &sel {
-                    keep[j as usize] = true;
-                }
-                return rows
-                    .into_iter()
-                    .zip(keep)
-                    .filter_map(|(r, keep)| keep.then_some(r))
-                    .collect();
-            }
+        let batch = self.batch_for_scan(table, now, since, &rows);
+        let sel = k.filter(&batch, &batch.full_selection());
+        let mut keep = vec![false; rows.len()];
+        for &j in &sel {
+            keep[j as usize] = true;
         }
-        let op = FilterOp::new(filter.clone().expect("checked above"));
-        rows.into_iter().filter(|r| op.accepts(r)).collect()
+        rows.into_iter().zip(keep).filter_map(|(r, keep)| keep.then_some(r)).collect()
     }
 
     /// The query's compiled kernel pipeline, building it on first use.
@@ -1932,13 +1849,6 @@ impl PierNode {
         if let Some(q) = self.queries.get_mut(&spec.id) {
             q.trace.results_sent += 1;
             *q.trace.epoch_rows.entry(epoch).or_insert(0) += 1;
-        }
-        if !self.config.batching {
-            let row = ResultRow { query: spec.id, epoch, tuple };
-            let payload = PierPayload::Result(row);
-            self.note_query_send(spec.id, &payload);
-            self.dht.send_direct(ctx, spec.origin(), payload);
-            return;
         }
         // Buffer; flush_results ships one message per (origin, query, epoch)
         // when the current engine tick drains (or earlier at batch_max).
@@ -2030,25 +1940,16 @@ impl PierNode {
                     tuple: rows.pop().expect("len checked"),
                 })
             } else {
-                PierPayload::ResultBatch {
-                    query,
-                    epoch,
-                    rows: TupleBlock::new(rows, self.config.columnar_wire),
-                }
+                PierPayload::ResultBatch { query, epoch, rows: TupleBlock::columnar(rows) }
             };
-            if self.config.piggyback {
-                self.note_query_payload(query, &payload);
-                self.pending_direct.push((origin, DirectStream::Query(query), payload));
-            } else {
-                self.note_query_send(query, &payload);
-                self.dht.send_direct(ctx, origin, payload);
-            }
+            self.note_query_payload(query, &payload);
+            self.pending_direct.push((origin, DirectStream::Query(query), payload));
         }
-        // Results ship before rehashes, as the unbatched paths would.
+        // Results ship before rehashes.
         self.flush_direct(ctx);
         let multi_query =
             rehashes.iter().map(|((q, _, _, _), _)| *q).collect::<HashSet<_>>().len() >= 2;
-        if self.config.piggyback && multi_query {
+        if multi_query {
             self.ship_rehash_merged(ctx, rehashes);
         } else {
             for ((query, stage, epoch, side), pairs) in rehashes {
@@ -2059,8 +1960,8 @@ impl PierNode {
     }
 
     /// Drain the staged point-to-point payloads.  Per destination (in
-    /// staging order): a run from a single accounting stream replays the
-    /// exact unstaged sends; payloads from ≥ 2 distinct streams merge into
+    /// staging order): a run from a single accounting stream ships one
+    /// direct message per payload; payloads from ≥ 2 distinct streams merge into
     /// one `DirectBatch` frame, charged to the first query stream aboard
     /// (or the engine stream if no query rides) — every other payload is
     /// counted as piggybacked.
@@ -2153,7 +2054,7 @@ impl PierNode {
                             epoch,
                             side,
                             key: key.clone(),
-                            tuples: TupleBlock::new(chunk.to_vec(), self.config.columnar_wire),
+                            tuples: TupleBlock::columnar(chunk.to_vec()),
                         }
                     };
                     self.note_query_payload(query, &payload);
@@ -2241,13 +2142,8 @@ impl PierNode {
                 if let Some(next) = self.dht.route_next_hop(&Self::agg_root_id(id)) {
                     self.stats.partials_sent += 1;
                     let payload = PierPayload::Partial { query: id, epoch, groups, contributors };
-                    if self.config.piggyback {
-                        self.note_payload(&payload);
-                        self.pending_direct.push((next.addr, DirectStream::Engine, payload));
-                    } else {
-                        self.note_send(&payload);
-                        self.dht.send_direct(ctx, next.addr, payload);
-                    }
+                    self.note_payload(&payload);
+                    self.pending_direct.push((next.addr, DirectStream::Engine, payload));
                 }
             }
             return;
@@ -2407,13 +2303,8 @@ impl PierNode {
                     q.trace.partials_sent += 1;
                 }
                 let payload = PierPayload::Partial { query: id, epoch, groups, contributors };
-                if self.config.piggyback {
-                    self.note_query_payload(id, &payload);
-                    self.pending_direct.push((next, DirectStream::Query(id), payload));
-                } else {
-                    self.note_query_send(id, &payload);
-                    self.dht.send_direct(ctx, next, payload);
-                }
+                self.note_query_payload(id, &payload);
+                self.pending_direct.push((next, DirectStream::Query(id), payload));
             }
             _ => {
                 // We became the root in the meantime: absorb locally.
@@ -2712,10 +2603,10 @@ impl PierNode {
             Some(cols) => row.project(cols),
             None => row.clone(),
         };
-        // Vectorized: one kernel evaluation over the whole input batch
-        // computes every row's join key (the stage's key kernel is compiled
-        // once per spec and cached on the query).
-        let keys: Vec<Value> = if self.config.vectorized && rows.len() > 1 {
+        // One kernel evaluation over the whole input batch computes every
+        // row's join key (the stage's key kernel is compiled once per spec
+        // and cached on the query).
+        let keys: Vec<Value> = if rows.len() > 1 {
             let kern = self.query_kernels(spec.id);
             match kern.as_deref().and_then(|c| c.stage_key(stage as usize, side)) {
                 Some(k) => {
@@ -2728,39 +2619,6 @@ impl PierNode {
         } else {
             rows.iter().map(|r| key_expr.eval(r)).collect()
         };
-        if !self.config.batching {
-            for (row, key) in rows.iter().zip(keys) {
-                if key.is_null() {
-                    continue;
-                }
-                self.stats.join_tuples_sent += 1;
-                let payload = PierPayload::JoinTuple {
-                    query: spec.id,
-                    stage,
-                    epoch,
-                    side,
-                    key: key.clone(),
-                    tuple: narrow(row),
-                };
-                self.note_query_payload(spec.id, &payload);
-                if let Some(q) = self.queries.get_mut(&spec.id) {
-                    q.trace.tuples_shipped += 1;
-                    *q.trace.stage_shipped.entry(stage).or_insert(0) += 1;
-                }
-                let sent = self.dht.send_to_key(
-                    ctx,
-                    ResourceKey::singleton(namespace.clone(), key.partition_string()),
-                    payload,
-                );
-                self.add_query_msgs(spec.id, sent as u64);
-                if side == 1 {
-                    if let Some(q) = self.queries.get_mut(&spec.id) {
-                        *q.trace.stage_rehash_msgs.entry(stage).or_insert(0) += sent as u64;
-                    }
-                }
-            }
-            return;
-        }
         let pairs: Vec<(Value, Tuple)> = rows
             .iter()
             .zip(keys)
@@ -2830,7 +2688,7 @@ impl PierNode {
                         epoch,
                         side,
                         key: key.clone(),
-                        tuples: TupleBlock::new(chunk.to_vec(), self.config.columnar_wire),
+                        tuples: TupleBlock::columnar(chunk.to_vec()),
                     }
                 };
                 self.note_query_payload(id, &payload);
@@ -2928,14 +2786,8 @@ impl PierNode {
                         return;
                     }
                     let mut acc = GroupAggregator::new(agg.group_exprs.clone(), agg.aggs.clone());
-                    if self.config.vectorized {
-                        let batch = ColumnarBatch::from_rows(&rows);
-                        acc.update_batch(&batch, &batch.full_selection());
-                    } else {
-                        for row in &rows {
-                            acc.update(row);
-                        }
-                    }
+                    let batch = ColumnarBatch::from_rows(&rows);
+                    acc.update_batch(&batch, &batch.full_selection());
                     let partials = acc.take_partials();
                     // A node counts itself as a contributor once per epoch,
                     // however many final-stage batches it produces.
@@ -3029,60 +2881,26 @@ impl PierNode {
             self.note_inner_key(ctx, id, stage, epoch, suggested, &key);
         }
 
-        let outputs: Vec<Tuple> = if self.config.vectorized {
-            // Vectorized build/probe: the batch pivots into the stage's
-            // columnar build side once, and the probe runs as a single-pass
-            // kernel over the other side's stored chunks — no per-row
-            // `Value` clones, no per-tuple hash lookups.  Output order
-            // matches the scalar path exactly (incoming-major over stored
-            // rows in arrival order).
-            let kern = self.query_kernels(id);
-            let post = kern
-                .as_deref()
-                .and_then(|c| c.stages.get(stage as usize))
-                .and_then(|s| s.post.as_ref());
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            let build = q.vec_join.entry((stage, epoch)).or_default();
-            let incoming = build.insert(side as usize, &key, &tuples);
-            probe_joined(
-                &incoming,
-                side,
-                build.matches(1 - side as usize, &key),
-                other_expect,
-                post,
-            )
-        } else {
-            // Scalar reference path: store the whole batch, then probe the
-            // other side once per arrival (matches already stored locally
-            // pair with every incoming tuple, exactly as a sequence of
-            // single-tuple deliveries would).
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            let matches: Vec<Tuple> = if side == 0 {
-                q.join_left
-                    .entry((stage, epoch, key.clone()))
-                    .or_default()
-                    .extend(tuples.iter().cloned());
-                q.join_right.get(&(stage, epoch, key)).cloned().unwrap_or_default()
-            } else {
-                q.join_right
-                    .entry((stage, epoch, key.clone()))
-                    .or_default()
-                    .extend(tuples.iter().cloned());
-                q.join_left.get(&(stage, epoch, key)).cloned().unwrap_or_default()
-            };
-
-            let filter_op = st.post_filter.clone().map(FilterOp::new);
-            let mut outputs = Vec::new();
-            for tuple in &tuples {
-                for m in matches.iter().filter(|m| m.arity() == other_expect) {
-                    let joined = if side == 0 { tuple.concat(m) } else { m.concat(tuple) };
-                    if filter_op.as_ref().map(|f| f.accepts(&joined)).unwrap_or(true) {
-                        outputs.push(joined);
-                    }
-                }
-            }
-            outputs
-        };
+        // Build/probe: the batch pivots into the stage's columnar build side
+        // once, and the probe runs as a single-pass kernel over the other
+        // side's stored chunks — no per-row `Value` clones, no per-tuple hash
+        // lookups.  Output is incoming-major over the stored rows in arrival
+        // order.
+        let kern = self.query_kernels(id);
+        let post = kern
+            .as_deref()
+            .and_then(|c| c.stages.get(stage as usize))
+            .and_then(|s| s.post.as_ref());
+        let Some(q) = self.queries.get_mut(&id) else { return };
+        let build = q.join_builds.entry((stage, epoch)).or_default();
+        let incoming = build.insert(side as usize, &key, &tuples);
+        let outputs = probe_joined(
+            &incoming,
+            side,
+            build.matches(1 - side as usize, &key),
+            other_expect,
+            post,
+        );
         self.emit_stage_rows(ctx, &spec, stage, epoch, outputs);
         self.process_upcalls(ctx);
     }
@@ -3355,7 +3173,6 @@ impl PierNode {
             &st.right_table,
             now,
             since,
-            &st.right_filter,
             kern.as_deref()
                 .and_then(|c| c.stages.get(stage as usize).and_then(|s| s.right_filter.as_ref())),
         );
@@ -3434,7 +3251,6 @@ impl PierNode {
             &st.right_table,
             now,
             since,
-            &st.right_filter,
             kern.as_deref().and_then(|c| c.stages.first().and_then(|s| s.right_filter.as_ref())),
         );
         let mut tested = 0u64;
@@ -3522,27 +3338,23 @@ impl PierNode {
         for peer in peers {
             self.stats.stats_gossip_sent += 1;
             let payload = PierPayload::StatsGossip { entries: entries.clone() };
-            if self.config.piggyback {
-                if self.config.batching && self.config.batch_flush_ticks > 0 {
-                    // Deferred-flush mode: hold the gossip across the same
-                    // window the RouteBatch/result buffers span, so it rides
-                    // the next forced flush's shared frames instead of
-                    // shipping in its own tick.  The deadline timer bounds
-                    // how stale a held view can get on a quiescent node.
-                    self.pending_gossip.push((peer, payload));
-                    self.stats.gossip_deferred += 1;
-                    if !self.flush_timer_armed {
-                        self.flush_timer_armed = true;
-                        let delay = self.config.holddown;
-                        self.arm_timer(ctx, delay, TimerPurpose::BatchFlush);
-                    }
-                } else {
-                    // Pending gossip rides whatever query frame shares the
-                    // destination at the tick drain — near-zero marginal cost.
-                    self.pending_direct.push((peer, DirectStream::Gossip, payload));
+            if self.config.batch_flush_ticks > 0 {
+                // Deferred-flush mode: hold the gossip across the same
+                // window the RouteBatch/result buffers span, so it rides the
+                // next forced flush's shared frames instead of shipping in
+                // its own tick.  The deadline timer bounds how stale a held
+                // view can get on a quiescent node.
+                self.pending_gossip.push((peer, payload));
+                self.stats.gossip_deferred += 1;
+                if !self.flush_timer_armed {
+                    self.flush_timer_armed = true;
+                    let delay = self.config.holddown;
+                    self.arm_timer(ctx, delay, TimerPurpose::BatchFlush);
                 }
             } else {
-                self.dht.send_direct(ctx, peer, payload);
+                // Pending gossip rides whatever query frame shares the
+                // destination at the tick drain — near-zero marginal cost.
+                self.pending_direct.push((peer, DirectStream::Gossip, payload));
             }
         }
         self.process_upcalls(ctx);

@@ -9,8 +9,11 @@
 //!
 //! * a **declarative interface** — a SQL dialect with continuous-query
 //!   extensions ([`sql`], [`planner`]);
-//! * an **algebraic interface** — "boxes and arrows" dataflow graphs
-//!   supporting trees, DAGs, and cyclic (recursive) graphs ([`dataflow`]);
+//! * an **algebraic interface** — queries built directly as a
+//!   [`QueryKind`] (selection, aggregation, staged join DAGs, and recursive
+//!   expansion) and submitted with [`PierNode::submit`] or
+//!   [`PierTestbed::submit_query`], bypassing SQL; the local operators they
+//!   run over each node's data live in [`dataflow`];
 //! * **multihop, in-network operators** — hierarchical aggregation, symmetric
 //!   rehash / Fetch-Matches / Bloom-filter joins, recursive expansion, and
 //!   query/result dissemination ([`engine`]);

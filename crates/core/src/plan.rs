@@ -67,17 +67,6 @@ pub enum LogicalPlan {
         /// Output schema (names + types of `exprs`).
         schema: Schema,
     },
-    /// Equi-join two inputs.
-    Join {
-        /// Left input.
-        left: Box<LogicalPlan>,
-        /// Right input.
-        right: Box<LogicalPlan>,
-        /// Join key over the left schema.
-        left_key: Expr,
-        /// Join key over the right schema.
-        right_key: Expr,
-    },
     /// N-ary equi-join: all inputs joined under a predicate graph.  The
     /// optimizer's join-order enumerator decides the execution order; the
     /// node itself is order-free (inputs appear in the query's declared
@@ -123,7 +112,6 @@ impl LogicalPlan {
             LogicalPlan::Scan { schema, .. } => schema.clone(),
             LogicalPlan::Filter { input, .. } => input.schema(),
             LogicalPlan::Project { schema, .. } => schema.clone(),
-            LogicalPlan::Join { left, right, .. } => left.schema().concat(&right.schema()),
             LogicalPlan::MultiJoin { inputs, .. } => {
                 let mut schema = Schema::empty();
                 for input in inputs {
@@ -145,11 +133,6 @@ impl LogicalPlan {
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. } => input.input_tables(),
-            LogicalPlan::Join { left, right, .. } => {
-                let mut t = left.input_tables();
-                t.extend(right.input_tables());
-                t
-            }
             LogicalPlan::MultiJoin { inputs, .. } => {
                 inputs.iter().flat_map(|i| i.input_tables()).collect()
             }
@@ -172,11 +155,6 @@ impl LogicalPlan {
                     let rendered: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
                     out.push_str(&format!("{pad}Project [{}]\n", rendered.join(", ")));
                     rec(input, depth + 1, out);
-                }
-                LogicalPlan::Join { left, right, left_key, right_key } => {
-                    out.push_str(&format!("{pad}Join on {left_key} = {right_key}\n"));
-                    rec(left, depth + 1, out);
-                    rec(right, depth + 1, out);
                 }
                 LogicalPlan::MultiJoin { inputs, preds } => {
                     let rendered: Vec<String> =
@@ -241,25 +219,22 @@ mod tests {
         };
         assert_eq!(proj.schema().names(), vec!["b"]);
 
-        let join = LogicalPlan::Join {
-            left: Box::new(scan()),
-            right: Box::new(scan()),
-            left_key: Expr::col(0),
-            right_key: Expr::col(0),
-        };
+        // t.a = t.a across both inputs: global columns 0 and 2.
+        let join = LogicalPlan::MultiJoin { inputs: vec![scan(), scan()], preds: vec![(0, 2)] };
         assert_eq!(join.schema().arity(), 4);
     }
 
     #[test]
     fn input_tables_collects_all() {
-        let join = LogicalPlan::Join {
-            left: Box::new(scan()),
-            right: Box::new(LogicalPlan::Scan {
-                table: "u".into(),
-                schema: Schema::of(&[("x", DataType::Int)]),
-            }),
-            left_key: Expr::col(0),
-            right_key: Expr::col(0),
+        let join = LogicalPlan::MultiJoin {
+            inputs: vec![
+                scan(),
+                LogicalPlan::Scan {
+                    table: "u".into(),
+                    schema: Schema::of(&[("x", DataType::Int)]),
+                },
+            ],
+            preds: vec![(0, 2)],
         };
         let limited = LogicalPlan::Limit { input: Box::new(join), n: 5 };
         assert_eq!(limited.input_tables(), vec!["t".to_string(), "u".to_string()]);

@@ -7,7 +7,7 @@
 //!   evaluated at plan time; boolean identities (`TRUE AND p`, `FALSE OR p`)
 //!   are simplified and filters whose predicate folds to `TRUE` disappear;
 //! * **predicate pushdown** — filter conjuncts sink below joins (onto the
-//!   side whose columns they reference) and below aggregations (when they
+//!   input whose columns they reference) and below aggregations (when they
 //!   only touch group-by columns), so distributed scans ship fewer tuples;
 //! * **projection pruning** — scans feeding a projection or an aggregation
 //!   are narrowed to the columns actually used.
@@ -222,12 +222,6 @@ fn fold_plan(plan: &LogicalPlan) -> LogicalPlan {
             exprs: exprs.iter().map(fold_expr).collect(),
             schema: schema.clone(),
         },
-        LogicalPlan::Join { left, right, left_key, right_key } => LogicalPlan::Join {
-            left: Box::new(fold_plan(left)),
-            right: Box::new(fold_plan(right)),
-            left_key: fold_expr(left_key),
-            right_key: fold_expr(right_key),
-        },
         LogicalPlan::MultiJoin { inputs, preds } => LogicalPlan::MultiJoin {
             inputs: inputs.iter().map(fold_plan).collect(),
             preds: preds.clone(),
@@ -308,39 +302,6 @@ fn push_plan(plan: LogicalPlan) -> LogicalPlan {
                 LogicalPlan::Filter { input: inner, predicate: p_inner } => {
                     LogicalPlan::Filter { input: inner, predicate: p_inner.and(predicate) }
                 }
-                LogicalPlan::Join { left, right, left_key, right_key } => {
-                    let left_arity = left.schema().arity();
-                    let mut conjuncts = Vec::new();
-                    split_conjuncts(predicate, &mut conjuncts);
-                    let mut left_parts = Vec::new();
-                    let mut right_parts = Vec::new();
-                    let mut residual = Vec::new();
-                    for c in conjuncts {
-                        let cols = c.referenced_columns();
-                        if cols.iter().all(|&i| i < left_arity) && !cols.is_empty() {
-                            left_parts.push(c);
-                        } else if cols.iter().all(|&i| i >= left_arity) && !cols.is_empty() {
-                            // Rebase onto the right schema.
-                            right_parts
-                                .push(c.substitute_columns(&|i| Expr::Column(i - left_arity)));
-                        } else {
-                            residual.push(c);
-                        }
-                    }
-                    let left = match conjoin(left_parts) {
-                        Some(p) => Box::new(LogicalPlan::Filter { input: left, predicate: p }),
-                        None => left,
-                    };
-                    let right = match conjoin(right_parts) {
-                        Some(p) => Box::new(LogicalPlan::Filter { input: right, predicate: p }),
-                        None => right,
-                    };
-                    let join = LogicalPlan::Join { left, right, left_key, right_key };
-                    match conjoin(residual) {
-                        Some(p) => LogicalPlan::Filter { input: Box::new(join), predicate: p },
-                        None => join,
-                    }
-                }
                 LogicalPlan::MultiJoin { inputs, preds } => {
                     // Conjuncts that reference a single input sink onto that
                     // input (rebased to its local schema); the rest stays
@@ -409,12 +370,6 @@ fn push_plan(plan: LogicalPlan) -> LogicalPlan {
         LogicalPlan::Project { input, exprs, schema } => {
             LogicalPlan::Project { input: Box::new(push_plan(*input)), exprs, schema }
         }
-        LogicalPlan::Join { left, right, left_key, right_key } => LogicalPlan::Join {
-            left: Box::new(push_plan(*left)),
-            right: Box::new(push_plan(*right)),
-            left_key,
-            right_key,
-        },
         LogicalPlan::MultiJoin { inputs, preds } => {
             LogicalPlan::MultiJoin { inputs: inputs.into_iter().map(push_plan).collect(), preds }
         }
@@ -507,12 +462,6 @@ fn prune_plan(plan: LogicalPlan) -> LogicalPlan {
                 None => LogicalPlan::Project { input: Box::new(input), exprs, schema },
             }
         }
-        LogicalPlan::Join { left, right, left_key, right_key } => LogicalPlan::Join {
-            left: Box::new(prune_plan(*left)),
-            right: Box::new(prune_plan(*right)),
-            left_key,
-            right_key,
-        },
         // Scans under a MultiJoin keep their full width: narrowing is the
         // distributed planner's job (per-stage ship columns), and a local
         // projection here would invalidate the global predicate numbering.
@@ -636,15 +585,17 @@ mod tests {
         assert!(ConstantFolding.rewrite(&plan).is_none());
     }
 
+    /// `l JOIN r ON l.x = r.x` as the binder emits it: a two-input
+    /// `MultiJoin` over the concatenated schema `[l.x, l.y, r.x, r.y]`.
+    fn join_lr() -> LogicalPlan {
+        LogicalPlan::MultiJoin { inputs: vec![scan2("l"), scan2("r")], preds: vec![(0, 2)] }
+    }
+
     #[test]
     fn predicate_pushdown_splits_filter_across_join() {
-        // Filter (left.x > 1 AND right.y = 5 AND left.x < right.x) over Join.
-        let join = LogicalPlan::Join {
-            left: Box::new(scan2("l")),
-            right: Box::new(scan2("r")),
-            left_key: Expr::col(0),
-            right_key: Expr::col(0),
-        };
+        // Filter (left.x > 1 AND right.y = 5 AND left.x < right.x) over the
+        // join.
+        let join = join_lr();
         let predicate = Expr::col(0)
             .gt(Expr::lit(1i64))
             .and(Expr::col(3).eq(Expr::lit(5i64)))
@@ -657,18 +608,20 @@ mod tests {
             panic!("expected residual filter above the join");
         };
         assert_eq!(residual, Expr::col(0).binary(BinaryOp::Lt, Expr::col(2)));
-        let LogicalPlan::Join { left, right, .. } = *input else {
+        let LogicalPlan::MultiJoin { inputs, preds } = *input else {
             panic!("expected join under the residual filter");
         };
+        assert_eq!(preds, vec![(0, 2)], "join predicates untouched");
+        let [left, right]: [LogicalPlan; 2] = inputs.try_into().expect("two inputs");
         // Left conjunct kept its column numbering.
-        match *left {
+        match left {
             LogicalPlan::Filter { predicate, .. } => {
                 assert_eq!(predicate, Expr::col(0).gt(Expr::lit(1i64)));
             }
             other => panic!("left side not filtered: {other:?}"),
         }
         // Right conjunct was rebased from joined column 3 to right column 1.
-        match *right {
+        match right {
             LogicalPlan::Filter { predicate, .. } => {
                 assert_eq!(predicate, Expr::col(1).eq(Expr::lit(5i64)));
             }
@@ -790,21 +743,13 @@ mod tests {
     #[test]
     fn optimizer_pipeline_records_applied_rules() {
         let predicate = Expr::lit(1i64).eq(Expr::lit(1i64)).and(Expr::col(3).eq(Expr::lit(5i64)));
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(scan2("l")),
-                right: Box::new(scan2("r")),
-                left_key: Expr::col(0),
-                right_key: Expr::col(0),
-            }),
-            predicate,
-        };
+        let plan = LogicalPlan::Filter { input: Box::new(join_lr()), predicate };
         let out = Optimizer::new().optimize(plan);
         assert!(out.applied.contains(&"constant_folding"));
         assert!(out.applied.contains(&"predicate_pushdown"));
         // The tautological conjunct vanished and the equality moved to the
         // right side; no filter remains above the join.
-        assert!(matches!(out.plan, LogicalPlan::Join { .. }));
+        assert!(matches!(out.plan, LogicalPlan::MultiJoin { .. }));
     }
 
     #[test]

@@ -54,30 +54,6 @@ impl MemoryDb {
                 .iter()
                 .map(|t| Tuple::new(exprs.iter().map(|e| e.eval(t)).collect()))
                 .collect(),
-            LogicalPlan::Join { left, right, left_key, right_key } => {
-                let left_rows = self.execute(left);
-                let right_rows = self.execute(right);
-                let mut index: HashMap<crate::value::Value, Vec<&Tuple>> = HashMap::new();
-                for r in &right_rows {
-                    let k = right_key.eval(r);
-                    if !k.is_null() {
-                        index.entry(k).or_default().push(r);
-                    }
-                }
-                let mut out = Vec::new();
-                for l in &left_rows {
-                    let k = left_key.eval(l);
-                    if k.is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = index.get(&k) {
-                        for r in matches {
-                            out.push(l.concat(r));
-                        }
-                    }
-                }
-                out
-            }
             LogicalPlan::MultiJoin { inputs, preds } => self.execute_multijoin(inputs, preds),
             LogicalPlan::Aggregate { input, group_exprs, aggs, .. } => {
                 let rows = self.execute(input);

@@ -3,7 +3,9 @@
 //! * A randomized property test runs the same NULL/NaN-heavy four-table
 //!   workload under the left-deep plan and the bushy plan (independent
 //!   subchains meeting at a rehash-merge stage) and requires both to match
-//!   the centralized reference exactly.
+//!   the centralized reference exactly — unfiltered, and with `WHERE`
+//!   predicates on NULL/NaN columns that the bushy plan pushes onto a
+//!   subchain root's own scan.
 //! * With `PierConfig::feedback` on and deliberately wrong catalog
 //!   statistics, the origin collects network-wide traces, folds them into
 //!   observed statistics, and re-plans the continuous query onto a
@@ -70,6 +72,15 @@ const FOUR_WAY: &str = "SELECT s.host, a.level, f.bytes, r.hops FROM sensors s \
      JOIN flows f ON s.host = f.src \
      JOIN routes r ON f.src = r.src";
 
+/// The same join filtered on two columns that carry NULL and NaN, plus one
+/// on `routes` — the small table the bushy plan roots its second subchain
+/// on — so that subchain's own scan runs through a pushed-down predicate.
+const FOUR_WAY_FILTERED: &str = "SELECT s.host, a.level, f.bytes, r.hops FROM sensors s \
+     JOIN alerts a ON s.host = a.host \
+     JOIN flows f ON s.host = f.src \
+     JOIN routes r ON f.src = r.src \
+     WHERE s.temp > -10 AND f.bytes < 12 AND r.hops <> 4";
+
 /// A join key that is NULL now and then (NULL never joins, on either path).
 fn rand_host(rng: &mut DetRng) -> Value {
     if rng.chance(0.15) {
@@ -120,45 +131,66 @@ fn bushy_matches_left_deep_and_reference_on_randomized_null_nan_streams() {
         cat.register(def);
     }
     bushy_favoring_stats(&mut cat);
-    let stmt = pier::core::sql::parse_select(FOUR_WAY).unwrap();
-
-    let left_deep = Planner::new(&cat).plan_select(&stmt).unwrap();
-    let bushy = Planner::new(&cat).allow_bushy().plan_select(&stmt).unwrap();
-
-    let has_scan_root = |kind: &QueryKind| {
-        kind.join_stages().map(|s| s.iter().any(|st| st.left_scan.is_some())).unwrap_or(false)
+    // Whether each bushy subchain root's own scan carries a filter.
+    let root_filters = |kind: &QueryKind| -> Vec<bool> {
+        kind.join_stages()
+            .map(|s| {
+                s.iter()
+                    .filter_map(|st| st.left_scan.as_ref())
+                    .map(|b| b.filter.is_some())
+                    .collect()
+            })
+            .unwrap_or_default()
     };
-    assert!(!has_scan_root(&left_deep.kind), "without allow_bushy the plan must stay a chain");
-    assert!(
-        has_scan_root(&bushy.kind),
-        "these statistics must make the bushy shape win: {:?}",
-        bushy.kind
-    );
 
-    for seed in 0..3u64 {
-        let mut rng = DetRng::new(0xADA7_0000 + seed);
-        let rows = four_way_rows(&mut rng);
-        let mut db = MemoryDb::new();
-        for (def, tuples) in four_tables().iter().zip(rows.iter()) {
-            db.insert(&def.name, tuples.clone());
-        }
-        let reference = db.execute(&left_deep.logical);
-        assert!(!reference.is_empty(), "seed {seed}: workload must produce matches");
+    for sql in [FOUR_WAY, FOUR_WAY_FILTERED] {
+        let stmt = pier::core::sql::parse_select(sql).unwrap();
+        let left_deep = Planner::new(&cat).plan_select(&stmt).unwrap();
+        let bushy = Planner::new(&cat).allow_bushy().plan_select(&stmt).unwrap();
 
-        for (label, planned) in [("left-deep", &left_deep), ("bushy", &bushy)] {
-            let mut bed = four_way_bed(0xB007 + seed, &rows);
-            let origin = bed.nodes()[3];
-            let q = bed
-                .submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
-                .unwrap();
-            bed.run_for(Duration::from_secs(25));
-            let got = bed.results(origin, q, 0);
+        assert!(
+            root_filters(&left_deep.kind).is_empty(),
+            "without allow_bushy the plan must stay a chain"
+        );
+        let roots = root_filters(&bushy.kind);
+        assert!(
+            !roots.is_empty(),
+            "these statistics must make the bushy shape win: {:?}",
+            bushy.kind
+        );
+        if sql == FOUR_WAY_FILTERED {
             assert!(
-                same_rows(&got, &reference),
-                "seed {seed} {label}: {} distributed vs {} reference rows",
-                got.len(),
-                reference.len()
+                roots.contains(&true),
+                "no subchain root scans through a filter: {:?}",
+                bushy.kind
             );
+        }
+
+        for seed in 0..3u64 {
+            let mut rng = DetRng::new(0xADA7_0000 + seed);
+            let rows = four_way_rows(&mut rng);
+            let mut db = MemoryDb::new();
+            for (def, tuples) in four_tables().iter().zip(rows.iter()) {
+                db.insert(&def.name, tuples.clone());
+            }
+            let reference = db.execute(&left_deep.logical);
+            assert!(!reference.is_empty(), "seed {seed}: workload must produce matches");
+
+            for (label, planned) in [("left-deep", &left_deep), ("bushy", &bushy)] {
+                let mut bed = four_way_bed(0xB007 + seed, &rows);
+                let origin = bed.nodes()[3];
+                let q = bed
+                    .submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
+                    .unwrap();
+                bed.run_for(Duration::from_secs(25));
+                let got = bed.results(origin, q, 0);
+                assert!(
+                    same_rows(&got, &reference),
+                    "seed {seed} {label} ({sql}): {} distributed vs {} reference rows",
+                    got.len(),
+                    reference.len()
+                );
+            }
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Correctness and accounting tests for the batched wire paths: distributed
-//! answers must be identical to the centralized reference (and to the
-//! unbatched engine) with batching on, the per-node plan cache must serve
-//! repeat submissions, and join-side projection pushdown must narrow what
-//! ships.
+//! answers must be identical to the centralized reference, publishing must
+//! coalesce same-key tuples into batch messages, the per-node plan cache
+//! must serve repeat submissions, and join-side projection pushdown must
+//! narrow what ships.
 
 use pier::apps::filesharing::{files_table, keywords_table, FileCorpus};
-use pier::core::engine::EngineStats;
 use pier::core::{same_rows, Catalog, JoinStrategy, MemoryDb, Planner, QueryKind};
 use pier::prelude::*;
 
@@ -13,11 +12,9 @@ fn corpus_testbed(
     nodes: usize,
     seed: u64,
     files: usize,
-    batching: bool,
     batch_max: usize,
 ) -> (PierTestbed, Catalog, MemoryDb) {
     let mut pier = PierConfig::fast_test();
-    pier.batching = batching;
     pier.batch_max = batch_max;
     let mut bed = PierTestbed::new(TestbedConfig { nodes, seed, pier, ..Default::default() });
     bed.create_table_everywhere(&files_table());
@@ -58,47 +55,37 @@ fn reference_join(catalog: &Catalog, db: &MemoryDb, sql: &str) -> Vec<Tuple> {
 
 #[test]
 fn batched_join_and_aggregation_match_reference() {
-    let (mut bed, catalog, db) = corpus_testbed(18, 2026, 260, true, 512);
-    // Join (symmetric rehash → JoinBatch path).
-    let sql = FileCorpus::search_sql("music");
-    let distributed = run_join(&mut bed, &catalog, &sql, JoinStrategy::SymmetricHash);
-    let reference = reference_join(&catalog, &db, &sql);
-    assert!(!reference.is_empty());
-    assert!(
-        same_rows(&distributed, &reference),
-        "batched join: {} distributed vs {} reference rows",
-        distributed.len(),
-        reference.len()
-    );
+    // One keyword search per corpus: (nodes, seed, files, keyword).
+    for (nodes, seed, files, keyword) in [(18, 2026, 260, "music"), (14, 321, 200, "video")] {
+        let (mut bed, catalog, db) = corpus_testbed(nodes, seed, files, 512);
+        // Join (symmetric rehash → JoinBatch path).
+        let sql = FileCorpus::search_sql(keyword);
+        let distributed = run_join(&mut bed, &catalog, &sql, JoinStrategy::SymmetricHash);
+        let reference = reference_join(&catalog, &db, &sql);
+        assert!(!reference.is_empty());
+        assert!(
+            same_rows(&distributed, &reference),
+            "batched '{keyword}' join: {} distributed vs {} reference rows",
+            distributed.len(),
+            reference.len()
+        );
 
-    // Aggregation over the same corpus.
-    let agg_sql = "SELECT owner, COUNT(*) AS files FROM files GROUP BY owner";
-    let origin = bed.nodes()[0];
-    let q = bed.submit_sql(origin, agg_sql).unwrap();
-    bed.run_for(Duration::from_secs(15));
-    let distributed = bed.results(origin, q, 0);
-    let stmt = pier::core::sql::parse_select(agg_sql).unwrap();
-    let planned = Planner::new(&catalog).plan_select(&stmt).unwrap();
-    let reference = db.execute(&planned.logical);
-    assert!(
-        same_rows(&distributed, &reference),
-        "batched aggregation: {} distributed vs {} reference rows",
-        distributed.len(),
-        reference.len()
-    );
-}
-
-#[test]
-fn batched_and_unbatched_runs_agree() {
-    let sql = FileCorpus::search_sql("video");
-    let (mut on, catalog, db) = corpus_testbed(14, 321, 200, true, 512);
-    let rows_on = run_join(&mut on, &catalog, &sql, JoinStrategy::SymmetricHash);
-    let (mut off, _, _) = corpus_testbed(14, 321, 200, false, 512);
-    let rows_off = run_join(&mut off, &catalog, &sql, JoinStrategy::SymmetricHash);
-    let reference = reference_join(&catalog, &db, &sql);
-    assert!(!reference.is_empty());
-    assert!(same_rows(&rows_on, &reference), "batching on diverges from reference");
-    assert!(same_rows(&rows_off, &reference), "batching off diverges from reference");
+        // Aggregation over the same corpus.
+        let agg_sql = "SELECT owner, COUNT(*) AS files FROM files GROUP BY owner";
+        let origin = bed.nodes()[0];
+        let q = bed.submit_sql(origin, agg_sql).unwrap();
+        bed.run_for(Duration::from_secs(15));
+        let distributed = bed.results(origin, q, 0);
+        let stmt = pier::core::sql::parse_select(agg_sql).unwrap();
+        let planned = Planner::new(&catalog).plan_select(&stmt).unwrap();
+        let reference = db.execute(&planned.logical);
+        assert!(
+            same_rows(&distributed, &reference),
+            "batched aggregation (seed {seed}): {} distributed vs {} reference rows",
+            distributed.len(),
+            reference.len()
+        );
+    }
 }
 
 #[test]
@@ -106,7 +93,7 @@ fn tiny_batch_max_still_correct() {
     // batch_max = 1 forces every buffer to flush immediately (degenerate
     // batches); answers must not change.
     let sql = FileCorpus::search_sql("ebook");
-    let (mut bed, catalog, db) = corpus_testbed(12, 77, 180, true, 1);
+    let (mut bed, catalog, db) = corpus_testbed(12, 77, 180, 1);
     let rows = run_join(&mut bed, &catalog, &sql, JoinStrategy::SymmetricHash);
     let reference = reference_join(&catalog, &db, &sql);
     assert!(!reference.is_empty());
@@ -116,7 +103,7 @@ fn tiny_batch_max_still_correct() {
 #[test]
 fn bloom_join_unbatches_correctly() {
     let sql = FileCorpus::search_sql("linux");
-    let (mut bed, catalog, db) = corpus_testbed(16, 55, 220, true, 512);
+    let (mut bed, catalog, db) = corpus_testbed(16, 55, 220, 512);
     let rows = run_join(&mut bed, &catalog, &sql, JoinStrategy::BloomFilter);
     let reference = reference_join(&catalog, &db, &sql);
     assert!(!reference.is_empty());
@@ -127,55 +114,39 @@ fn bloom_join_unbatches_correctly() {
 fn batching_cuts_wire_messages() {
     // The monitoring workload has real per-destination fan-in: every node's
     // multi-row Snort report shares one partitioning key (the host), so the
-    // batched publish path coalesces it into a single TupleBatch put while
-    // the baseline pays one routed message per row.
+    // publish path coalesces it into a single TupleBatch put instead of one
+    // routed message per row.
     use pier::apps::snort::{intrusions_table, SnortSimulator};
-    let totals = |batching: bool| -> (EngineStats, u64, Vec<Tuple>) {
-        let mut pier = PierConfig::fast_test();
-        pier.batching = batching;
-        let mut bed =
-            PierTestbed::new(TestbedConfig { nodes: 16, seed: 909, pier, ..Default::default() });
-        bed.create_table_everywhere(&intrusions_table());
-        let mut snort = SnortSimulator::new(16, 100_000, 909);
-        for round in 0..3 {
-            for addr in bed.nodes().to_vec() {
-                let _ = round;
-                let report = snort.node_report(addr.0 as usize);
-                bed.publish_batch(addr, "intrusions", report);
-            }
-            bed.run_for(Duration::from_secs(3));
+    let mut bed = PierTestbed::new(TestbedConfig {
+        nodes: 16,
+        seed: 909,
+        pier: PierConfig::fast_test(),
+        ..Default::default()
+    });
+    bed.create_table_everywhere(&intrusions_table());
+    let mut snort = SnortSimulator::new(16, 100_000, 909);
+    for _round in 0..3 {
+        for addr in bed.nodes().to_vec() {
+            let report = snort.node_report(addr.0 as usize);
+            bed.publish_batch(addr, "intrusions", report);
         }
-        let origin = bed.nodes()[0];
-        let q = bed.submit_sql(origin, SnortSimulator::table1_sql()).unwrap();
-        bed.run_for(Duration::from_secs(15));
-        let rows = bed.results(origin, q, 0);
-        let stats = bed.engine_totals();
-        let app_msgs = bed
-            .nodes()
-            .to_vec()
-            .iter()
-            .filter_map(|&a| bed.node(a))
-            .map(|n| n.dht.stats().app_msgs_sent)
-            .sum();
-        (stats, app_msgs, rows)
-    };
-    let (off, off_app, rows_off) = totals(false);
-    let (on, on_app, rows_on) = totals(true);
-    assert!(!rows_on.is_empty());
-    assert!(same_rows(&rows_on, &rows_off), "modes must agree before comparing costs");
-    assert!(on.batches_sent > 0, "batched run must actually batch");
-    assert_eq!(off.batches_sent, 0, "baseline must not batch");
-    assert_eq!(on.tuples_published, off.tuples_published, "same tuples in both modes");
+        bed.run_for(Duration::from_secs(3));
+    }
+    // Nothing but publishing has run yet, so every engine message so far is
+    // a publish.
+    let published = bed.engine_totals();
+    assert!(published.batches_sent > 0, "publishing must actually batch");
     assert!(
-        on.messages_sent * 2 <= off.messages_sent,
-        "engine messages: batched {} vs baseline {} (expected ≥ 2x reduction)",
-        on.messages_sent,
-        off.messages_sent
+        published.messages_sent * 2 <= published.tuples_published,
+        "publish-phase engine messages: {} for {} tuples (expected at most one per two tuples)",
+        published.messages_sent,
+        published.tuples_published
     );
-    assert!(
-        on_app * 2 <= off_app,
-        "per-hop DHT app messages: batched {on_app} vs baseline {off_app}"
-    );
+
+    let origin = bed.nodes()[0];
+    let q = bed.submit_sql(origin, SnortSimulator::table1_sql()).unwrap();
+    bed.run_for(Duration::from_secs(15));
+    assert!(!bed.results(origin, q, 0).is_empty());
 }
 
 #[test]
@@ -289,7 +260,7 @@ fn deferred_flush_across_stop_keeps_counters_reconciled() {
 
 #[test]
 fn engine_totals_sync_simnet_tags() {
-    let (mut bed, _, _) = corpus_testbed(8, 42, 60, true, 512);
+    let (mut bed, _, _) = corpus_testbed(8, 42, 60, 512);
     let totals = bed.engine_totals();
     assert!(totals.messages_sent > 0);
     assert_eq!(bed.metrics().tag("pier.messages_sent"), totals.messages_sent);
@@ -335,7 +306,7 @@ fn join_projection_pushdown_narrows_shipped_bytes() {
         c
     };
     let shipped = |sql: &str| -> (u64, u64) {
-        let (mut bed, _, _) = corpus_testbed(14, 4242, 240, true, 512);
+        let (mut bed, _, _) = corpus_testbed(14, 4242, 240, 512);
         let _ = run_join(&mut bed, &catalog, sql, JoinStrategy::SymmetricHash);
         let totals = bed.engine_totals();
         (totals.bytes_shipped, totals.join_tuples_sent)

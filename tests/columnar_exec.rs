@@ -1,16 +1,10 @@
-//! Columnar batches, vectorized kernels, and the compact wire encoding.
+//! Columnar batches, vectorized kernels, and grouped folds over them.
 //!
 //! * Every compiled kernel matches scalar `Expr::eval` **bit-for-bit** on
 //!   randomized batches — NULL-heavy columns, mixed types, empty batches,
 //!   and all-filtered selections included.
 //! * Vectorized grouped aggregation (`update_batch`) folds identically to
 //!   per-row updates across multiple batches and every aggregate function.
-//! * End-to-end: a 3-way join + GROUP BY produces identical epoch results
-//!   with vectorization on and off, at identical wire-byte accounting.
-//! * The columnar wire encoding shrinks `bytes_shipped` at identical
-//!   results, and the engine-counted saving reconciles with the simulator's
-//!   wire totals (every saved payload byte shows up as at least one saved
-//!   wire byte).
 //! * Grouping by a non-key column keeps the partial climb alive — colocated
 //!   aggregation only fires when the grouping column *is* the stage key.
 
@@ -237,13 +231,8 @@ fn vectorized_grouped_aggregation_matches_scalar_folds() {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: vectorized on/off, columnar wire on/off
+// End-to-end: aggregation placement over a 3-way join
 // ---------------------------------------------------------------------
-
-const AGG_3WAY: &str = "SELECT i.host, COUNT(*) AS n, SUM(n.out_rate) AS total, \
-     AVG(n.out_rate) AS mean, MIN(i.hits) AS lo, MAX(i.hits) AS hi \
-     FROM netstats n JOIN links l ON n.host = l.src JOIN intrusions i ON l.dst = i.host \
-     WHERE n.out_rate > 2 GROUP BY i.host HAVING COUNT(*) >= 2 ORDER BY i.host";
 
 /// Deterministic three-table workload (two readings, two links, and — on
 /// even hosts — two intrusion reports per node).
@@ -319,77 +308,6 @@ fn three_way_bed(nodes: usize, seed: u64, pier: PierConfig) -> (PierTestbed, Mem
     db.insert("links", links);
     db.insert("intrusions", intrusions);
     (bed, db)
-}
-
-/// Run the 3-way aggregate once under the given engine config; returns the
-/// epoch-0 rows plus engine byte/message totals and the simulator's wire
-/// bytes, all deltas from before the query was submitted.
-fn run_workload(pier: PierConfig) -> (Vec<Tuple>, u64, u64, u64) {
-    let nodes = 14;
-    let catalog = catalog_with_stats(nodes);
-    let stmt = pier::core::sql::parse_select(AGG_3WAY).unwrap();
-    let planned = Planner::with_join_strategy(&catalog, JoinStrategy::SymmetricHash)
-        .plan_select(&stmt)
-        .unwrap();
-    let (mut bed, db) = three_way_bed(nodes, 0xBEEF, pier);
-    let before = bed.engine_totals();
-    let sim_before = bed.metrics().bytes_sent();
-    let origin = bed.nodes()[2];
-    let q = bed.submit_query(origin, planned.kind, planned.output_names, None).unwrap();
-    bed.run_for(Duration::from_secs(25));
-    let out = bed.results(origin, q, 0);
-    assert!(same_rows(&out, &db.execute(&planned.logical)), "must match the reference");
-    let totals = bed.engine_totals();
-    let sim_bytes = bed.metrics().bytes_sent() - sim_before;
-    (
-        out,
-        totals.bytes_shipped - before.bytes_shipped,
-        totals.messages_sent - before.messages_sent,
-        sim_bytes,
-    )
-}
-
-#[test]
-fn vectorized_and_scalar_paths_produce_identical_epochs_and_bytes() {
-    let mut on = PierConfig::fast_test();
-    on.vectorized = true;
-    let mut off = PierConfig::fast_test();
-    off.vectorized = false;
-
-    let (rows_on, bytes_on, msgs_on, _) = run_workload(on);
-    let (rows_off, bytes_off, msgs_off, _) = run_workload(off);
-    assert!(!rows_on.is_empty());
-    assert!(same_rows(&rows_on, &rows_off), "vectorization must not change the answer");
-    // Same messages, same partial states (bit-equal float folds), same
-    // encodings — the wire accounting is identical, not merely close.
-    assert_eq!(bytes_on, bytes_off, "vectorization must not change wire bytes");
-    assert_eq!(msgs_on, msgs_off, "vectorization must not change message counts");
-}
-
-#[test]
-fn columnar_wire_shrinks_bytes_and_reconciles_with_simnet_totals() {
-    let mut plain = PierConfig::fast_test();
-    plain.columnar_wire = false;
-    let mut columnar = PierConfig::fast_test();
-    columnar.columnar_wire = true;
-
-    let (rows_plain, bytes_plain, msgs_plain, sim_plain) = run_workload(plain);
-    let (rows_col, bytes_col, msgs_col, sim_col) = run_workload(columnar);
-    assert!(same_rows(&rows_plain, &rows_col), "the encoding must not change the answer");
-    assert_eq!(msgs_plain, msgs_col, "the encoding changes bytes, never message counts");
-    assert!(
-        bytes_col < bytes_plain,
-        "columnar must shrink bytes_shipped: {bytes_col} vs {bytes_plain}"
-    );
-    // Engine counters count each payload once; the simulator counts every
-    // hop it travels.  The encodings ship the same payloads over the same
-    // routes, so the simulator must see at least the engine-counted saving.
-    let engine_saving = bytes_plain - bytes_col;
-    assert!(
-        sim_plain >= sim_col + engine_saving,
-        "simnet wire totals must reflect the payload saving: \
-         sim {sim_plain} vs {sim_col}, engine saving {engine_saving}"
-    );
 }
 
 #[test]

@@ -77,8 +77,9 @@ fn rand_stream(rng: &mut DetRng, messages: usize, width: usize) -> Vec<Delivery>
         .collect()
 }
 
-/// The scalar reference loop, as `engine::on_join_tuples` runs it without
-/// kernels: per-tuple `HashMap` store, clone, concat, row filter.
+/// This test's own row-at-a-time reference: a per-key `HashMap` store,
+/// clone, concat, and row filter — the plain symmetric-hash join the
+/// columnar probe must reproduce row for row.
 fn scalar_probe_all(stream: &[Delivery], width: usize, post: Option<&Expr>) -> Vec<Tuple> {
     let mut stores: [HashMap<Value, Vec<Tuple>>; 2] = [HashMap::new(), HashMap::new()];
     let filter = post.map(|p| FilterOp::new(p.clone()));
@@ -440,7 +441,6 @@ fn piggybacked_queries_reconcile_with_engine_totals() {
     let nodes = 10;
     let mut pier = PierConfig::fast_test();
     pier.inner_bloom = false;
-    pier.piggyback = true;
     pier.batch_flush_ticks = 4;
     let mut bed =
         PierTestbed::new(TestbedConfig { nodes, seed: 0x9188, pier, ..Default::default() });
