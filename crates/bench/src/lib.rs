@@ -1,12 +1,11 @@
 //! # pier-bench — experiment harness
 //!
-//! Binaries and benches that regenerate the evaluation artifacts of the
-//! SIGMOD 2004 demo paper (Figure 1 and Table 1) plus ablation benchmarks for
-//! the reproduction's main design choices (routing scalability, in-network vs
-//! direct aggregation, join strategies, churn robustness, recursive queries);
-//! see `docs/BENCHMARKS.md` at the repository root.
+//! Binaries that regenerate the evaluation artifacts of the SIGMOD 2004 demo
+//! paper (Figure 1 and Table 1) plus the `bench_*` binaries behind the
+//! committed `BENCH_*.json` count ratios; see `docs/BENCHMARKS.md` at the
+//! repository root.
 //!
-//! Shared helpers live here so the binaries and Criterion benches stay small.
+//! Shared helpers live here so the binaries stay small.
 
 use pier_apps::netmon::netstats_table;
 use pier_apps::snort::intrusions_table;

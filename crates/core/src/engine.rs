@@ -48,20 +48,13 @@ use std::rc::Rc;
 /// [`PierPayload`]s).
 pub type PierMsg = DhtMsg<PierPayload>;
 
-/// Key of a deferred join-rehash buffer: (query, stage, epoch, side).
-/// Scan-side (side 1 and stage-0 side 0) and intermediate (side 0, stage
-/// ≥ 1) rehashes all defer under the same time-based flush, so concurrent
-/// queries' rehash traffic can share `RouteBatch` frames.
-type RehashBufKey = (QueryId, u8, u64, u8);
-
 /// Accounting stream of a staged point-to-point payload: which counters pay
-/// for its wire frame.  `Query` traffic bills the per-query message counters
-/// (and the producer-side trace), `Engine` bills only the node-level
-/// counters (e.g. partial relays for queries this node never installed), and
-/// `Gossip` is observability traffic kept out of the query counters
-/// entirely.  A frame that coalesces ≥ 2 distinct streams is a shared
-/// frame: exactly one stream pays for it and the rest ride free.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// for its wire message.  `Query` traffic bills the per-query message
+/// counters (and the producer-side trace), `Engine` bills only the
+/// node-level counters (e.g. partial relays for queries this node never
+/// installed), and `Gossip` is observability traffic kept out of the query
+/// counters entirely.
+#[derive(Clone, Copy, Debug)]
 enum DirectStream {
     Query(QueryId),
     Engine,
@@ -71,6 +64,16 @@ enum DirectStream {
 /// How many stopped queries' execution traces a node retains for late
 /// `EXPLAIN ANALYZE` trace requests.
 pub const MAX_FINISHED_TRACES: usize = 256;
+
+/// Maximum tuples per batch payload (`TupleBatch`, `JoinBatch`,
+/// `ResultBatch`).  Larger batches amortize per-message overhead further but
+/// make each loss under churn costlier; a tick's result buffer ships early
+/// once it reaches this size.
+const BATCH_MAX: usize = 512;
+
+/// Successor-list neighbours each statistics-gossip round pushes to, besides
+/// the predecessor (so views spread both ways around the ring).
+const STATS_FANOUT: usize = 3;
 
 type Ctx<'a> = Context<'a, PierMsg>;
 
@@ -94,17 +97,6 @@ impl fmt::Display for PierError {
 }
 
 impl std::error::Error for PierError {}
-
-/// How partial aggregates travel to the point of finalization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggregationMode {
-    /// In-network: partials climb the DHT routing path toward the node
-    /// responsible for the query's aggregation key, combining at every hop.
-    Hierarchical,
-    /// Baseline: every node ships its partial state directly to the query
-    /// origin, which performs the entire merge (no in-network combining).
-    Direct,
-}
 
 /// What the aggregation root of a windowed continuous query does with
 /// partials that arrive for an epoch whose window(s) it has already closed
@@ -130,18 +122,16 @@ pub enum WindowLatePolicy {
 
 /// Engine configuration.
 ///
-/// # Example: the batching and statistics knobs
+/// # Example: the statistics knobs
 ///
 /// ```
 /// use pier_core::engine::PierConfig;
 /// use pier_simnet::Duration;
 ///
 /// let mut config = PierConfig::fast_test();
-/// config.batch_max = 128;          // cap tuples per batch message
-/// config.batch_flush_ticks = 4;    // let buffers span up to 4 engine ticks
 /// config.auto_stats = true;        // gossip table statistics automatically
 /// config.stats_interval = Duration::from_secs(2);
-/// assert!(config.adaptive);        // re-plan live queries when stats move
+/// config.feedback = true;          // re-plan continuous joins from traces
 /// ```
 #[derive(Clone, Debug)]
 pub struct PierConfig {
@@ -176,21 +166,6 @@ pub struct PierConfig {
     /// ship the right side unfiltered.  A lost summary therefore degrades to
     /// extra traffic, never to missing results the filter would have kept.
     pub bloom_fallback_delay: Duration,
-    /// Aggregation routing mode.
-    pub aggregation: AggregationMode,
-    /// Maximum tuples per batch message (`TupleBatch`, `JoinBatch`,
-    /// `ResultBatch`).  Larger batches amortize per-message overhead further
-    /// but make each loss under churn costlier; buffers flush early once a
-    /// batch reaches this size.
-    pub batch_max: usize,
-    /// Time-based flush: with a value `n > 0`, result buffers and
-    /// intermediate join-rehash buffers may span up to `n` engine ticks
-    /// (upcall-processing drains) before flushing, letting chatty operators
-    /// — the stages of a multi-way join above all — coalesce output across
-    /// ticks instead of flushing every tick.  A hold-down-length timer
-    /// bounds the added latency when the node goes quiet.  `0` (the
-    /// default) preserves the classic flush-every-tick behaviour.
-    pub batch_flush_ticks: u32,
     /// Automatic statistics: every [`PierConfig::stats_interval`] each node
     /// summarizes the live soft state it stores per table and gossips the
     /// summaries to ring neighbours until every catalog converges on
@@ -198,12 +173,9 @@ pub struct PierConfig {
     /// [`set_table_stats`](PierNode::set_table_stats) required).  Off by
     /// default so measurement-sensitive benchmarks see no extra traffic.
     pub auto_stats: bool,
-    /// How often a node re-summarizes and pushes its statistics view.
+    /// How often a node re-summarizes and pushes its statistics view to its
+    /// predecessor and first three successors.
     pub stats_interval: Duration,
-    /// How many successor-list neighbours each gossip round pushes to (the
-    /// predecessor is always included, so information spreads both ways
-    /// around the ring).
-    pub stats_fanout: usize,
     /// Gossip entry expiry: a node's statistics entry is evicted from the
     /// local view after this many gossip intervals without a fresher
     /// sequence number, so a permanently departed node stops inflating the
@@ -211,20 +183,14 @@ pub struct PierConfig {
     /// immediately (their sequence numbers are time-seeded).  `0` disables
     /// expiry.
     pub stats_ttl_intervals: u32,
-    /// Mid-flight re-planning: when a catalog change (typically gossiped
-    /// statistics) flips the cost ranking of a live continuous SQL query's
-    /// join strategy, the origin re-plans and re-disseminates the spec; every
-    /// node swaps to it at its next epoch boundary, recording the switch in
-    /// the query's execution trace.
-    pub adaptive: bool,
     /// Trace-fed costing: after a continuous multi-way join has run a few
     /// epochs, its origin collects the network-wide execution trace
     /// (per-stage input and match counters), folds it into per-query
     /// [`ObservedStats`](crate::planner::ObservedStats) that override the
     /// catalog estimates, and re-plans.  When the corrected costs change the
     /// plan — a different join order, strategy mix, or a bushy shape — the
-    /// staged-spec swap path (`adaptive`) switches every node at its next
-    /// epoch boundary.  Off by default: plans then come from catalog
+    /// staged-spec swap of mid-flight re-planning switches every node at its
+    /// next epoch boundary.  Off by default: plans then come from catalog
     /// statistics only, exactly as before.
     pub feedback: bool,
     /// Batch-aware soft-state renewal: publishers log what
@@ -260,14 +226,9 @@ impl Default for PierConfig {
             bloom_bits_max: 65_536,
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(8_000),
-            aggregation: AggregationMode::Hierarchical,
-            batch_max: 512,
-            batch_flush_ticks: 0,
             auto_stats: false,
             stats_interval: Duration::from_millis(5_000),
-            stats_fanout: 3,
             stats_ttl_intervals: 8,
-            adaptive: true,
             feedback: false,
             renewal: false,
             window_late_policy: WindowLatePolicy::Drop,
@@ -290,14 +251,9 @@ impl PierConfig {
             bloom_bits_max: 16_384,
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(3_000),
-            aggregation: AggregationMode::Hierarchical,
-            batch_max: 512,
-            batch_flush_ticks: 0,
             auto_stats: false,
             stats_interval: Duration::from_millis(2_000),
-            stats_fanout: 3,
             stats_ttl_intervals: 8,
-            adaptive: true,
             feedback: false,
             renewal: false,
             window_late_policy: WindowLatePolicy::Drop,
@@ -318,14 +274,9 @@ impl PierConfig {
             bloom_bits_max: 131_072,
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(10_000),
-            aggregation: AggregationMode::Hierarchical,
-            batch_max: 512,
-            batch_flush_ticks: 0,
             auto_stats: false,
             stats_interval: Duration::from_millis(5_000),
-            stats_fanout: 3,
             stats_ttl_intervals: 8,
-            adaptive: true,
             feedback: false,
             renewal: false,
             window_late_policy: WindowLatePolicy::Drop,
@@ -382,19 +333,16 @@ pub struct EngineStats {
     /// Inner-stage epochs whose combined filter missed the hold-down deadline
     /// and shipped the right side unfiltered.
     pub bloom_fallbacks: u64,
-    /// Point-to-point payloads that rode an existing frame to the same
-    /// destination (or next hop) instead of paying for their own message.
+    /// Always 0: every payload pays for its own message (one flush per
+    /// engine tick, no cross-query frame sharing).  Kept so existing
+    /// readers of the counter set still compile.
     pub piggybacked_payloads: u64,
-    /// Wire frames that carried payloads from ≥ 2 distinct streams
-    /// (different queries, or a query plus engine/gossip traffic).
+    /// Always 0, like `piggybacked_payloads`: no wire frame carries payloads
+    /// from more than one query.
     pub shared_frames: u64,
     /// Times this node staged a trace-corrected plan for a live query
     /// (trace-fed costing, a subset of `replans`).
     pub feedback_replans: u64,
-    /// Statistics-gossip payloads held for a deferred flush window
-    /// (`batch_flush_ticks > 0`) so they could ride the next batch flush's
-    /// frames instead of shipping in their own tick.
-    pub gossip_deferred: u64,
     /// Tuples re-published by per-item soft-state renewal (past half TTL).
     pub renewals_published: u64,
     /// Tuples a renewal sweep left in place because they were still fresh —
@@ -440,7 +388,6 @@ impl EngineStats {
         self.piggybacked_payloads += other.piggybacked_payloads;
         self.shared_frames += other.shared_frames;
         self.feedback_replans += other.feedback_replans;
-        self.gossip_deferred += other.gossip_deferred;
         self.renewals_published += other.renewals_published;
         self.renewal_tuples_skipped += other.renewal_tuples_skipped;
         self.windows_closed += other.windows_closed;
@@ -469,9 +416,6 @@ enum TimerPurpose {
     BloomFallback(QueryId, u8, u64),
     /// Summarize local soft state and push the statistics view to neighbours.
     StatsGossip,
-    /// Deadline flush of deferred result / rehash buffers (only armed when
-    /// `PierConfig::batch_flush_ticks` lets buffers span ticks).
-    BatchFlush,
 }
 
 /// Execution state of one query at one node.
@@ -777,11 +721,6 @@ impl QueryResults {
         self.epochs().into_iter().flat_map(|e| self.rows(e)).collect()
     }
 
-    /// The most recent epoch with data, and its rows.
-    pub fn latest(&self) -> Option<(u64, Vec<Tuple>)> {
-        self.epochs().last().map(|&e| (e, self.rows(e)))
-    }
-
     /// Number of nodes whose data contributed to an epoch ("responding
     /// nodes"); only reported for aggregation queries.
     pub fn contributors(&self, epoch: u64) -> u64 {
@@ -818,25 +757,11 @@ pub struct PierNode {
     /// from the query id).  First-come order, so flushing preserves the
     /// per-epoch order in which rows were produced.
     pending_results: Vec<((QueryId, u64), Vec<Tuple>)>,
-    /// Join-rehash tuples deferred by the time-based flush
-    /// (`batch_flush_ticks > 0`), per (query, stage, epoch, side); flushed
-    /// with the same cadence as `pending_results`.
-    pending_rehash: Vec<(RehashBufKey, Vec<(Value, Tuple)>)>,
     /// Point-to-point payloads (results, partials, statistics gossip) staged
-    /// during the current engine tick.  Flushed at every upcall drain —
-    /// never deferred across ticks — so staging adds no latency; entries to
-    /// the same destination from ≥ 2 distinct streams share one
-    /// `DirectBatch` frame (cross-query piggybacking).
+    /// during the current engine tick and flushed, one direct message each,
+    /// at every upcall drain — never deferred across ticks, so staging adds
+    /// no latency.
     pending_direct: Vec<(NodeAddr, DirectStream, PierPayload)>,
-    /// Statistics-gossip payloads held for the deferred flush window
-    /// (`batch_flush_ticks > 0`): unlike `pending_direct` they may span
-    /// ticks, so a gossip round lands in the same flush as the query frames
-    /// it can ride.  Empty when the time-based flush is off.
-    pending_gossip: Vec<(NodeAddr, PierPayload)>,
-    /// Upcall-processing drains since the deferred buffers last flushed.
-    ticks_since_flush: u32,
-    /// A `BatchFlush` deadline timer is in flight.
-    flush_timer_armed: bool,
     plan_cache: PlanCache,
     /// Origin-side trace collection (`EXPLAIN ANALYZE`): number of nodes
     /// that reported plus the merged network-wide trace, per query.
@@ -884,11 +809,7 @@ impl PierNode {
             early_arrivals: HashMap::new(),
             timer_purposes: HashMap::new(),
             pending_results: Vec::new(),
-            pending_rehash: Vec::new(),
             pending_direct: Vec::new(),
-            pending_gossip: Vec::new(),
-            ticks_since_flush: 0,
-            flush_timer_armed: false,
             plan_cache: PlanCache::new(),
             trace_acc: HashMap::new(),
             finished_traces: HashMap::new(),
@@ -1078,7 +999,7 @@ impl PierNode {
         let groups = group_by_key(tuples.into_iter().map(|t| (def.resource_of(&t), t)));
         let mut items = Vec::new();
         for (resource, group) in groups {
-            for chunk in group.chunks(self.config.batch_max.max(1)) {
+            for chunk in group.chunks(BATCH_MAX) {
                 self.publish_seq += 1;
                 let instance = ((self.addr.0 as u64) << 32) | (self.publish_seq & 0xFFFF_FFFF);
                 let key = ResourceKey::new(def.name.clone(), resource.clone(), instance);
@@ -1284,9 +1205,8 @@ impl PierNode {
         loop {
             let mut upcalls = self.dht.take_upcalls();
             if upcalls.is_empty() {
-                // The tick has quiesced: ship whatever results it produced
-                // (or defer, when the time-based flush allows spanning
-                // ticks), then drain anything the flush itself enqueued.
+                // The tick has quiesced: ship whatever it produced, then
+                // drain anything the flush itself enqueued.
                 self.flush_results(ctx);
                 upcalls = self.dht.take_upcalls();
                 if upcalls.is_empty() {
@@ -1312,14 +1232,10 @@ impl PierNode {
             PierPayload::Query(spec) => self.install_query(ctx, spec),
             PierPayload::StopQuery(id) => {
                 // Ship this query's buffered result rows while the trace can
-                // still account for them, then keep the trace so a later
+                // still account for them — a buffer shipped after the query
+                // is removed would count bytes/messages the (frozen) trace
+                // can no longer mirror — then keep the trace so a later
                 // `EXPLAIN ANALYZE` trace request can still be answered.
-                // This must *force* the flush: with `batch_flush_ticks > 0`
-                // the tick-drain flush may defer, and a deferred buffer
-                // shipped after the query is removed would count
-                // bytes/messages the (frozen) trace can no longer mirror —
-                // breaking reconciliation.  Per-query, so co-resident
-                // queries' deferral windows stay intact.
                 self.flush_query(ctx, id);
                 if let Some(q) = self.queries.remove(&id) {
                     if self.finished_traces.insert(id, q.trace).is_none() {
@@ -1851,7 +1767,7 @@ impl PierNode {
             *q.trace.epoch_rows.entry(epoch).or_insert(0) += 1;
         }
         // Buffer; flush_results ships one message per (origin, query, epoch)
-        // when the current engine tick drains (or earlier at batch_max).
+        // when the current engine tick drains (or earlier at BATCH_MAX).
         let key = (spec.id, epoch);
         let flush_now = {
             let rows = match self.pending_results.iter_mut().find(|(k, _)| *k == key) {
@@ -1862,75 +1778,33 @@ impl PierNode {
                 }
             };
             rows.push(tuple);
-            rows.len() >= self.config.batch_max.max(1)
+            rows.len() >= BATCH_MAX
         };
         if flush_now {
-            self.force_flush(ctx);
+            self.flush_results(ctx);
         }
     }
 
-    /// Tick-drain flush: ship the deferred buffers now, unless the
-    /// time-based flush (`batch_flush_ticks > 0`) lets them span more
-    /// ticks — in which case a hold-down-length deadline timer is armed so
-    /// buffered rows cannot starve on a quiescent node.
+    /// Tick-drain flush: ship every buffered result row and every staged
+    /// direct payload.
     fn flush_results(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pending_results.is_empty() && self.pending_rehash.is_empty() {
-            self.flush_direct(ctx);
-            return;
-        }
-        if self.config.batch_flush_ticks > 0 {
-            self.ticks_since_flush += 1;
-            if self.ticks_since_flush < self.config.batch_flush_ticks {
-                if !self.flush_timer_armed {
-                    self.flush_timer_armed = true;
-                    let delay = self.config.holddown;
-                    self.arm_timer(ctx, delay, TimerPurpose::BatchFlush);
-                }
-                // Results and rehashes may span ticks, but staged direct
-                // sends (partials, gossip) always ship in their own tick.
-                self.flush_direct(ctx);
-                return;
-            }
-        }
-        self.force_flush(ctx);
-    }
-
-    /// Ship every buffered result row (one message per (query, epoch): a
-    /// plain `Result` for a single row, a `ResultBatch` otherwise) and every
-    /// deferred intermediate rehash buffer.
-    fn force_flush(&mut self, ctx: &mut Ctx<'_>) {
-        self.ticks_since_flush = 0;
-        // Gossip held over the deferral window ships with this flush, merging
-        // into the same destination frames as the query traffic below.
-        for (peer, payload) in std::mem::take(&mut self.pending_gossip) {
-            self.pending_direct.push((peer, DirectStream::Gossip, payload));
-        }
         let results = std::mem::take(&mut self.pending_results);
-        let rehashes = std::mem::take(&mut self.pending_rehash);
-        self.ship_deferred(ctx, results, rehashes);
+        self.ship_results(ctx, results);
     }
 
-    /// Ship only `id`'s deferred buffers, leaving other queries' deferral
-    /// windows intact (a StopQuery must flush the dying query's buffers
-    /// while its trace can still account for them, but co-resident queries
-    /// keep coalescing).
+    /// Ship only `id`'s buffered result rows (plus the staged direct
+    /// payloads), so a StopQuery accounts for them while the query's trace
+    /// is still live.
     fn flush_query(&mut self, ctx: &mut Ctx<'_>, id: QueryId) {
         let (results, rest): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.pending_results).into_iter().partition(|((q, _), _)| *q == id);
         self.pending_results = rest;
-        let (rehashes, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_rehash)
-            .into_iter()
-            .partition(|((q, _, _, _), _)| *q == id);
-        self.pending_rehash = rest;
-        self.ship_deferred(ctx, results, rehashes);
+        self.ship_results(ctx, results);
     }
 
-    fn ship_deferred(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        results: Vec<((QueryId, u64), Vec<Tuple>)>,
-        rehashes: Vec<(RehashBufKey, Vec<(Value, Tuple)>)>,
-    ) {
+    /// Stage one message per (query, epoch) — a plain `Result` for a single
+    /// row, a `ResultBatch` otherwise — and drain the staged direct payloads.
+    fn ship_results(&mut self, ctx: &mut Ctx<'_>, results: Vec<((QueryId, u64), Vec<Tuple>)>) {
         for ((query, epoch), mut rows) in results {
             let origin = query.origin();
             let payload = if rows.len() == 1 {
@@ -1945,26 +1819,12 @@ impl PierNode {
             self.note_query_payload(query, &payload);
             self.pending_direct.push((origin, DirectStream::Query(query), payload));
         }
-        // Results ship before rehashes.
         self.flush_direct(ctx);
-        let multi_query =
-            rehashes.iter().map(|((q, _, _, _), _)| *q).collect::<HashSet<_>>().len() >= 2;
-        if multi_query {
-            self.ship_rehash_merged(ctx, rehashes);
-        } else {
-            for ((query, stage, epoch, side), pairs) in rehashes {
-                let namespace = join_namespace(query, stage);
-                self.send_rehash(ctx, query, stage, epoch, side, namespace, pairs);
-            }
-        }
     }
 
-    /// Drain the staged point-to-point payloads.  Per destination (in
-    /// staging order): a run from a single accounting stream ships one
-    /// direct message per payload; payloads from ≥ 2 distinct streams merge into
-    /// one `DirectBatch` frame, charged to the first query stream aboard
-    /// (or the engine stream if no query rides) — every other payload is
-    /// counted as piggybacked.
+    /// Drain the staged point-to-point payloads: one direct message per
+    /// payload, grouped per destination in staging order, each paid for by
+    /// its own accounting stream.
     fn flush_direct(&mut self, ctx: &mut Ctx<'_>) {
         if self.pending_direct.is_empty() {
             return;
@@ -1974,143 +1834,15 @@ impl PierNode {
             staged.into_iter().map(|(dest, stream, payload)| (dest, (stream, payload))),
         );
         for (dest, entries) in groups {
-            let distinct = {
-                let mut streams: Vec<DirectStream> = entries.iter().map(|(s, _)| *s).collect();
-                streams.sort_unstable();
-                streams.dedup();
-                streams.len()
-            };
-            if distinct < 2 {
-                for (stream, payload) in entries {
-                    match stream {
-                        DirectStream::Query(q) => self.add_query_msgs(q, 1),
-                        DirectStream::Engine => self.stats.messages_sent += 1,
-                        DirectStream::Gossip => {}
-                    }
-                    self.dht.send_direct(ctx, dest, payload);
+            for (stream, payload) in entries {
+                match stream {
+                    DirectStream::Query(q) => self.add_query_msgs(q, 1),
+                    DirectStream::Engine => self.stats.messages_sent += 1,
+                    DirectStream::Gossip => {}
                 }
-                continue;
-            }
-            self.stats.shared_frames += 1;
-            let charged = entries
-                .iter()
-                .position(|(s, _)| matches!(s, DirectStream::Query(_)))
-                .or_else(|| entries.iter().position(|(s, _)| matches!(s, DirectStream::Engine)));
-            match charged.map(|i| entries[i].0) {
-                Some(DirectStream::Query(q)) => self.add_query_msgs(q, 1),
-                Some(DirectStream::Engine) => self.stats.messages_sent += 1,
-                _ => {}
-            }
-            for (i, (stream, _)) in entries.iter().enumerate() {
-                if Some(i) == charged {
-                    continue;
-                }
-                self.stats.piggybacked_payloads += 1;
-                if let DirectStream::Query(q) = stream {
-                    if let Some(rq) = self.queries.get_mut(q) {
-                        rq.trace.piggybacked_payloads += 1;
-                    }
-                }
-            }
-            let payloads: Vec<PierPayload> = entries.into_iter().map(|(_, p)| p).collect();
-            self.dht.send_direct_batch(ctx, dest, payloads);
-        }
-    }
-
-    /// Ship deferred intermediate rehashes from several queries through one
-    /// `send_to_key_batch` call, so tuples bound for the same next hop share
-    /// a `RouteBatch` frame across query boundaries.  Mirrors the DHT's
-    /// next-hop grouping ([`DhtNode::route_next_hop`]) to attribute each
-    /// predicted frame: the first payload's query pays for it, co-riding
-    /// payloads from other queries count as piggybacked.
-    fn ship_rehash_merged(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        rehashes: Vec<(RehashBufKey, Vec<(Value, Tuple)>)>,
-    ) {
-        let mut items: Vec<(ResourceKey, PierPayload)> = Vec::new();
-        let mut owners: Vec<(QueryId, u8, u8)> = Vec::new();
-        for ((query, stage, epoch, side), pairs) in rehashes {
-            let namespace = join_namespace(query, stage);
-            let mut shipped = 0u64;
-            for (key, group) in group_by_key(pairs) {
-                let resource = ResourceKey::singleton(&namespace, key.partition_string());
-                for chunk in group.chunks(self.config.batch_max.max(1)) {
-                    self.stats.join_tuples_sent += chunk.len() as u64;
-                    shipped += chunk.len() as u64;
-                    let payload = if chunk.len() == 1 {
-                        PierPayload::JoinTuple {
-                            query,
-                            stage,
-                            epoch,
-                            side,
-                            key: key.clone(),
-                            tuple: chunk[0].clone(),
-                        }
-                    } else {
-                        PierPayload::JoinBatch {
-                            query,
-                            stage,
-                            epoch,
-                            side,
-                            key: key.clone(),
-                            tuples: TupleBlock::columnar(chunk.to_vec()),
-                        }
-                    };
-                    self.note_query_payload(query, &payload);
-                    items.push((resource.clone(), payload));
-                    owners.push((query, stage, side));
-                }
-            }
-            if let Some(q) = self.queries.get_mut(&query) {
-                q.trace.tuples_shipped += shipped;
-                *q.trace.stage_shipped.entry(stage).or_insert(0) += shipped;
+                self.dht.send_direct(ctx, dest, payload);
             }
         }
-        // Predict the DHT's per-next-hop frame grouping (first-occurrence
-        // order, local deliveries free) to attribute messages per query.
-        let mut hop_index: HashMap<NodeAddr, usize> = HashMap::new();
-        let mut hop_groups: Vec<Vec<usize>> = Vec::new();
-        for (i, (resource, _)) in items.iter().enumerate() {
-            let Some(peer) = self.dht.route_next_hop(&resource.routing_id()) else {
-                continue;
-            };
-            match hop_index.get(&peer.addr) {
-                Some(&g) => hop_groups[g].push(i),
-                None => {
-                    hop_index.insert(peer.addr, hop_groups.len());
-                    hop_groups.push(vec![i]);
-                }
-            }
-        }
-        let mut predicted = 0usize;
-        for group in &hop_groups {
-            predicted += 1;
-            let (head_query, head_stage, head_side) = owners[group[0]];
-            self.add_query_msgs(head_query, 1);
-            if head_side == 1 {
-                // The frame is attributed to the head payload's query, so
-                // its per-stage rehash-message counter pays for it too.
-                if let Some(q) = self.queries.get_mut(&head_query) {
-                    *q.trace.stage_rehash_msgs.entry(head_stage).or_insert(0) += 1;
-                }
-            }
-            let mut shared = false;
-            for &i in &group[1..] {
-                if owners[i].0 != head_query {
-                    shared = true;
-                    self.stats.piggybacked_payloads += 1;
-                    if let Some(q) = self.queries.get_mut(&owners[i].0) {
-                        q.trace.piggybacked_payloads += 1;
-                    }
-                }
-            }
-            if shared {
-                self.stats.shared_frames += 1;
-            }
-        }
-        let sent = self.dht.send_to_key_batch(ctx, items);
-        debug_assert_eq!(sent, predicted, "next-hop prediction drifted from route_many");
     }
 
     // ------------------------------------------------------------------
@@ -2154,19 +1886,12 @@ impl PierNode {
                 q.trace.partials_merged += 1;
             }
         }
-        let is_root = match self.config.aggregation {
-            AggregationMode::Direct => {
-                let origin = self.queries[&id].spec.origin();
-                origin == self.addr
-            }
-            AggregationMode::Hierarchical => {
-                self.dht.route_next_hop(&Self::agg_root_id(id)).is_none()
-            }
-        } || self.queries[&id]
-            .spec
-            .kind
-            .join_aggregate()
-            .is_some_and(|a| a.hierarchical && a.colocated);
+        let is_root = self.dht.route_next_hop(&Self::agg_root_id(id)).is_none()
+            || self.queries[&id]
+                .spec
+                .kind
+                .join_aggregate()
+                .is_some_and(|a| a.hierarchical && a.colocated);
         // Colocated join aggregation: the grouping column *is* the final
         // stage's join key, so the DHT already partitioned each group wholly
         // onto one join site.  Every site acts as the aggregation root for
@@ -2179,10 +1904,8 @@ impl PierNode {
             return;
         };
 
-        let mode = self.config.aggregation;
         let mut arm_finalize = false;
         let mut arm_holddown = false;
-        let mut forward_now = false;
         let mut reemit: Vec<u64> = Vec::new();
         {
             let q = self.queries.get_mut(&id).expect("query checked above");
@@ -2257,13 +1980,7 @@ impl PierNode {
                     buf.merge_group(key, &states);
                 }
                 *q.pending_contrib.entry(epoch).or_insert(0) += contributors;
-                match mode {
-                    // In direct mode there is no hold-down: forward immediately.
-                    AggregationMode::Direct => forward_now = true,
-                    AggregationMode::Hierarchical => {
-                        arm_holddown = q.holddown_armed.insert(epoch);
-                    }
-                }
+                arm_holddown = q.holddown_armed.insert(epoch);
             }
         }
         if arm_finalize {
@@ -2273,9 +1990,6 @@ impl PierNode {
         if arm_holddown {
             let delay = self.config.holddown;
             self.arm_timer(ctx, delay, TimerPurpose::Holddown(id, epoch));
-        }
-        if forward_now {
-            self.forward_partials(ctx, id, epoch);
         }
     }
 
@@ -2289,14 +2003,7 @@ impl PierNode {
         if groups.is_empty() && contributors == 0 {
             return;
         }
-        let origin = q.spec.origin();
-        let target = match self.config.aggregation {
-            AggregationMode::Direct => Some(origin),
-            AggregationMode::Hierarchical => {
-                self.dht.route_next_hop(&Self::agg_root_id(id)).map(|p| p.addr)
-            }
-        };
-        match target {
+        match self.dht.route_next_hop(&Self::agg_root_id(id)).map(|p| p.addr) {
             Some(next) if next != self.addr => {
                 self.stats.partials_sent += 1;
                 if let Some(q) = self.queries.get_mut(&id) {
@@ -2582,10 +2289,10 @@ impl PierNode {
 
     /// Rehash one side of a join stage into the stage's DHT namespace.  The
     /// join key is evaluated over the full input tuple, then only
-    /// `ship_cols` ship (join-side projection pushdown).  With the
-    /// time-based flush on (`batch_flush_ticks > 0`), batched rehashes of
-    /// every side buffer across engine ticks, so concurrent queries'
-    /// rehash traffic meets in one flush window.
+    /// `ship_cols` ship (join-side projection pushdown).  Tuples coalesce per
+    /// join-key value — every tuple with the same key value travels to the
+    /// same site — so one `JoinBatch` per (destination, query, stage, epoch)
+    /// replaces one message per tuple.
     #[allow(clippy::too_many_arguments)]
     fn rehash_stage(
         &mut self,
@@ -2598,7 +2305,8 @@ impl PierNode {
         ship_cols: Option<&[usize]>,
         rows: Vec<Tuple>,
     ) {
-        let namespace = join_namespace(spec.id, stage);
+        let id = spec.id;
+        let namespace = join_namespace(id, stage);
         let narrow = |row: &Tuple| match ship_cols {
             Some(cols) => row.project(cols),
             None => row.clone(),
@@ -2607,7 +2315,7 @@ impl PierNode {
         // row's join key (the stage's key kernel is compiled once per spec
         // and cached on the query).
         let keys: Vec<Value> = if rows.len() > 1 {
-            let kern = self.query_kernels(spec.id);
+            let kern = self.query_kernels(id);
             match kern.as_deref().and_then(|c| c.stage_key(stage as usize, side)) {
                 Some(k) => {
                     let batch = ColumnarBatch::from_rows(&rows);
@@ -2629,47 +2337,12 @@ impl PierNode {
                 Some((key, narrow(row)))
             })
             .collect();
-        if self.config.batch_flush_ticks > 0 {
-            // Buffer across ticks; the shared flush cadence (or the
-            // hold-down deadline timer) ships it.
-            let bufkey = (spec.id, stage, epoch, side);
-            let buf = match self.pending_rehash.iter_mut().find(|(k, _)| *k == bufkey) {
-                Some((_, buf)) => buf,
-                None => {
-                    self.pending_rehash.push((bufkey, Vec::new()));
-                    &mut self.pending_rehash.last_mut().expect("just pushed").1
-                }
-            };
-            buf.extend(pairs);
-            if buf.len() >= self.config.batch_max.max(1) {
-                self.force_flush(ctx);
-            }
-            return;
-        }
-        self.send_rehash(ctx, spec.id, stage, epoch, side, namespace, pairs);
-    }
-
-    /// Ship pre-keyed rehash tuples: coalesce per join-key value — every
-    /// tuple with the same key value travels to the same site, so one
-    /// `JoinBatch` per (destination, query, stage, epoch) replaces one
-    /// message per tuple.
-    #[allow(clippy::too_many_arguments)]
-    fn send_rehash(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        id: QueryId,
-        stage: u8,
-        epoch: u64,
-        side: u8,
-        namespace: String,
-        pairs: Vec<(Value, Tuple)>,
-    ) {
         let groups = group_by_key(pairs);
         let mut items = Vec::new();
         let mut shipped = 0u64;
         for (key, group) in groups {
             let resource = ResourceKey::singleton(namespace.clone(), key.partition_string());
-            for chunk in group.chunks(self.config.batch_max.max(1)) {
+            for chunk in group.chunks(BATCH_MAX) {
                 self.stats.join_tuples_sent += chunk.len() as u64;
                 shipped += chunk.len() as u64;
                 let payload = if chunk.len() == 1 {
@@ -3320,13 +2993,13 @@ impl PierNode {
         let totals = self.gossip.totals();
         apply_totals(&mut self.catalog, &totals);
 
-        // Push to the predecessor plus the first `stats_fanout` live
+        // Push to the predecessor plus the first `STATS_FANOUT` live
         // successors, so views spread both ways around the ring.
         let mut peers: Vec<NodeAddr> = Vec::new();
         if let Some(p) = self.dht.predecessor() {
             peers.push(p.addr);
         }
-        for s in self.dht.successor_list().iter().take(self.config.stats_fanout.max(1)) {
+        for s in self.dht.successor_list().iter().take(STATS_FANOUT) {
             peers.push(s.addr);
         }
         peers.retain(|&a| a != self.addr);
@@ -3338,24 +3011,7 @@ impl PierNode {
         for peer in peers {
             self.stats.stats_gossip_sent += 1;
             let payload = PierPayload::StatsGossip { entries: entries.clone() };
-            if self.config.batch_flush_ticks > 0 {
-                // Deferred-flush mode: hold the gossip across the same
-                // window the RouteBatch/result buffers span, so it rides the
-                // next forced flush's shared frames instead of shipping in
-                // its own tick.  The deadline timer bounds how stale a held
-                // view can get on a quiescent node.
-                self.pending_gossip.push((peer, payload));
-                self.stats.gossip_deferred += 1;
-                if !self.flush_timer_armed {
-                    self.flush_timer_armed = true;
-                    let delay = self.config.holddown;
-                    self.arm_timer(ctx, delay, TimerPurpose::BatchFlush);
-                }
-            } else {
-                // Pending gossip rides whatever query frame shares the
-                // destination at the tick drain — near-zero marginal cost.
-                self.pending_direct.push((peer, DirectStream::Gossip, payload));
-            }
+            self.pending_direct.push((peer, DirectStream::Gossip, payload));
         }
         self.process_upcalls(ctx);
     }
@@ -3367,9 +3023,6 @@ impl PierNode {
     /// at an epoch boundary) and re-disseminated so every other node swaps at
     /// its own next boundary.
     fn maybe_replan(&mut self, ctx: &mut Ctx<'_>, id: QueryId) {
-        if !self.config.adaptive {
-            return;
-        }
         let Some((sql, planned_version)) = self.origin_sql.get(&id).cloned() else { return };
         let version = self.catalog.version();
         if version == planned_version {
@@ -3799,11 +3452,6 @@ impl Node for PierNode {
             }
             TimerPurpose::BloomFallback(id, stage, epoch) => {
                 self.run_inner_phase2(ctx, id, stage, epoch, None)
-            }
-            TimerPurpose::BatchFlush => {
-                self.flush_timer_armed = false;
-                self.force_flush(ctx);
-                self.process_upcalls(ctx);
             }
             TimerPurpose::StatsGossip => {
                 self.stats_gossip_round(ctx);

@@ -87,8 +87,7 @@ pub use catalog::{Catalog, TableDef, TableStats};
 pub use column::{Column, ColumnData, ColumnarBatch};
 pub use encoding::{ColumnarWire, TupleBlock, WireColumn};
 pub use engine::{
-    AggregationMode, EngineStats, PierConfig, PierError, PierMsg, PierNode, QueryResults,
-    WindowLatePolicy,
+    EngineStats, PierConfig, PierError, PierMsg, PierNode, QueryResults, WindowLatePolicy,
 };
 pub use expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 pub use kernel::Kernel;

@@ -77,13 +77,6 @@ impl ObservedStats {
     pub fn is_empty(&self) -> bool {
         self.table_rows.is_empty() && self.stage_selectivity.is_empty()
     }
-
-    /// How far the observation diverges from an estimate, as a ≥ 1 factor
-    /// (`4.0` = off by 4× in either direction).
-    pub fn divergence(observed: f64, estimated: f64) -> f64 {
-        let (a, b) = (observed.max(1e-9), estimated.max(1e-9));
-        (a / b).max(b / a)
-    }
 }
 
 /// Exact (dynamic-programming) search is used up to this many relations;

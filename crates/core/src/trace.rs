@@ -88,9 +88,7 @@ pub struct OpTrace {
     /// `passed / tested` is the per-stage pass rate `EXPLAIN ANALYZE` shows.
     pub stage_bloom_passed: BTreeMap<u8, u64>,
     /// Rehash wire messages this node sent carrying *right-relation* tuples,
-    /// per stage — the traffic inner-stage Bloom filters prune.  Only
-    /// counted on per-query send paths (a cross-query piggybacked frame has
-    /// no single stage); single-query runs account exactly.
+    /// per stage — the traffic inner-stage Bloom filters prune.
     pub stage_rehash_msgs: BTreeMap<u8, u64>,
     /// Left-side (side-0) tuples that arrived at this node's join sites, per
     /// stage — the *observed* left-input cardinality the planner estimated.
@@ -105,9 +103,6 @@ pub struct OpTrace {
     /// Inner-stage Bloom hold-down deadlines that expired before a combined
     /// summary arrived, degrading this node to an unfiltered rehash.
     pub bloom_fallbacks: u64,
-    /// Payloads of this query that rode in a cross-query shared frame whose
-    /// single wire message was charged to another query (the saved sends).
-    pub piggybacked_payloads: u64,
     /// Epoch-count windows this node closed and reported as the query's
     /// aggregation root (windowed continuous aggregates).
     pub windows_closed: u64,
@@ -173,7 +168,6 @@ impl OpTrace {
             *self.stage_right_in.entry(stage).or_insert(0) += n;
         }
         self.bloom_fallbacks += other.bloom_fallbacks;
-        self.piggybacked_payloads += other.piggybacked_payloads;
         self.windows_closed += other.windows_closed;
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;
@@ -188,9 +182,9 @@ impl OpTrace {
 
 impl WireSize for OpTrace {
     fn wire_size(&self) -> usize {
-        // 19 fixed u64 counters + per-switch strings + per-epoch and
+        // 18 fixed u64 counters + per-switch strings + per-epoch and
         // per-stage pairs.
-        19 * 8
+        18 * 8
             + self.switches.iter().map(|s| s.len() + 2).sum::<usize>()
             + self.epoch_rows.len() * 16
             + (self.stage_shipped.len()
@@ -290,12 +284,6 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
         out.push_str(&format!(
             "  bloom hold-down fallbacks: {} unfiltered rehashes\n",
             trace.bloom_fallbacks
-        ));
-    }
-    if trace.piggybacked_payloads > 0 {
-        out.push_str(&format!(
-            "  piggyback: {} payloads rode cross-query shared frames\n",
-            trace.piggybacked_payloads
         ));
     }
     if trace.replans > 0 {

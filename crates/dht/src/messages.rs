@@ -207,16 +207,6 @@ pub enum DhtMsg<P> {
         /// Application payload.
         payload: P,
     },
-    /// Several point-to-point payloads sharing one destination, coalesced
-    /// into one wire frame (cross-query piggybacking: concurrent queries'
-    /// results and partials — and pending statistics gossip — bound for the
-    /// same node within one flush window ride together).  The receiver
-    /// splits the frame into one [`Upcall::Direct`] per payload, so the
-    /// application sees exactly what a sequence of `Direct`s would deliver.
-    DirectBatch {
-        /// The coalesced payloads, in send order.
-        payloads: Vec<P>,
-    },
     /// Recursive ring-partition broadcast (query dissemination).
     Broadcast {
         /// Application payload delivered to every reachable node.
@@ -253,9 +243,6 @@ impl<P: WireSize> WireSize for DhtMsg<P> {
                         + items.iter().map(|(k, v)| k.wire_size() + v.wire_size()).sum::<usize>()
                 }
                 DhtMsg::Direct { payload } => payload.wire_size(),
-                DhtMsg::DirectBatch { payloads } => {
-                    4 + payloads.iter().map(|p| p.wire_size()).sum::<usize>()
-                }
                 DhtMsg::Broadcast { payload, .. } => payload.wire_size() + 20 + 1,
             }
     }

@@ -81,12 +81,9 @@ pub struct DhtStats {
     /// per-hop DHT message cost of the query wire paths, the quantity
     /// destination-coalesced batching attacks.
     pub app_msgs_sent: u64,
-    /// [`DhtMsg::DirectBatch`] frames sent (each coalescing ≥ 2 direct
-    /// payloads bound for one destination — cross-query piggybacking).
-    pub direct_batches_sent: u64,
-    /// Direct payloads beyond the first in each `DirectBatch` frame: sends
-    /// that cost no wire message of their own because they rode a frame
-    /// another payload already paid for.
+    /// Always 0: every direct payload travels in its own
+    /// [`DhtMsg::Direct`] message.  Kept so existing readers of the counter
+    /// set still compile.
     pub piggybacked_directs: u64,
 }
 
@@ -341,33 +338,6 @@ impl<P: Clone + WireSize> DhtNode<P> {
         ctx.send(to, DhtMsg::Direct { payload });
     }
 
-    /// Send several application payloads to one destination as a single
-    /// [`DhtMsg::DirectBatch`] wire frame (cross-query piggybacking).  The
-    /// receiver sees one [`Upcall::Direct`] per payload, exactly as if each
-    /// had been sent with [`DhtNode::send_direct`]; only the wire cost
-    /// changes.  Degenerates to a plain `Direct` for a single payload.
-    pub fn send_direct_batch(
-        &mut self,
-        ctx: &mut Context<DhtMsg<P>>,
-        to: NodeAddr,
-        payloads: Vec<P>,
-    ) {
-        match payloads.len() {
-            0 => (),
-            1 => {
-                self.stats.app_msgs_sent += 1;
-                let payload = payloads.into_iter().next().expect("len checked");
-                ctx.send(to, DhtMsg::Direct { payload });
-            }
-            n => {
-                self.stats.app_msgs_sent += 1;
-                self.stats.direct_batches_sent += 1;
-                self.stats.piggybacked_directs += (n - 1) as u64;
-                ctx.send(to, DhtMsg::DirectBatch { payloads });
-            }
-        }
-    }
-
     /// Ask for the node responsible for `target`.  The answer arrives as
     /// [`Upcall::LookupResult`] carrying the returned request id.
     pub fn find_successor(&mut self, ctx: &mut Context<DhtMsg<P>>, target: Id) -> u64 {
@@ -490,13 +460,6 @@ impl<P: Clone + WireSize> DhtNode<P> {
             }
             DhtMsg::Direct { payload } => {
                 self.upcalls.push(Upcall::Direct { payload, from });
-            }
-            DhtMsg::DirectBatch { payloads } => {
-                // Split into the exact upcall sequence the equivalent
-                // `Direct` messages would have produced.
-                for payload in payloads {
-                    self.upcalls.push(Upcall::Direct { payload, from });
-                }
             }
             DhtMsg::Broadcast { payload, range_end, depth } => {
                 self.handle_broadcast(ctx, payload, range_end, depth)

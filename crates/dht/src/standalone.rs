@@ -32,11 +32,6 @@ impl<P: Clone + WireSize> StandaloneDht<P> {
     pub fn count_upcalls(&self, f: impl Fn(&Upcall<P>) -> bool) -> usize {
         self.upcalls.iter().filter(|u| f(u)).count()
     }
-
-    /// Remove and return all recorded upcalls.
-    pub fn drain_upcalls(&mut self) -> Vec<Upcall<P>> {
-        std::mem::take(&mut self.upcalls)
-    }
 }
 
 impl<P: Clone + WireSize> Node for StandaloneDht<P> {

@@ -153,11 +153,6 @@ impl DetRng {
         }
     }
 
-    /// Pick a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
     /// Raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.step()

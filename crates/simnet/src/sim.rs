@@ -317,21 +317,6 @@ impl<N: Node> Simulation<N> {
         self.run_until(deadline)
     }
 
-    /// Run until no events remain (or `limit` events have been processed).
-    /// Useful for tests of protocols that quiesce.
-    pub fn run_until_idle(&mut self, limit: u64) -> u64 {
-        let mut processed = 0;
-        while processed < limit {
-            let Some(head) = self.queue.peek() else { break };
-            let at = head.at;
-            let ev = self.queue.pop().expect("peeked event must pop");
-            self.now = self.now.max(at);
-            self.dispatch(ev);
-            processed += 1;
-        }
-        processed
-    }
-
     /// Number of events currently queued.
     pub fn pending_events(&self) -> usize {
         self.queue.len()

@@ -11,8 +11,6 @@
 //!   observed statistics, and re-plans the continuous query onto a
 //!   trace-corrected order — with every epoch's results identical to a
 //!   static run of the same workload.
-//! * Statistics gossip defers into the deferred-flush window when
-//!   `batch_flush_ticks > 0`, and still converges.
 //! * Per-item renewal re-publishes only the stale half of a node's
 //!   published working set.
 
@@ -326,41 +324,6 @@ fn feedback_replans_onto_trace_corrected_order_with_identical_results() {
         pre >= 1 && post >= 2,
         "settled epochs on both sides of the flip must compare (pre {pre}, post {post})"
     );
-}
-
-// ---------------------------------------------------------------------
-// Gossip deferral into the flush window
-// ---------------------------------------------------------------------
-
-#[test]
-fn stats_gossip_defers_into_flush_window_and_still_converges() {
-    let mut pier = PierConfig::fast_test();
-    pier.auto_stats = true;
-    pier.batch_flush_ticks = 3;
-    let mut bed =
-        PierTestbed::new(TestbedConfig { nodes: 8, seed: 0x6055, pier, ..Default::default() });
-    bed.create_table_everywhere(&netstats_table());
-    let publisher = bed.nodes()[0];
-    let rows: Vec<Tuple> = (0..32)
-        .map(|i| {
-            Tuple::new(vec![Value::str(format!("host-{i}")), Value::Float(1.0), Value::Float(2.0)])
-        })
-        .collect();
-    bed.publish_batch(publisher, "netstats", rows);
-    bed.run_for(Duration::from_secs(30));
-
-    let totals = bed.engine_totals();
-    assert!(totals.stats_gossip_sent > 0, "gossip rounds must run");
-    assert!(
-        totals.gossip_deferred > 0,
-        "with batch_flush_ticks > 0 gossip must ride the deferred flush window"
-    );
-    // The deferred views still converge: a non-publishing node's catalog
-    // learns the network-wide row count.
-    let observer = bed.nodes()[5];
-    let rows_seen =
-        bed.node(observer).and_then(|n| n.catalog().stats("netstats")).map(|s| s.rows).unwrap_or(0);
-    assert!(rows_seen > 0, "deferred gossip must still converge the catalog");
 }
 
 // ---------------------------------------------------------------------

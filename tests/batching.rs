@@ -1,22 +1,21 @@
 //! Correctness and accounting tests for the batched wire paths: distributed
 //! answers must be identical to the centralized reference, publishing must
-//! coalesce same-key tuples into batch messages, the per-node plan cache
-//! must serve repeat submissions, and join-side projection pushdown must
-//! narrow what ships.
+//! coalesce same-key tuples into batch messages of at most 512 rows, result
+//! buffers must ship early at that cap, a mid-query stop must keep traces
+//! and engine totals reconciled, the per-node plan cache must serve repeat
+//! submissions, and join-side projection pushdown must narrow what ships.
 
 use pier::apps::filesharing::{files_table, keywords_table, FileCorpus};
 use pier::core::{same_rows, Catalog, JoinStrategy, MemoryDb, Planner, QueryKind};
 use pier::prelude::*;
 
-fn corpus_testbed(
-    nodes: usize,
-    seed: u64,
-    files: usize,
-    batch_max: usize,
-) -> (PierTestbed, Catalog, MemoryDb) {
-    let mut pier = PierConfig::fast_test();
-    pier.batch_max = batch_max;
-    let mut bed = PierTestbed::new(TestbedConfig { nodes, seed, pier, ..Default::default() });
+fn corpus_testbed(nodes: usize, seed: u64, files: usize) -> (PierTestbed, Catalog, MemoryDb) {
+    let mut bed = PierTestbed::new(TestbedConfig {
+        nodes,
+        seed,
+        pier: PierConfig::fast_test(),
+        ..Default::default()
+    });
     bed.create_table_everywhere(&files_table());
     bed.create_table_everywhere(&keywords_table());
     let corpus = FileCorpus::generate(files, nodes, seed);
@@ -57,7 +56,7 @@ fn reference_join(catalog: &Catalog, db: &MemoryDb, sql: &str) -> Vec<Tuple> {
 fn batched_join_and_aggregation_match_reference() {
     // One keyword search per corpus: (nodes, seed, files, keyword).
     for (nodes, seed, files, keyword) in [(18, 2026, 260, "music"), (14, 321, 200, "video")] {
-        let (mut bed, catalog, db) = corpus_testbed(nodes, seed, files, 512);
+        let (mut bed, catalog, db) = corpus_testbed(nodes, seed, files);
         // Join (symmetric rehash → JoinBatch path).
         let sql = FileCorpus::search_sql(keyword);
         let distributed = run_join(&mut bed, &catalog, &sql, JoinStrategy::SymmetricHash);
@@ -89,21 +88,48 @@ fn batched_join_and_aggregation_match_reference() {
 }
 
 #[test]
-fn tiny_batch_max_still_correct() {
-    // batch_max = 1 forces every buffer to flush immediately (degenerate
-    // batches); answers must not change.
-    let sql = FileCorpus::search_sql("ebook");
-    let (mut bed, catalog, db) = corpus_testbed(12, 77, 180, 1);
-    let rows = run_join(&mut bed, &catalog, &sql, JoinStrategy::SymmetricHash);
-    let reference = reference_join(&catalog, &db, &sql);
-    assert!(!reference.is_empty());
-    assert!(same_rows(&rows, &reference));
+fn batches_cap_at_512_rows_and_results_flush_early() {
+    // 1,100 rows of one host share a partitioning key, so publishing splits
+    // them into 512 + 512 + 76-row batches; the scan site's result buffer
+    // ships early each time it reaches 512 rows and the rest at the tick
+    // drain.
+    use pier::apps::netmon::netstats_table;
+    let mut bed = PierTestbed::new(TestbedConfig {
+        nodes: 8,
+        seed: 512,
+        pier: PierConfig::fast_test(),
+        ..Default::default()
+    });
+    bed.create_table_everywhere(&netstats_table());
+    let rows: Vec<Tuple> = (0..1_100)
+        .map(|i| Tuple::new(vec![Value::str("host-0"), Value::Float(i as f64), Value::Float(1.0)]))
+        .collect();
+    let publisher = bed.nodes()[3];
+    bed.publish_batch(publisher, "netstats", rows.clone());
+    bed.run_for(Duration::from_secs(2));
+    let published = bed.engine_totals();
+    assert_eq!(published.tuples_published, 1_100);
+    assert_eq!(published.batches_sent, 3, "512 + 512 + 76 rows");
+
+    let origin = bed.nodes()[0];
+    let q = bed.submit_sql(origin, "SELECT host, out_rate FROM netstats").unwrap();
+    bed.run_for(Duration::from_secs(5));
+    let expected: Vec<Tuple> = rows.iter().map(|r| r.project(&[0, 1])).collect();
+    assert!(same_rows(&bed.results(origin, q, 0), &expected), "answer must equal the input");
+    let totals = bed.engine_totals();
+    assert_eq!(totals.results_sent, 1_100);
+    assert_eq!(
+        totals.messages_sent - published.messages_sent,
+        3,
+        "two early flushes at 512 rows plus the tick drain"
+    );
+    assert_eq!(totals.batches_sent - published.batches_sent, 3);
 }
 
 #[test]
 fn bloom_join_unbatches_correctly() {
     let sql = FileCorpus::search_sql("linux");
-    let (mut bed, catalog, db) = corpus_testbed(16, 55, 220, 512);
+    let (mut bed, catalog, db) = corpus_testbed(16, 55, 220);
     let rows = run_join(&mut bed, &catalog, &sql, JoinStrategy::BloomFilter);
     let reference = reference_join(&catalog, &db, &sql);
     assert!(!reference.is_empty());
@@ -150,16 +176,15 @@ fn batching_cuts_wire_messages() {
 }
 
 #[test]
-fn deferred_flush_across_stop_keeps_counters_reconciled() {
-    // Regression: with `batch_flush_ticks > 0`, result rows and intermediate
-    // join-rehash buffers may span engine ticks.  A StopQuery arriving while
-    // buffers are deferred used to leave them for the deadline timer, which
-    // shipped them *after* the query (and its frozen trace) was removed — the
-    // engine counted those messages/bytes, the trace could not, and the two
-    // views stopped reconciling.  The stop now forces the flush while the
-    // trace can still account for it.  Exercised for both stage shapes:
-    // symmetric rehash (deferred intermediate rehashes) and Fetch-Matches
-    // (probe responses continuing into deferred result buffers).
+fn stop_mid_query_keeps_counters_reconciled() {
+    // A StopQuery can land while the query is still producing traffic:
+    // rehashes in flight, Fetch-Matches probes outstanding, result rows
+    // buffered in the current engine tick.  The stop ships the query's
+    // buffered rows while its trace can still account for them, and join
+    // input arriving after the stop is never processed, so the frozen trace
+    // and the engine-wide counters must agree exactly.  Exercised for both
+    // stage shapes: symmetric rehash and Fetch-Matches (probe responses
+    // continuing into result buffers).
     use pier::apps::netmon::netstats_table;
     use pier::apps::snort::intrusions_table;
     use pier::apps::topology::links_table;
@@ -170,14 +195,12 @@ fn deferred_flush_across_stop_keeps_counters_reconciled() {
 
     for strategy in [JoinStrategy::SymmetricHash, JoinStrategy::FetchMatches] {
         let nodes = 12;
-        let mut pier = PierConfig::fast_test();
-        // Buffers may span effectively unboundedly many ticks — only the
-        // long (2 s) deadline timer flushes them — so a deterministically
-        // large window exists where a stop races a deferred buffer.
-        pier.batch_flush_ticks = 1_000_000;
-        pier.holddown = Duration::from_millis(2_000);
-        let mut bed =
-            PierTestbed::new(TestbedConfig { nodes, seed: 0xF1A7, pier, ..Default::default() });
+        let mut bed = PierTestbed::new(TestbedConfig {
+            nodes,
+            seed: 0xF1A7,
+            pier: PierConfig::fast_test(),
+            ..Default::default()
+        });
         bed.create_table_everywhere(&netstats_table());
         bed.create_table_everywhere(&links_table());
         bed.create_table_everywhere(&intrusions_table());
@@ -219,8 +242,8 @@ fn deferred_flush_across_stop_keeps_counters_reconciled() {
         let stmt = pier::core::sql::parse_select(three_way).unwrap();
         let mut planned =
             Planner::with_join_strategy(&catalog, strategy).plan_select(&stmt).unwrap();
-        // Raw-row streaming keeps the final stage on the (deferrable) result
-        // path, which is where the regression lived.
+        // Raw-row streaming keeps the final stage on the buffered result
+        // path.
         if let QueryKind::Join { aggregate: Some(agg), .. } = &mut planned.kind {
             agg.hierarchical = false;
         }
@@ -228,8 +251,6 @@ fn deferred_flush_across_stop_keeps_counters_reconciled() {
         let q = bed
             .submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
             .unwrap();
-        // Stop while intermediate/result buffers are still deferred (matches
-        // are produced well before the 2 s flush deadline fires).
         bed.run_for(Duration::from_millis(1_500));
         bed.stop_query(origin, q);
         bed.run_for(Duration::from_secs(6));
@@ -246,11 +267,11 @@ fn deferred_flush_across_stop_keeps_counters_reconciled() {
         let totals = bed.engine_totals();
         assert_eq!(
             trace.messages_sent, totals.messages_sent,
-            "{strategy:?}: deferred flush must neither double-count nor orphan messages"
+            "{strategy:?}: the stop must neither double-count nor orphan messages"
         );
         assert_eq!(
             trace.bytes_shipped, totals.bytes_shipped,
-            "{strategy:?}: deferred flush must neither double-count nor orphan bytes"
+            "{strategy:?}: the stop must neither double-count nor orphan bytes"
         );
         assert_eq!(trace.tuples_shipped, totals.join_tuples_sent, "{strategy:?}");
         assert_eq!(trace.results_sent, totals.results_sent, "{strategy:?}");
@@ -260,7 +281,7 @@ fn deferred_flush_across_stop_keeps_counters_reconciled() {
 
 #[test]
 fn engine_totals_sync_simnet_tags() {
-    let (mut bed, _, _) = corpus_testbed(8, 42, 60, 512);
+    let (mut bed, _, _) = corpus_testbed(8, 42, 60);
     let totals = bed.engine_totals();
     assert!(totals.messages_sent > 0);
     assert_eq!(bed.metrics().tag("pier.messages_sent"), totals.messages_sent);
@@ -306,7 +327,7 @@ fn join_projection_pushdown_narrows_shipped_bytes() {
         c
     };
     let shipped = |sql: &str| -> (u64, u64) {
-        let (mut bed, _, _) = corpus_testbed(14, 4242, 240, 512);
+        let (mut bed, _, _) = corpus_testbed(14, 4242, 240);
         let _ = run_join(&mut bed, &catalog, sql, JoinStrategy::SymmetricHash);
         let totals = bed.engine_totals();
         (totals.bytes_shipped, totals.join_tuples_sent)

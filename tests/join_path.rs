@@ -1,5 +1,5 @@
-//! Join-path integration tests: the vectorized build/probe kernels, the
-//! inner-stage Bloom semi-join handshake, and cross-query piggybacking.
+//! Join-path integration tests: the vectorized build/probe kernels and the
+//! inner-stage Bloom semi-join handshake.
 //!
 //! * A randomized property test drives the columnar `JoinBuild` /
 //!   `probe_joined` path and the scalar reference loop with the same
@@ -12,13 +12,9 @@
 //!   unfiltered run under the same crash.
 //! * `EXPLAIN` surfaces the planner's inner-filter placement and FP budget;
 //!   `EXPLAIN ANALYZE` renders the measured per-stage pass rates.
-//! * With two concurrent queries piggybacking on shared frames, the
-//!   per-query traces still reconcile field-for-field with the engine-wide
-//!   counters.
 
 use pier::core::dataflow::join::{probe_joined, JoinBuild};
 use pier::core::dataflow::ops::FilterOp;
-use pier::core::trace::render_network_trace;
 use pier::core::{same_rows, BloomFilter, Catalog, Expr, Kernel, Planner, QueryKind, TableStats};
 use pier::dht::{hash_node_addr, Id, ResourceKey};
 use pier::prelude::*;
@@ -425,108 +421,6 @@ fn crash_of_summary_holder_mid_handshake_keeps_later_epochs_identical() {
         rows_on.len(),
         rows_off.len()
     );
-}
-
-// ---------------------------------------------------------------------
-// Cross-query piggybacking reconciliation
-// ---------------------------------------------------------------------
-
-#[test]
-fn piggybacked_queries_reconcile_with_engine_totals() {
-    // Two concurrent copies of the join with a cross-tick flush window:
-    // their deferred rehashes and results share frames, and the sum of the
-    // two per-query traces must still reconcile field-for-field with the
-    // engine-wide counters (every frame charged to exactly one query, every
-    // co-riding payload counted exactly once).
-    let nodes = 10;
-    let mut pier = PierConfig::fast_test();
-    pier.inner_bloom = false;
-    pier.batch_flush_ticks = 4;
-    let mut bed =
-        PierTestbed::new(TestbedConfig { nodes, seed: 0x9188, pier, ..Default::default() });
-    bed.create_table_everywhere(&netstats_table());
-    bed.create_table_everywhere(&links_table());
-    bed.create_table_everywhere(&intrusions_table());
-
-    // publish_local keeps publication off the wire so the engine counters
-    // contain nothing but the two queries' traffic.
-    let host = |i: usize| format!("host-{}", i % nodes);
-    for (i, &addr) in bed.nodes().to_vec().iter().enumerate() {
-        bed.publish_local(
-            addr,
-            "netstats",
-            Tuple::new(vec![Value::str(host(i)), Value::Float(12.0), Value::Float(1.0)]),
-        );
-        bed.publish_local(
-            addr,
-            "links",
-            Tuple::new(vec![Value::str(host(i)), Value::str(host(i + 1)), Value::str("edge")]),
-        );
-        bed.publish_local(
-            addr,
-            "intrusions",
-            Tuple::new(vec![
-                Value::str(host(i)),
-                Value::Int(1400),
-                Value::str("rule-0"),
-                Value::Int(3),
-            ]),
-        );
-    }
-    bed.run_for(Duration::from_secs(2));
-
-    let cat = skewed_catalog();
-    let stmt = pier::core::sql::parse_select(INNER_SQL).unwrap();
-    let planned =
-        Planner::with_join_strategy(&cat, JoinStrategy::SymmetricHash).plan_select(&stmt).unwrap();
-    let origin = bed.nodes()[1];
-    let ids: Vec<QueryId> = (0..2)
-        .map(|_| {
-            bed.submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
-                .unwrap()
-        })
-        .collect();
-    bed.run_for(Duration::from_secs(20));
-    for &q in &ids {
-        bed.stop_query(origin, q);
-    }
-    bed.run_for(Duration::from_secs(2));
-    for &q in &ids {
-        bed.sim().invoke(origin, move |node, ctx| node.request_traces(ctx, q));
-        bed.run_for(Duration::from_secs(3));
-    }
-    let traces: Vec<pier::core::OpTrace> = ids
-        .iter()
-        .map(|&q| {
-            bed.sim()
-                .node(origin)
-                .and_then(|n| n.collected_trace(q))
-                .map(|(_, t)| t.clone())
-                .unwrap()
-        })
-        .collect();
-    let totals = bed.engine_totals();
-
-    let sum = |f: fn(&pier::core::OpTrace) -> u64| traces.iter().map(f).sum::<u64>();
-    assert_eq!(sum(|t| t.messages_sent), totals.messages_sent, "every frame has one payer");
-    assert_eq!(sum(|t| t.bytes_shipped), totals.bytes_shipped);
-    assert_eq!(sum(|t| t.tuples_shipped), totals.join_tuples_sent);
-    assert_eq!(sum(|t| t.results_sent), totals.results_sent);
-    assert_eq!(
-        sum(|t| t.piggybacked_payloads),
-        totals.piggybacked_payloads,
-        "every co-riding payload is attributed to exactly one query"
-    );
-    assert!(totals.shared_frames > 0, "the flush window must actually merge frames");
-    assert!(totals.piggybacked_payloads > 0, "payloads must actually ride shared frames");
-
-    // The free-rider share surfaces in the rendered trace report.
-    let rendered = render_network_trace(
-        nodes as u64,
-        traces.iter().max_by_key(|t| t.piggybacked_payloads).unwrap(),
-        &planned.kind,
-    );
-    assert!(rendered.contains("piggyback:"), "no piggyback share in the report:\n{rendered}");
 }
 
 // ---------------------------------------------------------------------

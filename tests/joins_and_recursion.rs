@@ -158,6 +158,21 @@ fn recursive_reachability_matches_ground_truth() {
         let d = row.get(2).as_i64().unwrap();
         assert!((1..=8).contains(&d));
     }
+
+    // Semi-naïve evaluation expands each vertex once: at most one expansion
+    // per edge leaving the start vertex or a reached vertex, plus the seed.
+    // Without duplicate suppression the ring's many paths to each vertex
+    // would blow far past this bound.
+    let expands: u64 =
+        bed.alive_nodes().iter().map(|&a| bed.node(a).unwrap().stats().expands_sent).sum();
+    let out_edges = edges
+        .iter()
+        .filter(|(src, _)| *src == source || reached.binary_search(src).is_ok())
+        .count() as u64;
+    assert!(
+        expands <= 1 + out_edges,
+        "{expands} expansions for {out_edges} edges leaving expanded vertices"
+    );
 }
 
 #[test]

@@ -10,8 +10,6 @@
 //!   reconcile with the network-wide engine counters.
 //! * `EXPLAIN` shows the statistics-driven join order, and the order flips
 //!   when the cardinalities flip.
-//! * The time-based flush (`PierConfig::batch_flush_ticks`) preserves
-//!   results while shipping no more messages than the per-tick flush.
 
 use pier::apps::netmon::netstats_table;
 use pier::apps::snort::intrusions_table;
@@ -81,7 +79,8 @@ fn catalog_with_stats(nodes: usize) -> Catalog {
 /// Boot a deployment with the workload routed into the DHT (Fetch-Matches
 /// probes need tuples at their responsible nodes) plus the matching
 /// centralized reference database.
-fn three_way_bed(nodes: usize, seed: u64, pier: PierConfig) -> (PierTestbed, MemoryDb) {
+fn three_way_bed(nodes: usize, seed: u64) -> (PierTestbed, MemoryDb) {
+    let pier = PierConfig::fast_test();
     let mut bed = PierTestbed::new(TestbedConfig { nodes, seed, pier, ..Default::default() });
     bed.create_table_everywhere(&netstats_table());
     bed.create_table_everywhere(&links_table());
@@ -119,8 +118,7 @@ fn three_way_join_matches_reference_under_all_strategy_mixes() {
         };
         assert_eq!(stages.len(), 2, "{label}: a 3-way join lowers to two stages");
 
-        let (mut bed, db) =
-            three_way_bed(nodes, 0x3A00 + label.len() as u64, PierConfig::fast_test());
+        let (mut bed, db) = three_way_bed(nodes, 0x3A00 + label.len() as u64);
         let origin = bed.nodes()[2];
         let q = bed
             .submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
@@ -236,42 +234,5 @@ fn explain_shows_statistics_driven_order_that_flips() {
     assert!(
         !order_line(&b).contains("join order: intrusions"),
         "200k-row intrusions must not drive: {b}"
-    );
-}
-
-#[test]
-fn time_based_flush_preserves_results_with_no_extra_messages() {
-    let nodes = 12;
-    let catalog = catalog_with_stats(nodes);
-    let stmt = pier::core::sql::parse_select(THREE_WAY).unwrap();
-    let planned = Planner::with_join_strategy(&catalog, JoinStrategy::SymmetricHash)
-        .plan_select(&stmt)
-        .unwrap();
-
-    let run = |flush_ticks: u32| {
-        let mut pier = PierConfig::fast_test();
-        pier.batch_flush_ticks = flush_ticks;
-        let (mut bed, db) = three_way_bed(nodes, 0xF1A5, pier);
-        let origin = bed.nodes()[4];
-        let q = bed
-            .submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
-            .unwrap();
-        bed.run_for(Duration::from_secs(20));
-        let rows = bed.results(origin, q, 0);
-        let reference = db.execute(&planned.logical);
-        assert!(
-            same_rows(&rows, &reference),
-            "flush_ticks={flush_ticks}: {} vs {} reference rows",
-            rows.len(),
-            reference.len()
-        );
-        bed.engine_totals().messages_sent
-    };
-
-    let baseline = run(0);
-    let deferred = run(4);
-    assert!(
-        deferred <= baseline,
-        "deferred flush must not ship more messages ({deferred} vs {baseline})"
     );
 }
