@@ -6,7 +6,8 @@
 //! counts; a single distributed GROUP BY / ORDER BY / LIMIT 10 query ranks
 //! them network-wide via PIER's in-network aggregation.  The absolute hit
 //! counts are synthetic (scaled to the paper's totals); the *ranking* is the
-//! reproduced artifact.
+//! reproduced artifact, and the binary exits non-zero if it does not match
+//! the paper's.
 //!
 //! Run with: `cargo run --release -p pier-bench --bin table1_top10_rules`
 
@@ -78,4 +79,7 @@ fn main() {
         bed.metrics().messages_delivered(),
         bed.metrics().bytes_delivered() / 1024
     );
+    if verdict == "MISMATCH" {
+        std::process::exit(1);
+    }
 }

@@ -37,12 +37,6 @@ impl BloomFilter {
         BloomFilter { bits: vec![0; words], num_bits: words * 64, k: k.max(1), inserted: 0 }
     }
 
-    /// A filter sized for roughly `expected` keys at ~1% false positives.
-    pub fn for_capacity(expected: usize) -> Self {
-        let bits = (expected.max(16) * 10).next_power_of_two();
-        BloomFilter::new(bits, 4)
-    }
-
     fn probes(&self, value: &Value) -> Vec<usize> {
         let key = value.partition_string();
         let h1 = hash64(&key, 0x5151);
@@ -127,7 +121,8 @@ mod tests {
 
     #[test]
     fn few_false_positives_when_sized_right() {
-        let mut f = BloomFilter::for_capacity(500);
+        // ~10 bits per key, the planner's sizing rule.
+        let mut f = BloomFilter::new(8192, 4);
         for i in 0..500 {
             f.insert(&Value::Int(i));
         }

@@ -6,5 +6,3 @@
 
 pub mod join;
 pub mod ops;
-
-pub use ops::{compare_on, sort_tuples, FilterOp, GroupAggregator, GroupKey, ProjectOp, TopK};

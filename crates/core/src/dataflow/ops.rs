@@ -1,9 +1,11 @@
 //! Local relational operators.
 //!
 //! These are the building blocks each PIER node runs over its local data:
-//! selection, projection, grouped aggregation (producing *mergeable partial
-//! state*, see [`crate::aggregate`]), and a top-k collector used at the
-//! query origin for `ORDER BY … LIMIT` queries like the paper's Table 1.
+//! grouped aggregation (producing *mergeable partial state*, see
+//! [`crate::aggregate`]) and the multi-key row ordering behind `ORDER BY …
+//! LIMIT` queries like the paper's Table 1.  Selection and projection are
+//! plain [`Expr::matches`] / [`Tuple::project`] calls, or compiled kernels
+//! over columnar batches.
 
 use crate::aggregate::AggState;
 use crate::column::{Column, ColumnData, ColumnarBatch};
@@ -14,44 +16,6 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Apply a filter predicate to a stream of tuples.
-#[derive(Clone, Debug)]
-pub struct FilterOp {
-    /// The predicate.
-    pub predicate: Expr,
-}
-
-impl FilterOp {
-    /// Construct.
-    pub fn new(predicate: Expr) -> Self {
-        FilterOp { predicate }
-    }
-
-    /// Does a tuple pass?
-    pub fn accepts(&self, tuple: &Tuple) -> bool {
-        self.predicate.matches(tuple)
-    }
-}
-
-/// Compute projections over a stream of tuples.
-#[derive(Clone, Debug)]
-pub struct ProjectOp {
-    /// Expressions producing the output columns.
-    pub exprs: Vec<Expr>,
-}
-
-impl ProjectOp {
-    /// Construct.
-    pub fn new(exprs: Vec<Expr>) -> Self {
-        ProjectOp { exprs }
-    }
-
-    /// Project one tuple.
-    pub fn apply_one(&self, tuple: &Tuple) -> Tuple {
-        Tuple::new(self.exprs.iter().map(|e| e.eval(tuple)).collect())
-    }
-}
 
 /// The key identifying a group (the evaluated GROUP BY expressions).
 pub type GroupKey = Vec<Value>;
@@ -799,58 +763,6 @@ pub fn sort_tuples(tuples: &mut [Tuple], keys: &[SortKey]) {
     tuples.sort_by(|a, b| compare_on(a, b, keys));
 }
 
-/// An `ORDER BY … LIMIT k` collector: keeps only the best `k` rows seen.
-#[derive(Clone, Debug)]
-pub struct TopK {
-    keys: Vec<SortKey>,
-    limit: usize,
-    rows: Vec<Tuple>,
-}
-
-impl TopK {
-    /// Construct with sort keys and a limit (`usize::MAX` for "sort only").
-    pub fn new(keys: Vec<SortKey>, limit: usize) -> Self {
-        TopK { keys, limit, rows: Vec::new() }
-    }
-
-    /// Offer a row.
-    pub fn push(&mut self, tuple: Tuple) {
-        self.rows.push(tuple);
-        if self.rows.len() > self.limit.saturating_mul(4).max(64) {
-            self.compact();
-        }
-    }
-
-    fn compact(&mut self) {
-        sort_tuples(&mut self.rows, &self.keys);
-        self.rows.truncate(self.limit);
-    }
-
-    /// Number of rows currently buffered.
-    pub fn len(&self) -> usize {
-        self.rows.len().min(self.limit)
-    }
-
-    /// Is the collector empty?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The final, sorted, limited rows.
-    pub fn finish(mut self) -> Vec<Tuple> {
-        self.compact();
-        self.rows
-    }
-
-    /// Sorted, limited rows without consuming the collector.
-    pub fn snapshot(&self) -> Vec<Tuple> {
-        let mut rows = self.rows.clone();
-        sort_tuples(&mut rows, &self.keys);
-        rows.truncate(self.limit);
-        rows
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,15 +770,6 @@ mod tests {
 
     fn row(a: i64, b: i64) -> Tuple {
         Tuple::new(vec![Value::Int(a), Value::Int(b)])
-    }
-
-    #[test]
-    fn filter_and_project() {
-        let f = FilterOp::new(Expr::col(0).gt(Expr::lit(1i64)));
-        assert!(!f.accepts(&row(1, 10)));
-        assert!(f.accepts(&row(2, 20)));
-        let p = ProjectOp::new(vec![Expr::col(1), Expr::col(0)]);
-        assert_eq!(p.apply_one(&row(5, 50)), row(50, 5));
     }
 
     #[test]
@@ -994,36 +897,6 @@ mod tests {
         }
         sub_vec.update_batch(&batch, &sel);
         assert_eq!(sub_scalar.group_count(), sub_vec.group_count());
-    }
-
-    #[test]
-    fn topk_keeps_best_rows() {
-        let keys = vec![SortKey { column: 1, desc: true }];
-        let mut topk = TopK::new(keys, 3);
-        for i in 0..100 {
-            topk.push(row(i, (i * 37) % 101));
-        }
-        let out = topk.finish();
-        assert_eq!(out.len(), 3);
-        // Rows must be in descending order of column 1 and be the 3 largest.
-        assert!(out[0].get(1).total_cmp(out[1].get(1)) != Ordering::Less);
-        assert!(out[1].get(1).total_cmp(out[2].get(1)) != Ordering::Less);
-        assert_eq!(out[0].get(1), &Value::Int(100));
-    }
-
-    #[test]
-    fn topk_snapshot_and_ties() {
-        let keys = vec![SortKey { column: 0, desc: false }, SortKey { column: 1, desc: true }];
-        let mut topk = TopK::new(keys, 2);
-        topk.push(row(1, 5));
-        topk.push(row(1, 9));
-        topk.push(row(0, 1));
-        let snap = topk.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0], row(0, 1));
-        assert_eq!(snap[1], row(1, 9));
-        assert_eq!(topk.len(), 2);
-        assert!(!topk.is_empty());
     }
 
     #[test]

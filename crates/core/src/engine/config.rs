@@ -1,0 +1,288 @@
+//! Engine configuration ([`PierConfig`] and its presets), the windowed
+//! late-data policy, and the per-node activity counters ([`EngineStats`]).
+
+use pier_dht::DhtConfig;
+use pier_simnet::Duration;
+
+/// What the aggregation root of a windowed continuous query does with
+/// partials that arrive for an epoch whose window(s) it has already closed
+/// and reported (see [`crate::query::WindowSpec`]).
+///
+/// Windows close when the root's *watermark* — the highest epoch it has
+/// finalized — passes the window's last epoch.  A partial delayed past the
+/// root's collect-and-extend grace period is *late*; this policy decides
+/// whether its data is lost or folded in retroactively.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WindowLatePolicy {
+    /// Discard late partials (counted in
+    /// [`EngineStats::window_late_dropped`]).  Closed windows are immutable
+    /// and their state is freed at close — the cheap, at-most-once default.
+    Drop,
+    /// Merge late partials into the retained window state and re-emit the
+    /// corrected window: the origin receives a retraction for the window's
+    /// previous rows, then the updated rows.  Closed-window state is kept
+    /// for a bounded number of slides, so very late data (beyond the
+    /// retention horizon) is still dropped.
+    Patch,
+}
+
+/// Engine configuration.
+///
+/// # Example: the statistics knobs
+///
+/// ```
+/// use pier_core::engine::PierConfig;
+/// use pier_simnet::Duration;
+///
+/// let mut config = PierConfig::fast_test();
+/// config.auto_stats = true;        // gossip table statistics automatically
+/// config.stats_interval = Duration::from_secs(2);
+/// config.feedback = true;          // re-plan continuous joins from traces
+/// ```
+#[derive(Clone, Debug)]
+pub struct PierConfig {
+    /// DHT / overlay parameters.
+    pub dht: DhtConfig,
+    /// Hold-down delay before a node forwards combined partial aggregates.
+    pub holddown: Duration,
+    /// How long the aggregation root waits after an epoch starts before
+    /// finalizing (must exceed typical tree depth × hold-down + latency).
+    pub collect_delay: Duration,
+    /// How long the origin collects per-node Bloom filters before
+    /// broadcasting the combined filter.
+    pub bloom_collect_delay: Duration,
+    /// Lower clamp for the planner-sized Bloom geometry of every filtered
+    /// stage ([`JoinStage::bloom_bits`](crate::query::JoinStage)).
+    pub bloom_bits_min: usize,
+    /// Upper clamp for the planner-sized Bloom geometry.
+    pub bloom_bits_max: usize,
+    /// Inner-stage Bloom semi-joins: when the planner marks a symmetric-hash
+    /// stage past the first as filterable, its join sites summarize the
+    /// intermediate keys that reached them, the origin combines and
+    /// broadcasts the filter, and right-relation scan sites prune their
+    /// rehash through it — the same per-(query, stage, epoch) handshake the
+    /// stage-0 Bloom join runs.  `false` rehashes inner right sides eagerly
+    /// and unfiltered.
+    pub inner_bloom: bool,
+    /// Hold-down deadline at Bloom-gated right-relation scan sites (stage 0
+    /// and inner stages): if the combined filter has not arrived this long
+    /// after the epoch started, ship the right side unfiltered.  A lost
+    /// summary therefore degrades to extra traffic, never to missing results
+    /// the filter would have kept.
+    pub bloom_fallback_delay: Duration,
+    /// Automatic statistics: every [`PierConfig::stats_interval`] each node
+    /// summarizes the live soft state it stores per table and gossips the
+    /// summaries to ring neighbours until every catalog converges on
+    /// network-wide cardinalities (no manual
+    /// [`set_table_stats`](super::PierNode::set_table_stats) required).  Off
+    /// by default so measurement-sensitive benchmarks see no extra traffic.
+    pub auto_stats: bool,
+    /// How often a node re-summarizes and pushes its statistics view to its
+    /// predecessor and first three successors.
+    pub stats_interval: Duration,
+    /// Gossip entry expiry: a node's statistics entry is evicted from the
+    /// local view after this many gossip intervals without a fresher
+    /// sequence number, so a permanently departed node stops inflating the
+    /// network-wide cardinality totals.  Restarted nodes re-enter
+    /// immediately (their sequence numbers are time-seeded).  `0` disables
+    /// expiry.
+    pub stats_ttl_intervals: u32,
+    /// Trace-fed costing: after a continuous multi-way join has run a few
+    /// epochs, its origin collects the network-wide execution trace
+    /// (per-stage input and match counters), folds it into per-query
+    /// [`ObservedStats`](crate::planner::ObservedStats) that override the
+    /// catalog estimates, and re-plans.  When the corrected costs change the
+    /// plan — a different join order, strategy mix, or a bushy shape — the
+    /// staged-spec swap of mid-flight re-planning switches every node at its
+    /// next epoch boundary.  Off by default: plans then come from catalog
+    /// statistics only.
+    pub feedback: bool,
+    /// Batch-aware soft-state renewal: publishers log what
+    /// [`publish_batch`](super::PierNode::publish_batch) stored, and
+    /// [`renew_published`](super::PierNode::renew_published) re-publishes
+    /// only the tuples past half their table's TTL instead of the whole
+    /// batch — per-item renewal inside a stored batch.  Off by default
+    /// (publishers re-publish everything every TTL).
+    pub renewal: bool,
+    /// What the aggregation root does with partials that arrive after the
+    /// windows covering their epoch have closed (windowed continuous
+    /// aggregates only; see [`WindowLatePolicy`]).  Interacts with
+    /// `collect_delay` and `holddown`: the shorter those grace periods are
+    /// relative to network latency, the more data arrives late and the more
+    /// this policy matters.
+    pub window_late_policy: WindowLatePolicy,
+}
+
+impl Default for PierConfig {
+    fn default() -> Self {
+        // Base tables are queried with local scans; storing DHT-level replicas
+        // would make replicated tuples show up twice in scans, so the engine
+        // runs the DHT without item replication and relies on soft-state
+        // renewal (publishers re-publish every TTL) for durability, as PIER does.
+        let dht = DhtConfig { replication_factor: 0, ..DhtConfig::default() };
+        PierConfig {
+            dht,
+            holddown: Duration::from_millis(250),
+            collect_delay: Duration::from_millis(4_000),
+            bloom_collect_delay: Duration::from_millis(1_500),
+            bloom_bits_min: 1024,
+            bloom_bits_max: 65_536,
+            inner_bloom: true,
+            bloom_fallback_delay: Duration::from_millis(8_000),
+            auto_stats: false,
+            stats_interval: Duration::from_millis(5_000),
+            stats_ttl_intervals: 8,
+            feedback: false,
+            renewal: false,
+            window_late_policy: WindowLatePolicy::Drop,
+        }
+    }
+}
+
+impl PierConfig {
+    /// Fast timers for small test networks.
+    pub fn fast_test() -> Self {
+        let mut dht = DhtConfig::fast_test();
+        dht.replication_factor = 0;
+        PierConfig {
+            dht,
+            holddown: Duration::from_millis(100),
+            collect_delay: Duration::from_millis(3_000),
+            bloom_collect_delay: Duration::from_millis(800),
+            bloom_bits_min: 512,
+            bloom_bits_max: 16_384,
+            bloom_fallback_delay: Duration::from_millis(3_000),
+            stats_interval: Duration::from_millis(2_000),
+            ..PierConfig::default()
+        }
+    }
+
+    /// Parameters matching the PlanetLab-scale experiments.
+    pub fn planetlab() -> Self {
+        let mut dht = DhtConfig::planetlab();
+        dht.replication_factor = 0;
+        PierConfig {
+            dht,
+            holddown: Duration::from_millis(300),
+            collect_delay: Duration::from_millis(5_000),
+            bloom_collect_delay: Duration::from_millis(2_000),
+            bloom_bits_min: 2048,
+            bloom_bits_max: 131_072,
+            bloom_fallback_delay: Duration::from_millis(10_000),
+            ..PierConfig::default()
+        }
+    }
+}
+
+/// Per-node counters describing the engine's own activity (read by benches).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EngineStats {
+    /// Tuples published into the DHT from this node.
+    pub tuples_published: u64,
+    /// Tuples read by local scans.
+    pub tuples_scanned: u64,
+    /// Result rows sent toward query origins.
+    pub results_sent: u64,
+    /// Partial-aggregate messages sent.
+    pub partials_sent: u64,
+    /// Partial-aggregate messages merged locally (in-network combining).
+    pub partials_merged: u64,
+    /// Tuples rehashed to join sites.
+    pub join_tuples_sent: u64,
+    /// Join output rows produced at this node.
+    pub join_matches: u64,
+    /// Recursive expansion messages sent.
+    pub expands_sent: u64,
+    /// Epoch evaluations performed.
+    pub epochs_run: u64,
+    /// DHT wire messages this engine initiated on the query wire paths
+    /// (publishes, rehashed join tuples, partials, results, Bloom summaries,
+    /// expansions) — the denominator of the batching win.
+    pub messages_sent: u64,
+    /// Application-payload bytes handed to the DHT on those paths (counted
+    /// per payload, whether its first hop was remote or this node itself).
+    pub bytes_shipped: u64,
+    /// Batch payloads (each coalescing ≥ 2 tuples) among them.
+    pub batches_sent: u64,
+    /// SQL submissions answered from the per-node plan cache.
+    pub plan_cache_hits: u64,
+    /// SQL submissions that ran the full planning pipeline.
+    pub plan_cache_misses: u64,
+    /// Statistics-gossip messages sent.  Tracked separately from
+    /// `messages_sent` / `bytes_shipped` so the observability plane does not
+    /// pollute the query-path counters it is meant to measure.
+    pub stats_gossip_sent: u64,
+    /// Times this node swapped a live query to a re-planned spec at an epoch
+    /// boundary (mid-flight re-planning).
+    pub replans: u64,
+    /// Right-relation tuples tested against a combined Bloom filter before
+    /// rehash (stage 0 and inner stages alike).
+    pub bloom_tested: u64,
+    /// Of those, tuples the filter passed (and were therefore rehashed).
+    pub bloom_passed: u64,
+    /// Bloom-gated epochs (stage 0 or inner stages) whose combined filter
+    /// missed the hold-down deadline and shipped the right side unfiltered.
+    pub bloom_fallbacks: u64,
+    /// Always 0: every payload pays for its own message (one flush per
+    /// engine tick, no cross-query frame sharing).  Kept so existing
+    /// readers of the counter set still compile.
+    pub piggybacked_payloads: u64,
+    /// Always 0, like `piggybacked_payloads`: no wire frame carries payloads
+    /// from more than one query.
+    pub shared_frames: u64,
+    /// Times this node staged a trace-corrected plan for a live query
+    /// (trace-fed costing, a subset of `replans`).
+    pub feedback_replans: u64,
+    /// Tuples re-published by per-item soft-state renewal (past half TTL).
+    pub renewals_published: u64,
+    /// Tuples a renewal sweep left in place because they were still fresh —
+    /// the traffic a whole-batch re-publish would have paid for.
+    pub renewal_tuples_skipped: u64,
+    /// Epoch-count windows this node closed and reported as an aggregation
+    /// root (windowed continuous aggregates).
+    pub windows_closed: u64,
+    /// Late partial-aggregate payloads discarded because the windows
+    /// covering their epoch had already closed
+    /// ([`WindowLatePolicy::Drop`], or `Patch` past its retention horizon).
+    pub window_late_dropped: u64,
+    /// Already-closed windows re-opened, corrected, and re-emitted because
+    /// a late partial arrived under [`WindowLatePolicy::Patch`].
+    pub window_late_patched: u64,
+    /// Alert tuples published into a query's `pier:alert:<id>` namespace
+    /// (windowed aggregates with a `HAVING` trigger).
+    pub alerts_emitted: u64,
+}
+
+impl EngineStats {
+    /// Field-wise sum (benchmarks aggregate per-node stats network-wide).
+    pub fn merge(&mut self, other: &EngineStats) {
+        self.tuples_published += other.tuples_published;
+        self.tuples_scanned += other.tuples_scanned;
+        self.results_sent += other.results_sent;
+        self.partials_sent += other.partials_sent;
+        self.partials_merged += other.partials_merged;
+        self.join_tuples_sent += other.join_tuples_sent;
+        self.join_matches += other.join_matches;
+        self.expands_sent += other.expands_sent;
+        self.epochs_run += other.epochs_run;
+        self.messages_sent += other.messages_sent;
+        self.bytes_shipped += other.bytes_shipped;
+        self.batches_sent += other.batches_sent;
+        self.plan_cache_hits += other.plan_cache_hits;
+        self.plan_cache_misses += other.plan_cache_misses;
+        self.stats_gossip_sent += other.stats_gossip_sent;
+        self.replans += other.replans;
+        self.bloom_tested += other.bloom_tested;
+        self.bloom_passed += other.bloom_passed;
+        self.bloom_fallbacks += other.bloom_fallbacks;
+        self.piggybacked_payloads += other.piggybacked_payloads;
+        self.shared_frames += other.shared_frames;
+        self.feedback_replans += other.feedback_replans;
+        self.renewals_published += other.renewals_published;
+        self.renewal_tuples_skipped += other.renewal_tuples_skipped;
+        self.windows_closed += other.windows_closed;
+        self.window_late_dropped += other.window_late_dropped;
+        self.window_late_patched += other.window_late_patched;
+        self.alerts_emitted += other.alerts_emitted;
+    }
+}

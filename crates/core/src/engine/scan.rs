@@ -1,0 +1,339 @@
+//! Publish/scan layer: putting tuples into the DHT (and renewing them),
+//! local scans over a node's soft state, the scan-batch memo, the compiled
+//! kernels every per-epoch hot loop runs, and the streaming `SELECT` epoch.
+
+use super::{group_by_key, Ctx, PierError, PierNode, BATCH_MAX};
+use crate::catalog::TableDef;
+use crate::column::{Column, ColumnarBatch};
+use crate::encoding::TupleBlock;
+use crate::kernel::Kernel;
+use crate::payload::PierPayload;
+use crate::query::{QueryId, QueryKind, QuerySpec};
+use crate::tuple::Tuple;
+use pier_dht::ResourceKey;
+use pier_simnet::SimTime;
+use std::rc::Rc;
+
+/// Identity of one scan delta: table, scan time, window start, and the local
+/// store's mutation count (contents can only change through a mutation, so
+/// equal keys guarantee equal scan results).
+pub(super) type ScanBatchKey = (String, SimTime, SimTime, u64);
+
+/// The compiled pipeline for one query: every `Expr` the per-epoch hot
+/// loops evaluate, compiled to a [`Kernel`] exactly once per (node, spec).
+/// Re-planning invalidates the cache — the next epoch recompiles from the
+/// swapped spec.
+#[derive(Debug, Default)]
+pub(super) struct CompiledKernels {
+    /// The scan predicate: `Select`/`Aggregate` `WHERE`, or a join's
+    /// pushed-down left-side filter.
+    pub(super) filter: Option<Kernel>,
+    /// `Select` projection kernels.
+    project: Vec<Kernel>,
+    /// Per join stage: `[left key, right key]` plus the pushed-down
+    /// scan filters.
+    pub(super) stages: Vec<StageKernels>,
+}
+
+#[derive(Debug)]
+pub(super) struct StageKernels {
+    keys: [Kernel; 2],
+    pub(super) right_filter: Option<Kernel>,
+    /// The pushed-down filter of a bushy subchain root's own left scan
+    /// ([`BranchScan::filter`](crate::query::BranchScan)).
+    pub(super) scan_filter: Option<Kernel>,
+    /// The stage's residual (non-equi) predicate, applied to joined rows.
+    pub(super) post: Option<Kernel>,
+}
+
+impl CompiledKernels {
+    fn from_spec(spec: &QuerySpec) -> Self {
+        match &spec.kind {
+            QueryKind::Select { filter, project, .. } => CompiledKernels {
+                filter: filter.as_ref().map(Kernel::compile),
+                project: Kernel::compile_all(project),
+                stages: Vec::new(),
+            },
+            QueryKind::Aggregate { filter, .. } => CompiledKernels {
+                filter: filter.as_ref().map(Kernel::compile),
+                ..CompiledKernels::default()
+            },
+            QueryKind::Join { left_filter, stages, .. } => CompiledKernels {
+                filter: left_filter.as_ref().map(Kernel::compile),
+                project: Vec::new(),
+                stages: stages
+                    .iter()
+                    .map(|s| StageKernels {
+                        keys: [Kernel::compile(&s.left_key), Kernel::compile(&s.right_key)],
+                        right_filter: s.right_filter.as_ref().map(Kernel::compile),
+                        scan_filter: s
+                            .left_scan
+                            .as_ref()
+                            .and_then(|b| b.filter.as_ref())
+                            .map(Kernel::compile),
+                        post: s.post_filter.as_ref().map(Kernel::compile),
+                    })
+                    .collect(),
+            },
+            QueryKind::Recursive { .. } => CompiledKernels::default(),
+        }
+    }
+
+    /// The join-key kernel of one stage side (0 = left, 1 = right).
+    pub(super) fn stage_key(&self, stage: usize, side: u8) -> Option<&Kernel> {
+        self.stages.get(stage).map(|s| &s.keys[side as usize])
+    }
+
+    /// The pushed-down right-side filter of one stage.
+    pub(super) fn right_filter(&self, stage: usize) -> Option<&Kernel> {
+        self.stages.get(stage).and_then(|s| s.right_filter.as_ref())
+    }
+}
+
+impl PierNode {
+    // ------------------------------------------------------------------
+    // Publishing
+    // ------------------------------------------------------------------
+
+    fn table_def(&self, table: &str) -> Result<TableDef, PierError> {
+        self.catalog
+            .get(table)
+            .cloned()
+            .ok_or_else(|| PierError::new(format!("unknown table '{table}'")))
+    }
+
+    /// A fresh instance id for a published item: unique per (node, publish).
+    fn next_instance(&mut self) -> u64 {
+        self.publish_seq += 1;
+        ((self.addr.0 as u64) << 32) | (self.publish_seq & 0xFFFF_FFFF)
+    }
+
+    /// Publish a tuple into the DHT under its table's partitioning key.
+    pub fn publish(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        table: &str,
+        tuple: Tuple,
+    ) -> Result<(), PierError> {
+        let def = self.table_def(table)?;
+        let key = ResourceKey::new(def.name.clone(), def.resource_of(&tuple), self.next_instance());
+        let payload = PierPayload::Tuple(tuple);
+        self.note_payload(&payload);
+        let sent = self.dht.put(ctx, key, payload, Some(def.ttl));
+        self.stats.messages_sent += sent as u64;
+        self.stats.tuples_published += 1;
+        self.process_upcalls(ctx);
+        Ok(())
+    }
+
+    /// Publish many tuples of one table with coalesced wire traffic: tuples
+    /// sharing a partitioning value travel (and are stored) as a single
+    /// `TupleBatch`, and batches whose first routing hop coincides share one
+    /// wire message.
+    pub fn publish_batch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        table: &str,
+        tuples: Vec<Tuple>,
+    ) -> Result<(), PierError> {
+        let def = self.table_def(table)?;
+        let groups = group_by_key(tuples.into_iter().map(|t| (def.resource_of(&t), t)));
+        let mut items = Vec::new();
+        for (resource, group) in groups {
+            for chunk in group.chunks(BATCH_MAX) {
+                let key =
+                    ResourceKey::new(def.name.clone(), resource.clone(), self.next_instance());
+                let payload = if chunk.len() == 1 {
+                    PierPayload::Tuple(chunk[0].clone())
+                } else {
+                    PierPayload::TupleBatch(TupleBlock::columnar(chunk.to_vec()))
+                };
+                self.stats.tuples_published += chunk.len() as u64;
+                self.note_payload(&payload);
+                if self.config.renewal {
+                    let log = self.publish_log.entry(def.name.clone()).or_default();
+                    let now = ctx.now();
+                    log.extend(chunk.iter().map(|t| (t.clone(), now)));
+                }
+                items.push((key, payload, Some(def.ttl)));
+            }
+        }
+        let sent = self.dht.put_batch(ctx, items);
+        self.stats.messages_sent += sent as u64;
+        self.process_upcalls(ctx);
+        Ok(())
+    }
+
+    /// Soft-state renewal for a table this node publishes into: re-publish
+    /// only the logged tuples whose remaining lifetime has fallen below half
+    /// the table's TTL, and skip (but keep) the fresh ones.  The blanket
+    /// alternative — re-publishing the whole working set every period — pays
+    /// full wire cost for tuples nowhere near expiry; per-item ages make the
+    /// renewal traffic proportional to what is actually going stale.
+    /// Requires [`PierConfig::renewal`](super::PierConfig::renewal); without
+    /// it the publish log is empty and this is a no-op.
+    pub fn renew_published(&mut self, ctx: &mut Ctx<'_>, table: &str) -> Result<(), PierError> {
+        let def = self.table_def(table)?;
+        let Some(log) = self.publish_log.get_mut(table) else { return Ok(()) };
+        let now = ctx.now();
+        let half_ttl = def.ttl.as_micros() / 2;
+        let (stale, fresh): (Vec<_>, Vec<_>) = log
+            .drain(..)
+            .partition(|(_, at)| now.as_micros().saturating_sub(at.as_micros()) >= half_ttl);
+        *log = fresh;
+        self.stats.renewal_tuples_skipped += log.len() as u64;
+        if stale.is_empty() {
+            return Ok(());
+        }
+        self.stats.renewals_published += stale.len() as u64;
+        // Re-publishing re-logs the stale half at `now`, resetting its age.
+        self.publish_batch(ctx, table, stale.into_iter().map(|(t, _)| t).collect())
+    }
+
+    /// Store a tuple locally (no routing).  Monitoring data *about this node*
+    /// is published this way: scans still see it, and it expires like any
+    /// other soft state, but no network traffic is spent placing it.
+    pub fn publish_local(
+        &mut self,
+        now: SimTime,
+        table: &str,
+        tuple: Tuple,
+    ) -> Result<(), PierError> {
+        let def = self.table_def(table)?;
+        let key = ResourceKey::new(def.name.clone(), def.resource_of(&tuple), self.next_instance());
+        self.dht.local_put(now, key, PierPayload::Tuple(tuple), Some(def.ttl));
+        self.stats.tuples_published += 1;
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Scans
+    // ------------------------------------------------------------------
+
+    /// The columnar form of a scan delta, shared across every query that
+    /// scans the same `(table, now, since)` window while the local store is
+    /// unchanged — with many concurrent monitoring queries over one table
+    /// (PIER's target workload), the row-to-column pivot happens once and
+    /// the per-query cost is just the kernels.
+    pub(super) fn batch_for_scan(
+        &mut self,
+        table: &str,
+        now: SimTime,
+        since: SimTime,
+        rows: &[Tuple],
+    ) -> Rc<ColumnarBatch> {
+        const MAX_SCAN_BATCHES: usize = 8;
+        let muts = self.dht.store_mutations();
+        if let Some((_, batch)) = self
+            .scan_batches
+            .iter()
+            .find(|(k, _)| k.0 == table && k.1 == now && k.2 == since && k.3 == muts)
+        {
+            return batch.clone();
+        }
+        let batch = Rc::new(ColumnarBatch::from_rows(rows));
+        if self.scan_batches.len() >= MAX_SCAN_BATCHES {
+            self.scan_batches.remove(0);
+        }
+        self.scan_batches.push(((table.to_string(), now, since, muts), batch.clone()));
+        batch
+    }
+
+    /// Scan on behalf of a query, counting the scanned tuples in the node's
+    /// counters and the query's execution trace.  A stored item carries one
+    /// tuple or a same-key batch; scans read through the difference.
+    pub(super) fn scan_traced(
+        &mut self,
+        id: QueryId,
+        table: &str,
+        now: SimTime,
+        since: SimTime,
+    ) -> Vec<Tuple> {
+        let items = self.dht.lscan_since(table, now, since);
+        let rows: Vec<Tuple> =
+            items.into_iter().flat_map(|(_, payload)| payload.tuples().to_vec()).collect();
+        self.stats.tuples_scanned += rows.len() as u64;
+        if let Some(q) = self.queries.get_mut(&id) {
+            q.trace.tuples_scanned += rows.len() as u64;
+        }
+        rows
+    }
+
+    /// Scan a table and apply a pushed-down predicate, compiled to `kernel`,
+    /// before any tuple is shipped (the optimizer places per-side join
+    /// filters here).  The filter runs as a selection-vector kernel over a
+    /// columnar batch.  The trace counts the tuples *scanned*, before the
+    /// filter drops any.
+    pub(super) fn scan_filtered_traced(
+        &mut self,
+        id: QueryId,
+        table: &str,
+        now: SimTime,
+        since: SimTime,
+        kernel: Option<&Kernel>,
+    ) -> Vec<Tuple> {
+        let rows = self.scan_traced(id, table, now, since);
+        let Some(k) = kernel else { return rows };
+        if rows.is_empty() {
+            return rows;
+        }
+        let batch = self.batch_for_scan(table, now, since, &rows);
+        let sel = k.filter(&batch, &batch.full_selection());
+        let mut keep = vec![false; rows.len()];
+        for &j in &sel {
+            keep[j as usize] = true;
+        }
+        rows.into_iter().zip(keep).filter_map(|(r, keep)| keep.then_some(r)).collect()
+    }
+
+    /// Scan `table` into a columnar batch and run the query's scan filter
+    /// kernel over it: the shared first step of `SELECT` and aggregate
+    /// epochs.  Returns the kernels, the batch and the selection vector.
+    pub(super) fn scan_selected(
+        &mut self,
+        id: QueryId,
+        table: &str,
+        now: SimTime,
+        since: SimTime,
+    ) -> Option<(Rc<CompiledKernels>, Rc<ColumnarBatch>, Vec<u32>)> {
+        let rows = self.scan_traced(id, table, now, since);
+        let kern = self.query_kernels(id)?;
+        let batch = self.batch_for_scan(table, now, since, &rows);
+        let sel = match &kern.filter {
+            Some(k) => k.filter(&batch, &batch.full_selection()),
+            None => batch.full_selection(),
+        };
+        Some((kern, batch, sel))
+    }
+
+    /// The query's compiled kernel pipeline, building it on first use.
+    pub(super) fn query_kernels(&mut self, id: QueryId) -> Option<Rc<CompiledKernels>> {
+        let q = self.queries.get_mut(&id)?;
+        if q.kernels.is_none() {
+            q.kernels = Some(Rc::new(CompiledKernels::from_spec(&q.spec)));
+        }
+        q.kernels.clone()
+    }
+
+    /// One `SELECT` epoch: batch → filter kernel → selection vector →
+    /// projection kernels, then one output tuple per surviving row.
+    pub(super) fn run_select(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        spec: &QuerySpec,
+        epoch: u64,
+        now: SimTime,
+        since: SimTime,
+    ) {
+        let Some((kern, batch, sel)) =
+            self.scan_selected(spec.id, spec.kind.primary_table(), now, since)
+        else {
+            return;
+        };
+        let cols: Vec<Column> = kern.project.iter().map(|k| k.eval(&batch, &sel)).collect();
+        for j in 0..sel.len() {
+            let out = Tuple::new(cols.iter().map(|c| c.value_at(j)).collect());
+            self.send_result(ctx, spec, epoch, out);
+        }
+    }
+}

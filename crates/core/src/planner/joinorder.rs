@@ -109,11 +109,13 @@ pub struct StageChoice {
     pub strategy: JoinStrategy,
     /// Whether an inner-stage Bloom semi-join should prune this stage's
     /// right-relation rehash (symmetric-hash stages ≥ 1 only; stage 0 uses
-    /// the dedicated [`JoinStrategy::BloomFilter`] protocol instead).
+    /// the [`JoinStrategy::BloomFilter`] strategy instead, which runs the
+    /// same handshake).
     pub inner_bloom: bool,
-    /// Suggested Bloom geometry (bits) for the inner filter, sized from the
-    /// estimated left-key population; 0 when `inner_bloom` is false.  The
-    /// engine clamps this to its configured bounds.
+    /// Suggested Bloom geometry (bits) for a Bloom-filtered stage (stage-0
+    /// `BloomFilter` or `inner_bloom`), sized from the estimated left-key
+    /// population; 0 for unfiltered stages.  The engine clamps this to its
+    /// configured bounds.
     pub bloom_bits: u32,
     /// Human-readable rationale (surfaced by `EXPLAIN`).
     pub note: String,
@@ -350,6 +352,19 @@ impl<'a> SearchContext<'a> {
                         pass_est + fp_extra,
                     ),
                 )
+            } else if strategy == JoinStrategy::BloomFilter {
+                // The stage-0 Bloom join summarizes the driving side's keys
+                // and is sized by the same rule.
+                let (bits, fp) = inner_bloom_geometry(left_est);
+                (
+                    false,
+                    bits,
+                    format!(
+                        "{note}; ~{left_est:.0} left keys summarized in {bits} bits (k=4, \
+                         FP budget {:.2}%)",
+                        fp * 100.0
+                    ),
+                )
             } else {
                 (false, 0, note)
             };
@@ -380,7 +395,7 @@ struct Extension {
     right_est: f64,
 }
 
-/// Size an inner-stage Bloom filter from the estimated key population it
+/// Size a stage's Bloom filter from the estimated key population it
 /// must summarize: ~10 bits per expected key (a classic ≲1% false-positive
 /// budget at k=4), rounded up to a power of two, floored at 1024 bits.
 /// Returns `(bits, expected_false_positive_rate)`.  The engine clamps the
@@ -718,6 +733,9 @@ mod tests {
         );
         assert_eq!(plan.order, vec![0, 1, 2], "forced plans keep the declared order");
         assert_eq!(plan.stages[0].strategy, JoinStrategy::BloomFilter);
+        // The stage-0 filter is sized like an inner one, from the left side.
+        assert_eq!(plan.stages[0].bloom_bits, inner_bloom_geometry(100.0).0);
+        assert!(plan.stages[0].note.contains("left keys summarized"), "{}", plan.stages[0].note);
         assert_eq!(
             plan.stages[1].strategy,
             JoinStrategy::SymmetricHash,

@@ -215,11 +215,12 @@ pub struct JoinStage {
     /// the wire.  A lost summary degrades to an unfiltered rehash after a
     /// hold-down deadline — never wrong results, only more traffic.
     pub inner_bloom: bool,
-    /// Planner-suggested Bloom filter size in bits for this stage's summary
-    /// (stage-0 `BloomFilter` strategy or `inner_bloom`), derived from the
-    /// catalog's distinct-key estimates.  `0` = use `PierConfig::bloom_bits`.
-    /// The engine clamps to its configured bounds; all nodes derive the same
-    /// geometry from this disseminated value, so summaries union cleanly.
+    /// Planner-sized Bloom filter in bits for this stage's summary (stage-0
+    /// `BloomFilter` strategy or `inner_bloom`), derived from the estimated
+    /// left-key population.  The engine clamps it to
+    /// `[PierConfig::bloom_bits_min, PierConfig::bloom_bits_max]`; all nodes
+    /// derive the same geometry from this disseminated value, so summaries
+    /// union cleanly.
     pub bloom_bits: u32,
     /// When set, this stage's left side is a fresh base-table scan (the root
     /// of a bushy subchain) instead of the previous stage's output;
@@ -433,6 +434,31 @@ impl QueryKind {
         }
     }
 
+    /// The finishing steps of either aggregation shape (`Aggregate`, and
+    /// `Join` with an aggregate): what the node that finalizes the groups
+    /// applies, and how the origin maps the output to the client's columns.
+    pub fn agg_finish(&self) -> Option<AggFinish<'_>> {
+        match self {
+            QueryKind::Aggregate {
+                group_exprs, having, order_by, limit, final_project, ..
+            } => Some(AggFinish {
+                group_width: group_exprs.len(),
+                having: having.as_ref(),
+                order_by,
+                limit: *limit,
+                final_project,
+            }),
+            QueryKind::Join { aggregate: Some(agg), order_by, limit, .. } => Some(AggFinish {
+                group_width: agg.group_exprs.len(),
+                having: agg.having.as_ref(),
+                order_by,
+                limit: *limit,
+                final_project: &agg.final_project,
+            }),
+            _ => None,
+        }
+    }
+
     /// The grouping and aggregate expressions this query's partial-aggregate
     /// plane combines, for both aggregation shapes (`Aggregate`, and `Join`
     /// with a hierarchical aggregate).
@@ -469,6 +495,23 @@ impl QueryKind {
             other => vec![other.primary_table()],
         }
     }
+}
+
+/// The finishing steps shared by both aggregation shapes, over the
+/// aggregate output schema (group columns, then aggregates, hidden ones
+/// included); see [`QueryKind::agg_finish`].
+#[derive(Clone, Copy, Debug)]
+pub struct AggFinish<'a> {
+    /// Number of leading group columns in the aggregate output.
+    pub group_width: usize,
+    /// `HAVING` predicate.
+    pub having: Option<&'a Expr>,
+    /// Sort keys.
+    pub order_by: &'a [SortKey],
+    /// Row limit.
+    pub limit: Option<usize>,
+    /// Final projection to the client's column order.
+    pub final_project: &'a [usize],
 }
 
 /// Does some stage's output feed `(stage, side)` of the join DAG?  Side 0 of

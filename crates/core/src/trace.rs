@@ -88,7 +88,7 @@ pub struct OpTrace {
     /// `passed / tested` is the per-stage pass rate `EXPLAIN ANALYZE` shows.
     pub stage_bloom_passed: BTreeMap<u8, u64>,
     /// Rehash wire messages this node sent carrying *right-relation* tuples,
-    /// per stage — the traffic inner-stage Bloom filters prune.
+    /// per stage — the traffic Bloom filters prune.
     pub stage_rehash_msgs: BTreeMap<u8, u64>,
     /// Left-side (side-0) tuples that arrived at this node's join sites, per
     /// stage — the *observed* left-input cardinality the planner estimated.
@@ -100,8 +100,9 @@ pub struct OpTrace {
     /// matched a Fetch-Matches probe), per stage — the observed right-input
     /// cardinality.
     pub stage_right_in: BTreeMap<u8, u64>,
-    /// Inner-stage Bloom hold-down deadlines that expired before a combined
-    /// summary arrived, degrading this node to an unfiltered rehash.
+    /// Bloom hold-down deadlines (stage 0 or inner stages) that expired
+    /// before a combined summary arrived, degrading this node to an
+    /// unfiltered rehash.
     pub bloom_fallbacks: u64,
     /// Epoch-count windows this node closed and reported as the query's
     /// aggregation root (windowed continuous aggregates).

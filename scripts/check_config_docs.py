@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Configuration documentation gate.
 
-Every public field of ``PierConfig`` (crates/core/src/engine.rs) must have a
-matching ``### `field_name` `` heading in ``docs/OPERATIONS.md`` — operators
-read that file, not the source.  The field list is parsed from the struct
+Every public field of ``PierConfig`` (crates/core/src/engine/config.rs) must
+have a matching ``### `field_name` `` heading in ``docs/OPERATIONS.md`` —
+operators read that file, not the source.  The field list is parsed from the struct
 definition itself, so a newly added knob fails CI until it is documented;
 a documented-but-removed knob fails too, so the docs cannot go stale.
 
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 STRUCT = "PierConfig"
-SOURCE = Path("crates/core/src/engine.rs")
+SOURCE = Path("crates/core/src/engine/config.rs")
 DOCS = Path("docs/OPERATIONS.md")
 
 

@@ -12,10 +12,16 @@
 //!   unfiltered run under the same crash.
 //! * `EXPLAIN` surfaces the planner's inner-filter placement and FP budget;
 //!   `EXPLAIN ANALYZE` renders the measured per-stage pass rates.
+//! * A stage-0 Bloom join runs the same handshake: summaries that reach the
+//!   origin after the combine deadline grow the filter without re-shipping
+//!   a single right row, and a lost filter degrades to the hold-down
+//!   fallback instead of an empty answer.
 
 use pier::core::dataflow::join::{probe_joined, JoinBuild};
-use pier::core::dataflow::ops::FilterOp;
-use pier::core::{same_rows, BloomFilter, Catalog, Expr, Kernel, Planner, QueryKind, TableStats};
+use pier::core::{
+    same_rows, BloomFilter, Catalog, Expr, JoinStrategy, Kernel, MemoryDb, Planner, QueryKind,
+    TableDef, TableStats,
+};
 use pier::dht::{hash_node_addr, Id, ResourceKey};
 use pier::prelude::*;
 use pier::simnet::DetRng;
@@ -78,7 +84,6 @@ fn rand_stream(rng: &mut DetRng, messages: usize, width: usize) -> Vec<Delivery>
 /// columnar probe must reproduce row for row.
 fn scalar_probe_all(stream: &[Delivery], width: usize, post: Option<&Expr>) -> Vec<Tuple> {
     let mut stores: [HashMap<Value, Vec<Tuple>>; 2] = [HashMap::new(), HashMap::new()];
-    let filter = post.map(|p| FilterOp::new(p.clone()));
     let mut out = Vec::new();
     for (side, key, tuples) in stream {
         let tuples: Vec<Tuple> = tuples.iter().filter(|t| t.arity() == width).cloned().collect();
@@ -87,7 +92,7 @@ fn scalar_probe_all(stream: &[Delivery], width: usize, post: Option<&Expr>) -> V
         for tup in &tuples {
             for m in &other {
                 let joined = if *side == 0 { tup.concat(m) } else { m.concat(tup) };
-                if filter.as_ref().map(|f| f.accepts(&joined)).unwrap_or(true) {
+                if post.is_none_or(|p| p.matches(&joined)) {
                     out.push(joined);
                 }
             }
@@ -342,6 +347,118 @@ fn hold_down_fallback_ships_unfiltered_but_identical_results() {
     assert!(trace_fallback.bloom_fallbacks > 0, "the tight deadline must trip the hold-down");
     assert_eq!(rows_fallback.len(), match_hosts.len());
     assert!(same_rows(&rows_fallback, &rows_off), "a lost filter may cost traffic, never results");
+}
+
+// ---------------------------------------------------------------------
+// Stage-0 Bloom joins run the same handshake
+// ---------------------------------------------------------------------
+
+/// `l(id, k)` partitioned on `id` (so every join key sits at several left
+/// sites, each shipping its own summary) against `r(k, v)` partitioned on
+/// `k`: 200 left rows over 10 keys, each matching exactly one right row,
+/// plus right rows no left key reaches.
+fn stage0_bloom_join(pier: PierConfig) -> (Vec<Tuple>, Vec<Tuple>, pier::core::OpTrace) {
+    let l = TableDef::new(
+        "l",
+        Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]),
+        "id",
+        Duration::from_secs(600),
+    );
+    let r = TableDef::new(
+        "r",
+        Schema::of(&[("k", DataType::Int), ("v", DataType::Str)]),
+        "k",
+        Duration::from_secs(600),
+    );
+    let mut bed =
+        PierTestbed::new(TestbedConfig { nodes: 16, seed: 0xB100, pier, ..Default::default() });
+    bed.create_table_everywhere(&l);
+    bed.create_table_everywhere(&r);
+    let l_rows: Vec<Tuple> =
+        (0..200).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 10)])).collect();
+    let r_rows: Vec<Tuple> = (0..10)
+        .chain(100..130)
+        .map(|k| Tuple::new(vec![Value::Int(k), Value::str(format!("v{k}"))]))
+        .collect();
+    let publisher = bed.nodes()[0];
+    bed.publish_batch(publisher, "l", l_rows.clone());
+    bed.publish_batch(publisher, "r", r_rows.clone());
+    bed.run_for(Duration::from_secs(4));
+
+    let mut catalog = Catalog::new();
+    catalog.register(l);
+    catalog.register(r);
+    let stmt =
+        pier::core::sql::parse_select("SELECT l.id, r.v FROM l JOIN r ON l.k = r.k").unwrap();
+    let planned = Planner::with_join_strategy(&catalog, JoinStrategy::BloomFilter)
+        .plan_select(&stmt)
+        .unwrap();
+    let QueryKind::Join { stages, .. } = &planned.kind else { panic!("expected a join") };
+    assert_eq!(stages[0].strategy, JoinStrategy::BloomFilter);
+    let mut db = MemoryDb::new();
+    db.insert("l", l_rows);
+    db.insert("r", r_rows);
+    let reference = db.execute(&planned.logical);
+
+    let origin = bed.nodes()[3];
+    let q = bed.submit_query(origin, planned.kind, planned.output_names, None).unwrap();
+    bed.run_for(Duration::from_secs(12));
+    let rows = bed.results(origin, q, 0);
+    bed.stop_query(origin, q);
+    bed.run_for(Duration::from_secs(2));
+    bed.sim().invoke(origin, move |node, ctx| node.request_traces(ctx, q));
+    bed.run_for(Duration::from_secs(3));
+    let trace =
+        bed.sim().node(origin).and_then(|n| n.collected_trace(q)).map(|(_, t)| t.clone()).unwrap();
+    (rows, reference, trace)
+}
+
+#[test]
+fn late_stage0_summaries_grow_the_filter_without_duplicate_rows() {
+    // A combine deadline far shorter than summary delivery: the origin
+    // broadcasts a filter built from the first summaries, then re-broadcasts
+    // as later ones arrive.  Scan sites must re-test only the rows earlier
+    // filters pruned, never re-ship rows they already shipped — so the right
+    // side ships exactly what the on-time run's one complete filter passes.
+    let preset = PierConfig::fast_test().bloom_collect_delay;
+    let mut shipped = Vec::new();
+    for collect in [Duration::from_millis(1), Duration::from_millis(20), preset] {
+        let mut pier = PierConfig::fast_test();
+        pier.bloom_collect_delay = collect;
+        let (rows, reference, trace) = stage0_bloom_join(pier);
+        assert_eq!(reference.len(), 200);
+        assert!(
+            same_rows(&rows, &reference),
+            "collect delay {collect:?}: {} distributed vs {} reference rows",
+            rows.len(),
+            reference.len()
+        );
+        assert_eq!(trace.bloom_fallbacks, 0, "the filter must beat the hold-down deadline");
+        // Stage 0 ships the 200 left rows plus the right rows that pass.
+        shipped.push(trace.stage_shipped[&0] - 200);
+    }
+    assert!(shipped[2] <= 40, "each right row ships at most once ({shipped:?})");
+    assert!(
+        shipped.iter().all(|&n| n == shipped[2]),
+        "late summaries re-shipped rows: {shipped:?}"
+    );
+}
+
+#[test]
+fn lost_stage0_filter_falls_back_to_an_unfiltered_rehash() {
+    // The combined filter never arrives within the run: every right scan
+    // site gives up at the hold-down deadline and ships unfiltered.
+    let mut pier = PierConfig::fast_test();
+    pier.bloom_collect_delay = Duration::from_secs(600);
+    pier.bloom_fallback_delay = Duration::from_secs(2);
+    let (rows, reference, trace) = stage0_bloom_join(pier);
+    assert!(trace.bloom_fallbacks > 0, "the hold-down deadline must fire");
+    assert!(
+        same_rows(&rows, &reference),
+        "a lost filter may cost traffic, never results ({} vs {} rows)",
+        rows.len(),
+        reference.len()
+    );
 }
 
 // ---------------------------------------------------------------------
