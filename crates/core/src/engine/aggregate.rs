@@ -1,24 +1,39 @@
 //! Aggregation layer: local folds, the in-network partial climb toward the
-//! aggregation root (combining at every hop after a hold-down), root
-//! finalization, epoch-count windows with their late-data policy, and
-//! `HAVING`-triggered alerts.
+//! aggregation root, root finalization, epoch-count windows with their
+//! late-data policy, and `HAVING`-triggered alerts.
+//!
+//! Completion, not a timer, closes an epoch of a continuous single-table
+//! aggregate.  Every node that runs an epoch contributes exactly one partial
+//! with `contributors: 1` (an empty scan included), so the contributors that
+//! reached a node last epoch predict this epoch's.  A hop forwards as soon as
+//! that many have passed through it; the root finalizes once that many have
+//! reported and no partial has arrived for one hold-down.  The timers stay as
+//! the fallback and the upper bound: a hop's hold-down from its first
+//! arrival, and the root's `collect_delay` from its first partial plus up to
+//! four quiet extensions.  Aggregates over joins and one-shot aggregates run
+//! on the timers alone: a join site keeps sending partials as matches arrive,
+//! and a one-shot query has no previous epoch.
 
 use super::{Ctx, PierNode, TimerPurpose, WindowLatePolicy};
 use crate::aggregate::AggState;
 use crate::dataflow::ops::{sort_tuples, GroupAggregator, GroupKey};
 use crate::payload::PierPayload;
 use crate::plan::SortKey;
-use crate::query::{AggFinish, QueryId, QuerySpec, WindowSpec};
+use crate::query::{AggFinish, QueryId, QueryKind, QuerySpec, WindowSpec};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use pier_dht::ResourceKey;
 use pier_simnet::{Duration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// How many closed windows' worth of state the root retains for late-data
 /// patching under [`WindowLatePolicy::Patch`]; late partials for windows
 /// older than this many slides behind the newest close degrade to `Drop`.
 const WINDOW_PATCH_RETAIN: u64 = 4;
+
+/// How many recent epochs' forwarded-contributor counts a hop keeps: the
+/// previous epoch's is the completion rule's expected count.
+const FORWARDED_RETAIN: usize = 3;
 
 /// Partial-aggregate groups as they travel and merge.
 type Partials = Vec<(GroupKey, Vec<AggState>)>;
@@ -38,6 +53,14 @@ impl Merged {
     }
 }
 
+/// Partials a hop holds for one epoch, and the token of the hold-down timer
+/// that forwards them (`None` only while the arrival that created the entry
+/// is being absorbed).
+struct Pending {
+    merged: Merged,
+    holddown: Option<u64>,
+}
+
 /// The aggregation root's accumulation for one epoch, removed at finalize.
 struct RootEpoch {
     merged: Merged,
@@ -50,15 +73,20 @@ struct RootEpoch {
 /// One query's aggregation state at one node.
 #[derive(Default)]
 pub(super) struct AggQuery {
-    /// Partials waiting for the hold-down timer, per epoch.  An entry
-    /// exists exactly while its hold-down is armed.
-    pending: HashMap<u64, Merged>,
-    /// Root-side accumulation, per epoch.  An entry exists exactly while
-    /// its finalize timer is armed.
+    /// Partials waiting at this hop, per epoch.  An entry exists exactly
+    /// while its hold-down is armed.
+    pending: HashMap<u64, Pending>,
+    /// Contributors this hop forwarded toward the root, for the last
+    /// [`FORWARDED_RETAIN`] epochs.
+    forwarded: BTreeMap<u64, u64>,
+    /// Root-side accumulation, per epoch, from the first partial until
+    /// finalize.  The timer rule's deadline stays armed throughout; if the
+    /// completion rule finalizes first, the deadline later fires on nothing.
     root: HashMap<u64, RootEpoch>,
-    /// Epochs this node has already finalized as the aggregation root; late
-    /// partials for them are discarded rather than double-reported.
-    finalized: HashSet<u64>,
+    /// Epochs this node has already finalized as the aggregation root, with
+    /// their contributor counts; late partials for them are discarded rather
+    /// than double-reported.
+    finalized: HashMap<u64, u64>,
     /// Windowed aggregates, root side: per-window merged group states (each
     /// finalized epoch's accumulator folded into every window covering it)
     /// and the best per-epoch contributor count among them.
@@ -73,6 +101,26 @@ pub(super) struct AggQuery {
     /// (aggregates over joins produce partials incrementally as matches
     /// arrive, so the first batch of an epoch counts the node).
     contributed: HashSet<u64>,
+}
+
+impl AggQuery {
+    /// The completion rule's expected count at a hop: the contributors it
+    /// forwarded last epoch.
+    fn hop_expected(&self, epoch: u64) -> Option<u64> {
+        self.forwarded.get(&epoch.checked_sub(1)?).copied()
+    }
+
+    /// The completion rule's expected count at the root: the contributors it
+    /// finalized last epoch.
+    fn root_expected(&self, epoch: u64) -> Option<u64> {
+        self.finalized.get(&epoch.checked_sub(1)?).copied()
+    }
+}
+
+/// Does completion close this query's epochs?  Only a continuous
+/// single-table aggregate's: its contributor count repeats epoch to epoch.
+fn closes_on_completion(spec: &QuerySpec) -> bool {
+    spec.continuous.is_some() && matches!(spec.kind, QueryKind::Aggregate { .. })
 }
 
 /// HAVING, then ORDER BY / LIMIT over finalized aggregate output (the
@@ -152,7 +200,7 @@ impl PierNode {
 
     /// Fold partial states into this node's role for the query: root
     /// accumulator if we are the aggregation root, otherwise the pending
-    /// buffer that the hold-down timer will forward.
+    /// buffer that the completion rule or the hold-down timer will forward.
     pub(super) fn absorb_partials(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -189,35 +237,48 @@ impl PierNode {
         let is_root = self.dht.route_next_hop(&agg_root_id(id)).is_none()
             || q.spec.kind.join_aggregate().is_some_and(|a| a.hierarchical && a.colocated);
         let Some((group_exprs, aggs)) = q.spec.kind.partial_agg_parts() else { return };
-        if is_root && q.agg.finalized.contains(&epoch) {
+        if is_root && q.agg.finalized.contains_key(&epoch) {
             self.absorb_late(ctx, id, epoch, groups, contributors);
             return;
         }
-        let new_acc = || GroupAggregator::new(group_exprs.to_vec(), aggs.to_vec());
+        let new_acc = || Merged {
+            acc: GroupAggregator::new(group_exprs.to_vec(), aggs.to_vec()),
+            contributors: 0,
+        };
         let now = ctx.now();
-        let mut armed = false;
-        let timer = if is_root {
+        if is_root {
+            let mut armed = false;
             let root = q.agg.root.entry(epoch).or_insert_with(|| {
                 armed = true;
-                let merged = Merged { acc: new_acc(), contributors: 0 };
-                RootEpoch { merged, last_update: now, extensions: 0 }
+                RootEpoch { merged: new_acc(), last_update: now, extensions: 0 }
             });
             root.merged.absorb(groups, contributors);
             root.last_update = now;
-            (self.config.collect_delay, TimerPurpose::RootFinalize(id, epoch))
-        } else {
-            q.agg
-                .pending
-                .entry(epoch)
-                .or_insert_with(|| {
-                    armed = true;
-                    Merged { acc: new_acc(), contributors: 0 }
-                })
-                .absorb(groups, contributors);
-            (self.config.holddown, TimerPurpose::Holddown(id, epoch))
-        };
-        if armed {
-            self.arm_timer(ctx, timer.0, timer.1);
+            if armed {
+                let delay = self.config.collect_delay;
+                self.arm_timer(ctx, delay, TimerPurpose::RootFinalize(id, epoch));
+            }
+            self.arm_if_complete(ctx, id, epoch);
+            return;
+        }
+        let expected = q.agg.hop_expected(epoch).filter(|_| closes_on_completion(&q.spec));
+        let through = q.agg.forwarded.get(&epoch).copied().unwrap_or(0);
+        let pending = q
+            .agg
+            .pending
+            .entry(epoch)
+            .or_insert_with(|| Pending { merged: new_acc(), holddown: None });
+        pending.merged.absorb(groups, contributors);
+        if expected.is_some_and(|x| through + pending.merged.contributors >= x) {
+            // As many contributors as last epoch have reached this hop: ship
+            // now instead of waiting out the hold-down.
+            self.forward_partials(ctx, id, epoch);
+        } else if pending.holddown.is_none() {
+            let delay = self.config.holddown;
+            let token = self.arm_timer(ctx, delay, TimerPurpose::Holddown(id, epoch));
+            if let Some(p) = self.queries.get_mut(&id).and_then(|q| q.agg.pending.get_mut(&epoch)) {
+                p.holddown = Some(token);
+            }
         }
     }
 
@@ -278,10 +339,17 @@ impl PierNode {
         }
     }
 
-    /// Ship the buffered partials for (query, epoch) one hop closer to the root.
+    /// Ship the buffered partials for (query, epoch) one hop closer to the
+    /// root, disarming their hold-down if the completion rule got there
+    /// first.
     pub(super) fn forward_partials(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
         let Some(q) = self.queries.get_mut(&id) else { return };
-        let Some(mut buf) = q.agg.pending.remove(&epoch) else { return };
+        let Some(Pending { merged: mut buf, holddown }) = q.agg.pending.remove(&epoch) else {
+            return;
+        };
+        if let Some(token) = holddown {
+            self.timer_purposes.remove(&token);
+        }
         let contributors = buf.contributors;
         let groups = buf.acc.take_partials();
         if groups.is_empty() && contributors == 0 {
@@ -291,6 +359,10 @@ impl PierNode {
             Some(next) if next != self.addr => {
                 self.stats.partials_sent += 1;
                 q.trace.partials_sent += 1;
+                *q.agg.forwarded.entry(epoch).or_insert(0) += contributors;
+                while q.agg.forwarded.len() > FORWARDED_RETAIN {
+                    q.agg.forwarded.pop_first();
+                }
                 let payload = PierPayload::Partial { query: id, epoch, groups, contributors };
                 self.stage_query_direct(id, next, payload);
             }
@@ -301,24 +373,68 @@ impl PierNode {
         }
     }
 
-    /// Finalize an epoch at the aggregation root and ship the result rows.
-    pub(super) fn finalize_epoch(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
-        // Quiescence check: if partials are still trickling in, postpone the
-        // finalization a few times so slow subtrees are not cut off.
+    /// The root's completion rule: once an epoch has as many contributors
+    /// as the root finalized last epoch, arm a check that finalizes it one
+    /// hold-down after its latest partial.  Runs on every root arrival, and
+    /// for the next epoch when one finalizes (its expected count is only
+    /// known then), so completion never finalizes an epoch before the one
+    /// preceding it.
+    fn arm_if_complete(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
+        let Some(q) = self.queries.get(&id) else { return };
+        let Some(root) = q.agg.root.get(&epoch) else { return };
+        let expected = q.agg.root_expected(epoch).filter(|_| closes_on_completion(&q.spec));
+        if expected.is_some_and(|x| root.merged.contributors >= x) {
+            // Every arrival past the expected count arms its own check; only
+            // the one after the latest partial finds a hold-down of quiet.
+            let delay = (root.last_update + self.config.holddown) - ctx.now();
+            self.arm_timer(ctx, delay, TimerPurpose::RootQuiet(id, epoch));
+        }
+    }
+
+    /// The root's timer rule: `collect_delay` after the epoch's first
+    /// partial, postponed (a few times) while partials are still trickling
+    /// in so slow subtrees are not cut off.
+    pub(super) fn on_root_deadline(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
         let quiet = self.config.holddown.saturating_mul(3);
         let now = ctx.now();
-        let Some(q) = self.queries.get_mut(&id) else { return };
-        if let Some(root) = q.agg.root.get_mut(&epoch) {
-            if now.saturating_since(root.last_update) < quiet && root.extensions < 4 {
-                root.extensions += 1;
-                self.arm_timer(ctx, quiet, TimerPurpose::RootFinalize(id, epoch));
-                return;
-            }
+        let Some(root) = self.queries.get_mut(&id).and_then(|q| q.agg.root.get_mut(&epoch)) else {
+            return;
+        };
+        if now.saturating_since(root.last_update) < quiet && root.extensions < 4 {
+            root.extensions += 1;
+            self.arm_timer(ctx, quiet, TimerPurpose::RootFinalize(id, epoch));
+            return;
         }
-        q.agg.finalized.insert(epoch);
+        self.finalize_epoch(ctx, id, epoch, false);
+    }
+
+    /// The root's completion rule: the epoch reached its expected count, so
+    /// finalize once no partial has arrived for one hold-down.
+    pub(super) fn on_root_quiet(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
+        let quiet = self.config.holddown;
+        let now = ctx.now();
+        let Some(root) = self.queries.get(&id).and_then(|q| q.agg.root.get(&epoch)) else { return };
+        if now.saturating_since(root.last_update) >= quiet {
+            self.finalize_epoch(ctx, id, epoch, true);
+        }
+    }
+
+    /// Finalize an epoch at the aggregation root and ship the result rows.
+    /// `complete` records which rule closed it.
+    fn finalize_epoch(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64, complete: bool) {
+        let Some(q) = self.queries.get_mut(&id) else { return };
         let Some(root) = q.agg.root.remove(&epoch) else { return };
+        q.agg.finalized.insert(epoch, root.merged.contributors);
+        if complete {
+            self.stats.finalized_on_completion += 1;
+            q.trace.finalized_on_completion += 1;
+        } else {
+            self.stats.finalized_on_timer += 1;
+            q.trace.finalized_on_timer += 1;
+        }
         let spec = q.spec.clone();
         let Merged { acc, contributors } = root.merged;
+        self.arm_if_complete(ctx, id, epoch + 1);
 
         if let Some(wspec) = spec.kind.window_spec() {
             // Windowed aggregate: the epoch's merged state is not reported

@@ -9,8 +9,9 @@ use pier_simnet::Duration;
 /// and reported (see [`crate::query::WindowSpec`]).
 ///
 /// Windows close when the root's *watermark* — the highest epoch it has
-/// finalized — passes the window's last epoch.  A partial delayed past the
-/// root's collect-and-extend grace period is *late*; this policy decides
+/// finalized — passes the window's last epoch.  A partial that reaches the
+/// root after its epoch finalized — on completion, or at the end of the
+/// collect-and-extend grace period — is *late*; this policy decides
 /// whether its data is lost or folded in retroactively.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WindowLatePolicy {
@@ -43,10 +44,21 @@ pub enum WindowLatePolicy {
 pub struct PierConfig {
     /// DHT / overlay parameters.
     pub dht: DhtConfig,
-    /// Hold-down delay before a node forwards combined partial aggregates.
+    /// Hold-down of the partial climb.  A hop forwards combined partials
+    /// once as many contributors as last epoch have passed through it
+    /// (continuous single-table aggregates), or this long after the epoch's
+    /// first arrival, whichever comes first.  It is also the root's quiet
+    /// period: a complete epoch finalizes once no partial has arrived for
+    /// one hold-down.
     pub holddown: Duration,
-    /// How long the aggregation root waits after an epoch starts before
-    /// finalizing (must exceed typical tree depth × hold-down + latency).
+    /// How long the aggregation root waits after an epoch's first partial
+    /// before finalizing it (must exceed typical tree depth × hold-down +
+    /// latency), postponed up to four times by 3 × `holddown` while
+    /// partials still arrive.  For continuous single-table aggregates this
+    /// is only the upper bound: completion — as many contributors as the
+    /// root finalized last epoch, then one quiet hold-down — usually closes
+    /// the epoch first.  Aggregates over joins and one-shot aggregates
+    /// always wait for it.
     pub collect_delay: Duration,
     /// How long the origin collects per-node Bloom filters before
     /// broadcasting the combined filter.
@@ -109,7 +121,9 @@ pub struct PierConfig {
     /// aggregates only; see [`WindowLatePolicy`]).  Interacts with
     /// `collect_delay` and `holddown`: the shorter those grace periods are
     /// relative to network latency, the more data arrives late and the more
-    /// this policy matters.
+    /// this policy matters.  Completion closes an epoch once last epoch's
+    /// contributors have reported, so a contributor new this epoch (a node
+    /// that just joined) can arrive after the close and become late data.
     pub window_late_policy: WindowLatePolicy,
 }
 
@@ -251,6 +265,15 @@ pub struct EngineStats {
     /// Alert tuples published into a query's `pier:alert:<id>` namespace
     /// (windowed aggregates with a `HAVING` trigger).
     pub alerts_emitted: u64,
+    /// Epochs this node finalized as an aggregation root because as many
+    /// contributors as last epoch had reported and partials went quiet for
+    /// one hold-down (continuous single-table aggregates).
+    pub finalized_on_completion: u64,
+    /// Epochs this node finalized as an aggregation root on the
+    /// `collect_delay` timer and its quiet extensions: every aggregate over a
+    /// join, every one-shot aggregate, and continuous epochs that did not
+    /// reach last epoch's count in time.
+    pub finalized_on_timer: u64,
 }
 
 impl EngineStats {
@@ -284,5 +307,7 @@ impl EngineStats {
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;
         self.alerts_emitted += other.alerts_emitted;
+        self.finalized_on_completion += other.finalized_on_completion;
+        self.finalized_on_timer += other.finalized_on_timer;
     }
 }

@@ -10,9 +10,11 @@
 //! * `aggregate` — **hierarchical aggregation**: each node folds its local
 //!   tuples into mergeable partial states and forwards them hop-by-hop
 //!   toward the node responsible for the query's aggregation key,
-//!   combining at every hop after a short hold-down (the classic in-network
-//!   aggregation of PIER/TAG).  The root finalizes each epoch (or window)
-//!   and streams result rows to the query origin.
+//!   combining at every hop (the classic in-network aggregation of
+//!   PIER/TAG).  The root finalizes each epoch (or window) and streams
+//!   result rows to the query origin.  A continuous single-table
+//!   aggregate's epoch closes on completion — as many contributors as last
+//!   epoch — with the hold-down and collect timers as the fallback.
 //! * `join` — **distributed joins** as a stage DAG: symmetric rehash joins
 //!   (both relations rehashed on the join key into a query-scoped
 //!   namespace) and Fetch-Matches joins (DHT `get` probes against the inner
@@ -112,10 +114,15 @@ impl std::error::Error for PierError {}
 enum TimerPurpose {
     /// Start the next epoch of a continuous query.
     Epoch(QueryId),
-    /// Forward combined partials for (query, epoch).
+    /// A hop's hold-down for (query, epoch): forward the combined partials
+    /// the completion rule has not already shipped.
     Holddown(QueryId, u64),
-    /// Finalize (query, epoch) at the aggregation root.
+    /// The aggregation root's timer rule for (query, epoch): `collect_delay`
+    /// after the first partial, postponed while partials still arrive.
     RootFinalize(QueryId, u64),
+    /// The aggregation root's completion rule for (query, epoch): finalize
+    /// if no partial has arrived for one hold-down.
+    RootQuiet(QueryId, u64),
     /// Combine and broadcast Bloom filters for (query, stage, epoch).
     BloomCombine(QueryId, u8, u64),
     /// Quiescence check on an inner-stage Bloom summary under construction:
@@ -488,11 +495,14 @@ impl PierNode {
     // Timer and upcall dispatch
     // ------------------------------------------------------------------
 
-    fn arm_timer(&mut self, ctx: &mut Ctx<'_>, delay: Duration, purpose: TimerPurpose) {
+    /// Arm an engine timer; the returned token disarms it (remove it from
+    /// `timer_purposes` and the timer fires on nothing).
+    fn arm_timer(&mut self, ctx: &mut Ctx<'_>, delay: Duration, purpose: TimerPurpose) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
         self.timer_purposes.insert(token, purpose);
         ctx.set_timer(delay, token);
+        token
     }
 
     fn process_upcalls(&mut self, ctx: &mut Ctx<'_>) {
@@ -797,7 +807,8 @@ impl Node for PierNode {
                 self.forward_partials(ctx, id, epoch);
                 self.process_upcalls(ctx);
             }
-            TimerPurpose::RootFinalize(id, epoch) => self.finalize_epoch(ctx, id, epoch),
+            TimerPurpose::RootFinalize(id, epoch) => self.on_root_deadline(ctx, id, epoch),
+            TimerPurpose::RootQuiet(id, epoch) => self.on_root_quiet(ctx, id, epoch),
             TimerPurpose::BloomCombine(id, stage, epoch) => {
                 self.broadcast_bloom_union(ctx, id, stage, epoch)
             }

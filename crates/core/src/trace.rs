@@ -117,6 +117,12 @@ pub struct OpTrace {
     /// Alert tuples this root published into the query's alert namespace
     /// (`HAVING` trigger on a windowed aggregate).
     pub alerts_emitted: u64,
+    /// Epochs this node finalized as the aggregation root once last epoch's
+    /// contributor count had reported (the completion rule).
+    pub finalized_on_completion: u64,
+    /// Epochs this node finalized as the aggregation root on the
+    /// `collect_delay` timer (the timer rule).
+    pub finalized_on_timer: u64,
 }
 
 impl OpTrace {
@@ -173,6 +179,8 @@ impl OpTrace {
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;
         self.alerts_emitted += other.alerts_emitted;
+        self.finalized_on_completion += other.finalized_on_completion;
+        self.finalized_on_timer += other.finalized_on_timer;
     }
 
     /// Has this trace recorded any activity at all?
@@ -183,9 +191,9 @@ impl OpTrace {
 
 impl WireSize for OpTrace {
     fn wire_size(&self) -> usize {
-        // 18 fixed u64 counters + per-switch strings + per-epoch and
+        // 20 fixed u64 counters + per-switch strings + per-epoch and
         // per-stage pairs.
-        18 * 8
+        20 * 8
             + self.switches.iter().map(|s| s.len() + 2).sum::<usize>()
             + self.epoch_rows.len() * 16
             + (self.stage_shipped.len()
@@ -258,8 +266,12 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
         }
         QueryKind::Aggregate { .. } => {
             out.push_str(&format!(
-                "  aggregate: {} partials sent, {} merged in-network\n",
-                trace.partials_sent, trace.partials_merged
+                "  aggregate: {} partials sent, {} merged in-network, {} epochs finalized on \
+                 completion, {} on the timer\n",
+                trace.partials_sent,
+                trace.partials_merged,
+                trace.finalized_on_completion,
+                trace.finalized_on_timer
             ));
         }
         QueryKind::Recursive { .. } => {

@@ -104,8 +104,50 @@ fn explain_analyze_totals_reconcile_with_engine_totals() {
     assert!(trace.tuples_scanned > 0 && trace.tuples_shipped > 0 && trace.bytes_shipped > 0);
     assert!(trace.batches_sent > 0, "same-key readings must coalesce into JoinBatches");
 
+    // A plain join finalizes no aggregation epochs.
+    assert_eq!(trace.finalized_on_completion, totals.finalized_on_completion);
+    assert_eq!(trace.finalized_on_timer, totals.finalized_on_timer);
+
     // The numbers rendered in the report are the same ones.
     assert!(report.contains(&format!("{} tuples scanned", trace.tuples_scanned)), "{report}");
+
+    // A continuous aggregate's trace reconciles too, including why each of
+    // its root epochs finalized: the first on the collect timer, the rest on
+    // completion once the previous epoch's contributors had reported.  The
+    // 25.5 s settle stops the query mid-epoch, with no partial in flight: a
+    // partial reaching a node that already dropped the query is relayed
+    // without a trace to count it.
+    let mut bed = monitoring_bed(nodes, 2004);
+    let report = bed
+        .explain_analyze(
+            origin,
+            "EXPLAIN ANALYZE SELECT COUNT(*) AS n, SUM(out_rate) AS total FROM netstats \
+             CONTINUOUS EVERY 5 SECONDS WINDOW 600 SECONDS",
+            Duration::from_millis(25_500),
+        )
+        .unwrap();
+    let node = bed.node(origin).unwrap();
+    let (reporters, trace) = {
+        let (r, t) = node.collected_trace(node.originated_queries()[0]).unwrap();
+        (r, t.clone())
+    };
+    assert_eq!(reporters, nodes as u64, "every node must report its trace");
+    let totals = bed.engine_totals();
+    assert_eq!(trace.partials_sent, totals.partials_sent);
+    assert_eq!(trace.partials_merged, totals.partials_merged);
+    assert_eq!(trace.results_sent, totals.results_sent);
+    assert_eq!(trace.messages_sent, totals.messages_sent);
+    assert_eq!(trace.finalized_on_completion, totals.finalized_on_completion);
+    assert_eq!(trace.finalized_on_timer, totals.finalized_on_timer);
+    assert!(trace.finalized_on_completion >= 2, "{report}");
+    assert!(trace.finalized_on_timer >= 1, "{report}");
+    assert!(
+        report.contains(&format!(
+            "{} epochs finalized on completion, {} on the timer",
+            trace.finalized_on_completion, trace.finalized_on_timer
+        )),
+        "{report}"
+    );
 }
 
 #[test]
