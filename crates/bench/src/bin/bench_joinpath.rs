@@ -60,8 +60,10 @@ struct InnerOutcome {
 }
 
 /// One inner-Bloom measurement run: submit the forced-symmetric-hash 3-way
-/// join, collect its result rows and the network-merged trace, and sum the
-/// stage-≥1 right-relation rehash messages.
+/// join — with the planner's inner-Bloom marks, or with them cleared so
+/// inner right sides rehash unfiltered — collect its result rows and the
+/// network-merged trace, and sum the stage-≥1 right-relation rehash
+/// messages.
 fn run_inner(nodes: usize, seed: u64, inner_bloom: bool) -> InnerOutcome {
     let started = std::time::Instant::now();
     let cat = catalog(nodes);
@@ -69,19 +71,22 @@ fn run_inner(nodes: usize, seed: u64, inner_bloom: bool) -> InnerOutcome {
     let planned = Planner::with_join_strategy(&cat, JoinStrategy::SymmetricHash)
         .plan_select(&stmt)
         .expect("join SQL plans");
-    let QueryKind::Join { .. } = &planned.kind else { panic!("expected a join plan") };
+    let mut kind = planned.kind.clone();
+    let QueryKind::Join { stages, .. } = &mut kind else { panic!("expected a join plan") };
+    assert!(stages.iter().any(|s| s.inner_bloom), "the planner must mark an inner Bloom stage");
+    for stage in stages.iter_mut() {
+        stage.inner_bloom &= inner_bloom;
+    }
 
     let mut pier = experiment_config();
-    pier.inner_bloom = inner_bloom;
     // Give the phase-1/phase-2 handshake comfortable headroom so the
     // hold-down fallback measures losses, not a tight deadline.
     pier.bloom_fallback_delay = Duration::from_secs(8);
     let mut bed = build_bed(nodes, seed, pier);
 
     let origin = bed.nodes()[1];
-    let q = bed
-        .submit_query(origin, planned.kind.clone(), planned.output_names.clone(), None)
-        .expect("join submits");
+    let q =
+        bed.submit_query(origin, kind, planned.output_names.clone(), None).expect("join submits");
     bed.run_for(Duration::from_secs(30));
     let rows = bed.results(origin, q, 0);
 

@@ -67,13 +67,11 @@ pub(super) struct BloomQuery {
 impl PierNode {
     /// Does stage `k`'s right relation wait for a combined filter?  A
     /// stage-0 Bloom join always does; an inner symmetric-hash stage does
-    /// when the planner marked it and [`PierConfig::inner_bloom`] is on.
-    ///
-    /// [`PierConfig::inner_bloom`]: super::PierConfig::inner_bloom
+    /// when the planner marked it [`JoinStage::inner_bloom`].
     pub(super) fn bloom_gated(&self, k: usize, stage: &JoinStage) -> bool {
         match stage.strategy {
             JoinStrategy::BloomFilter => true,
-            JoinStrategy::SymmetricHash => k > 0 && stage.inner_bloom && self.config.inner_bloom,
+            JoinStrategy::SymmetricHash => k > 0 && stage.inner_bloom,
             JoinStrategy::FetchMatches => false,
         }
     }

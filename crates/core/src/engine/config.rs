@@ -68,14 +68,6 @@ pub struct PierConfig {
     pub bloom_bits_min: usize,
     /// Upper clamp for the planner-sized Bloom geometry.
     pub bloom_bits_max: usize,
-    /// Inner-stage Bloom semi-joins: when the planner marks a symmetric-hash
-    /// stage past the first as filterable, its join sites summarize the
-    /// intermediate keys that reached them, the origin combines and
-    /// broadcasts the filter, and right-relation scan sites prune their
-    /// rehash through it — the same per-(query, stage, epoch) handshake the
-    /// stage-0 Bloom join runs.  `false` rehashes inner right sides eagerly
-    /// and unfiltered.
-    pub inner_bloom: bool,
     /// Hold-down deadline at Bloom-gated right-relation scan sites (stage 0
     /// and inner stages): if the combined filter has not arrived this long
     /// after the epoch started, ship the right side unfiltered.  A lost
@@ -129,19 +121,13 @@ pub struct PierConfig {
 
 impl Default for PierConfig {
     fn default() -> Self {
-        // Base tables are queried with local scans; storing DHT-level replicas
-        // would make replicated tuples show up twice in scans, so the engine
-        // runs the DHT without item replication and relies on soft-state
-        // renewal (publishers re-publish every TTL) for durability, as PIER does.
-        let dht = DhtConfig { replication_factor: 0, ..DhtConfig::default() };
         PierConfig {
-            dht,
+            dht: DhtConfig::default(),
             holddown: Duration::from_millis(250),
             collect_delay: Duration::from_millis(4_000),
             bloom_collect_delay: Duration::from_millis(1_500),
             bloom_bits_min: 1024,
             bloom_bits_max: 65_536,
-            inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(8_000),
             auto_stats: false,
             stats_interval: Duration::from_millis(5_000),
@@ -156,10 +142,8 @@ impl Default for PierConfig {
 impl PierConfig {
     /// Fast timers for small test networks.
     pub fn fast_test() -> Self {
-        let mut dht = DhtConfig::fast_test();
-        dht.replication_factor = 0;
         PierConfig {
-            dht,
+            dht: DhtConfig::fast_test(),
             holddown: Duration::from_millis(100),
             collect_delay: Duration::from_millis(3_000),
             bloom_collect_delay: Duration::from_millis(800),
@@ -173,10 +157,8 @@ impl PierConfig {
 
     /// Parameters matching the PlanetLab-scale experiments.
     pub fn planetlab() -> Self {
-        let mut dht = DhtConfig::planetlab();
-        dht.replication_factor = 0;
         PierConfig {
-            dht,
+            dht: DhtConfig::planetlab(),
             holddown: Duration::from_millis(300),
             collect_delay: Duration::from_millis(5_000),
             bloom_collect_delay: Duration::from_millis(2_000),

@@ -2,18 +2,22 @@
 //!
 //! Given the binder's relation list and equi-predicate graph plus per-scan
 //! pushed-down filters, this module picks the join order the staged
-//! distributed execution will run, costed from [`Catalog`]
+//! distributed execution will run, costed from
+//! [`Catalog`](crate::catalog::Catalog)
 //! [`TableStats`](crate::catalog::TableStats) — the very cardinalities the
 //! PR 3 statistics gossip keeps converged network-wide.  Up to
 //! [`DP_MAX_RELATIONS`] relations the search is exact (dynamic programming
 //! over connected subsets, the classic System-R construction restricted to
 //! **left-deep** trees, the shape the stage chain executes); above that, a
 //! greedy heuristic grows the chain by the cheapest connected extension.
-//! For unforced joins of ≥ 4 relations the enumerator additionally
-//! considers **bushy** shapes — two independent subchains meeting at a
-//! rehash-merge stage ([`BushyChoice`]) — and takes one when its shipped
-//! cost beats the best left-deep order (see `choose_order`'s `bushy`
-//! parameter and the stage-DAG notes in `docs/ARCHITECTURE.md`).
+//! For unforced joins of ≥ 4 relations, a [`Planner`] built with
+//! [`allow_bushy`](Planner::allow_bushy) also lets the enumerator consider
+//! **bushy** shapes — two independent subchains meeting at a rehash-merge
+//! stage ([`BushyChoice`]) — and take one when its shipped cost beats the
+//! best left-deep order (see the stage-DAG notes in
+//! `docs/ARCHITECTURE.md`).  The forced strategy, observed statistics and
+//! bushy permission are the [`Planner`]'s own options; [`choose_order`]
+//! reads them from there.
 //!
 //! Each stage also gets its [`JoinStrategy`] — symmetric rehash,
 //! Fetch-Matches, or (for a stage whose sides are both base tables) the
@@ -27,7 +31,6 @@
 //! collected execution traces override the catalog estimates the next time
 //! the origin re-plans — the trace-fed costing loop.
 
-use crate::catalog::Catalog;
 use crate::expr::Expr;
 use crate::query::JoinStrategy;
 use std::collections::HashMap;
@@ -36,15 +39,17 @@ use super::binder::{BoundTable, EquiPred};
 use super::physical::{
     selectivity, DEFAULT_ROW_ESTIMATE, FETCH_PROBE_COST, {BLOOM_MIN_RIGHT, BLOOM_SKEW},
 };
+use super::Planner;
 
 /// Trace-fed statistics observed while a query actually ran: per-table
 /// filtered cardinalities and per-stage join selectivities, folded from the
 /// network-wide merge of [`OpTrace`](crate::trace::OpTrace) counters
 /// (`stage_left_in` / `stage_right_in` / `stage_matches`, averaged per
-/// epoch).  When supplied to [`choose_order_with`], these **override** the
-/// catalog's static estimates — the feedback loop the paper's adaptivity
-/// discussion calls for: the engine measures exactly what the enumerator
-/// guessed, so the next plan is costed from ground truth.
+/// epoch).  When supplied through [`Planner::observed`], these
+/// **override** the catalog's static estimates — the feedback loop the
+/// paper's adaptivity discussion calls for: the engine measures exactly
+/// what the enumerator guessed, so the next plan is costed from ground
+/// truth.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObservedStats {
     /// Observed post-filter rows per table, per epoch.  Replaces the
@@ -159,39 +164,53 @@ pub struct OrderPlan {
     pub bushy: Option<BushyChoice>,
 }
 
+/// Estimated rows of `table`: trace-observed when the planner carries
+/// [`ObservedStats`] for it, else the catalog's statistics, else
+/// [`DEFAULT_ROW_ESTIMATE`].
+fn table_rows(planner: &Planner<'_>, table: &str) -> f64 {
+    planner
+        .observed
+        .and_then(|o| o.table_rows.get(table))
+        .copied()
+        .or_else(|| planner.catalog.stats(table).map(|s| s.rows as f64))
+        .unwrap_or(DEFAULT_ROW_ESTIMATE)
+}
+
+/// Estimated distinct values of column `col` of `table`: the gossiped
+/// partition-key count when `col` is the partitioning column, otherwise a
+/// flat fraction of the estimated rows; never below 1.  Join-order costing
+/// and the physical planner's aggregate placement both read it.
+pub(super) fn distinct_values(planner: &Planner<'_>, table: &str, col: usize) -> f64 {
+    let partition = planner.catalog.get(table).map(|d| d.partition_column);
+    let keys = planner.catalog.stats(table).and_then(|s| s.distinct_keys);
+    match (partition, keys) {
+        (Some(p), Some(k)) if p == col => (k as f64).max(1.0),
+        _ => (table_rows(planner, table) * DEFAULT_DISTINCT_FRACTION).max(1.0),
+    }
+}
+
 /// Everything the enumerator knows about the query, precomputed.
 struct SearchContext<'a> {
     relations: &'a [BoundTable],
     preds: &'a [EquiPred],
-    catalog: &'a Catalog,
+    /// The catalog, forced strategy and trace-fed overrides.
+    planner: &'a Planner<'a>,
     /// Filtered base-cardinality estimate per relation.
     base_est: Vec<f64>,
     /// Unfiltered base rows per relation (for EXPLAIN notes).
     base_rows: Vec<f64>,
-    forced: Option<JoinStrategy>,
-    /// Trace-fed overrides of the catalog estimates, when feedback supplied
-    /// them.
-    observed: Option<&'a ObservedStats>,
 }
 
 impl<'a> SearchContext<'a> {
-    /// Estimated distinct values of `col` of relation `rel`: the gossiped
-    /// partition-key count when the column is the partitioning column,
-    /// otherwise a flat fraction of the row estimate.
+    /// Estimated distinct values of `col` of relation `rel`.
     fn distinct(&self, rel: usize, col: usize) -> f64 {
-        let name = &self.relations[rel].name;
-        let partition = self.catalog.get(name).map(|d| d.partition_column);
-        let keys = self.catalog.stats(name).and_then(|s| s.distinct_keys);
-        match (partition, keys) {
-            (Some(p), Some(k)) if p == col => (k as f64).max(1.0),
-            _ => (self.base_rows[rel] * DEFAULT_DISTINCT_FRACTION).max(1.0),
-        }
+        distinct_values(self.planner, &self.relations[rel].name, col)
     }
 
     /// Is relation `rel` partitioned on `col` (a Fetch-Matches probe can
     /// answer with a single DHT `get`)?
     fn partitioned_on(&self, rel: usize, col: usize) -> bool {
-        self.catalog.get(&self.relations[rel].name).map(|d| d.partition_column) == Some(col)
+        self.planner.catalog.get(&self.relations[rel].name).map(|d| d.partition_column) == Some(col)
     }
 
     /// Cost and cardinality of extending the accumulated set `placed`
@@ -224,7 +243,7 @@ impl<'a> SearchContext<'a> {
         // Trace-fed override: when the engine has *measured* this exact
         // (placed set ⋈ rel) stage, its observed whole-stage selectivity
         // replaces the distinct-count guesses wholesale.
-        if let Some(obs) = self.observed {
+        if let Some(obs) = self.planner.observed {
             let key =
                 ObservedStats::placed_key(placed.iter().map(|&r| self.relations[r].name.as_str()));
             if let Some(&sel) = obs.stage_selectivity.get(&(self.relations[rel].name.clone(), key))
@@ -277,7 +296,7 @@ impl<'a> SearchContext<'a> {
             let name = &self.relations[rel].name;
             let left_rows = if k == 1 { self.base_rows[order[0]] } else { left_est };
 
-            let (strategy, note) = match self.forced {
+            let (strategy, note) = match self.planner.forced_strategy {
                 Some(s) => {
                     let actual = match s {
                         JoinStrategy::FetchMatches if !fetch_eligible => {
@@ -408,45 +427,30 @@ pub fn inner_bloom_geometry(left_est: f64) -> (u32, f64) {
     (bits, fp)
 }
 
-/// Choose the join order and per-stage strategies for a bound join.
+/// Choose the join order and per-stage strategies for a bound join, under
+/// `planner`'s options.
 ///
 /// Two-way joins (and any join planned with a forced strategy, which
 /// benchmarks use for apples-to-apples comparisons) keep the declared
-/// relation order; three relations and up are reordered by cost.
+/// relation order; three relations and up are reordered by cost, from
+/// trace-fed [`ObservedStats`] where the planner carries them.  With
+/// [`Planner::allow_bushy`], an unforced join of ≥ 4 relations within the
+/// exact-search budget may take a **bushy** shape (two independent
+/// subchains meeting at a rehash-merge stage) when its shipped-tuple cost
+/// beats every left-deep order.
 pub fn choose_order(
-    catalog: &Catalog,
+    planner: &Planner<'_>,
     relations: &[BoundTable],
     preds: &[EquiPred],
     rel_filters: &[Option<Expr>],
-    forced: Option<JoinStrategy>,
-) -> OrderPlan {
-    choose_order_with(catalog, relations, preds, rel_filters, forced, None, false)
-}
-
-/// [`choose_order`] with the feedback-loop knobs: trace-fed
-/// [`ObservedStats`] overriding the catalog estimates, and permission to
-/// pick a **bushy** shape (two independent subchains meeting at a
-/// rehash-merge stage) when its shipped-tuple cost beats every left-deep
-/// order.  Bushy shapes are only considered for unforced joins of ≥ 4
-/// relations within the exact-search budget.
-pub fn choose_order_with(
-    catalog: &Catalog,
-    relations: &[BoundTable],
-    preds: &[EquiPred],
-    rel_filters: &[Option<Expr>],
-    forced: Option<JoinStrategy>,
-    observed: Option<&ObservedStats>,
-    bushy: bool,
 ) -> OrderPlan {
     let n = relations.len();
+    let catalog = planner.catalog;
     let mut base_rows = Vec::with_capacity(n);
     let mut base_est = Vec::with_capacity(n);
     for (i, rel) in relations.iter().enumerate() {
-        let observed_rows = observed.and_then(|o| o.table_rows.get(&rel.name)).copied();
-        let rows = observed_rows
-            .or_else(|| catalog.stats(&rel.name).map(|s| s.rows as f64))
-            .unwrap_or(DEFAULT_ROW_ESTIMATE)
-            .max(1.0);
+        let observed_rows = planner.observed.and_then(|o| o.table_rows.get(&rel.name)).copied();
+        let rows = table_rows(planner, &rel.name).max(1.0);
         let partition = catalog.get(&rel.name).map(|d| d.partition_column);
         let distinct = catalog.stats(&rel.name).and_then(|s| s.distinct_keys);
         let eq_sel = move |col: usize| match (partition, distinct) {
@@ -462,9 +466,9 @@ pub fn choose_order_with(
             None => (rows * selectivity(&rel_filters[i], &eq_sel)).max(1.0),
         });
     }
-    let ctx = SearchContext { relations, preds, catalog, base_est, base_rows, forced, observed };
+    let ctx = SearchContext { relations, preds, planner, base_est, base_rows };
 
-    if n == 2 || forced.is_some() {
+    if n == 2 || planner.forced_strategy.is_some() {
         let order = (0..n).collect::<Vec<_>>();
         let stages = ctx.assign_strategies(&order);
         return OrderPlan { order, stages, bushy: None };
@@ -480,7 +484,7 @@ pub fn choose_order_with(
     let (left_deep_cost, _, left_deep_order) =
         dp[full].clone().expect("the binder guarantees a connected predicate graph");
 
-    if bushy && n >= 4 {
+    if planner.allow_bushy && n >= 4 {
         if let Some(plan) = best_bushy(&ctx, &dp, n, left_deep_cost) {
             return plan;
         }
@@ -655,7 +659,7 @@ fn greedy_order(ctx: &SearchContext<'_>, n: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{TableDef, TableStats};
+    use crate::catalog::{Catalog, TableDef, TableStats};
     use crate::tuple::Schema;
     use crate::value::DataType;
     use pier_simnet::Duration;
@@ -693,7 +697,7 @@ mod tests {
     fn dp_starts_from_the_smallest_relation() {
         let cat = catalog(&[("a", 100_000), ("b", 1_000), ("c", 10)]);
         let rels = [rel("a"), rel("b"), rel("c")];
-        let plan = choose_order(&cat, &rels, &chain_preds(), &[None, None, None], None);
+        let plan = choose_order(&Planner::new(&cat), &rels, &chain_preds(), &[None, None, None]);
         assert_eq!(plan.order[2], 0, "the 100k-row relation must join last: {:?}", plan.order);
         assert_ne!(plan.order[0], 0, "the 100k-row relation must not drive: {:?}", plan.order);
         assert_eq!(plan.stages.len(), 2);
@@ -703,9 +707,9 @@ mod tests {
     fn order_flips_with_the_statistics() {
         let rels = [rel("a"), rel("b"), rel("c")];
         let cat1 = catalog(&[("a", 10), ("b", 1_000), ("c", 100_000)]);
-        let p1 = choose_order(&cat1, &rels, &chain_preds(), &[None, None, None], None);
+        let p1 = choose_order(&Planner::new(&cat1), &rels, &chain_preds(), &[None, None, None]);
         let cat2 = catalog(&[("a", 100_000), ("b", 1_000), ("c", 10)]);
-        let p2 = choose_order(&cat2, &rels, &chain_preds(), &[None, None, None], None);
+        let p2 = choose_order(&Planner::new(&cat2), &rels, &chain_preds(), &[None, None, None]);
         assert_ne!(p1.order, p2.order, "flipping cardinalities must flip the order");
         assert_eq!(p1.order[0], 0, "{:?}", p1.order);
         assert_eq!(*p2.order.last().unwrap(), 0, "{:?}", p2.order);
@@ -716,7 +720,7 @@ mod tests {
         let cat = catalog(&[("a", 100_000), ("b", 10)]);
         let rels = [rel("a"), rel("b")];
         let preds = vec![EquiPred { left_rel: 0, left_col: 1, right_rel: 1, right_col: 0 }];
-        let plan = choose_order(&cat, &rels, &preds, &[None, None], None);
+        let plan = choose_order(&Planner::new(&cat), &rels, &preds, &[None, None]);
         assert_eq!(plan.order, vec![0, 1]);
     }
 
@@ -725,11 +729,10 @@ mod tests {
         let cat = catalog(&[("a", 100), ("b", 100), ("c", 100)]);
         let rels = [rel("a"), rel("b"), rel("c")];
         let plan = choose_order(
-            &cat,
+            &Planner::with_join_strategy(&cat, JoinStrategy::BloomFilter),
             &rels,
             &chain_preds(),
             &[None, None, None],
-            Some(JoinStrategy::BloomFilter),
         );
         assert_eq!(plan.order, vec![0, 1, 2], "forced plans keep the declared order");
         assert_eq!(plan.stages[0].strategy, JoinStrategy::BloomFilter);
@@ -750,11 +753,10 @@ mod tests {
         let rels = [rel("a"), rel("b"), rel("c")];
         let skewed = catalog(&[("a", 10), ("b", 20), ("c", 100_000)]);
         let plan = choose_order(
-            &skewed,
+            &Planner::with_join_strategy(&skewed, JoinStrategy::SymmetricHash),
             &rels,
             &chain_preds(),
             &[None, None, None],
-            Some(JoinStrategy::SymmetricHash),
         );
         assert!(!plan.stages[0].inner_bloom, "stage 0 uses the BloomFilter strategy instead");
         assert!(plan.stages[1].inner_bloom, "{}", plan.stages[1].note);
@@ -763,11 +765,10 @@ mod tests {
 
         let flat = catalog(&[("a", 100), ("b", 100), ("c", 100)]);
         let plan = choose_order(
-            &flat,
+            &Planner::with_join_strategy(&flat, JoinStrategy::SymmetricHash),
             &rels,
             &chain_preds(),
             &[None, None, None],
-            Some(JoinStrategy::SymmetricHash),
         );
         assert!(plan.stages.iter().all(|s| !s.inner_bloom && s.bloom_bits == 0));
     }
@@ -793,7 +794,7 @@ mod tests {
             .map(|i| EquiPred { left_rel: i, left_col: 1, right_rel: i + 1, right_col: 0 })
             .collect();
         let filters: Vec<Option<Expr>> = vec![None; 8];
-        let plan = choose_order(&cat, &rels, &preds, &filters, None);
+        let plan = choose_order(&Planner::new(&cat), &rels, &preds, &filters);
         assert_eq!(plan.order.len(), 8);
         assert_eq!(plan.stages.len(), 7);
         let mut sorted = plan.order.clone();

@@ -26,7 +26,7 @@ pub use binder::{resolve_expr, Binder, BoundSelect, EquiPred};
 pub use cache::PlanCache;
 pub use joinorder::{BushyChoice, ObservedStats, OrderPlan, StageChoice};
 pub use optimizer::{Optimized, Optimizer, Rule};
-pub use physical::{PhysicalPlan, PhysicalPlanner};
+pub use physical::PhysicalPlan;
 
 use crate::catalog::Catalog;
 use crate::plan::LogicalPlan;
@@ -78,7 +78,10 @@ pub struct PlannedQuery {
 }
 
 /// Plans SQL statements against a catalog by running the four-stage
-/// pipeline.
+/// pipeline.  Its options — a forced join strategy, trace-observed
+/// statistics, and permission for bushy shapes — are the only planner
+/// options: the physical planner and the join-order enumerator read them
+/// from here.
 pub struct Planner<'a> {
     catalog: &'a Catalog,
     forced_strategy: Option<JoinStrategy>,
@@ -117,29 +120,19 @@ impl<'a> Planner<'a> {
     pub fn plan_select(&self, stmt: &SelectStmt) -> Result<PlannedQuery, PlanError> {
         // Stage 1: bind names.
         let bound = Binder::new(self.catalog).bind_select(stmt)?;
-        self.plan_bound(bound)
+        Ok(self.plan_bound(bound))
     }
 
-    /// Stages 2–4 over an already-bound statement.
-    fn plan_bound(&self, bound: BoundSelect) -> Result<PlannedQuery, PlanError> {
+    /// Stages 2–4 over an already-bound statement (none of them can fail).
+    fn plan_bound(&self, bound: BoundSelect) -> PlannedQuery {
         // Stage 2: build the logical plan.
         let initial = logical::build_logical(&bound);
         // Stage 3: optimize.
         let optimized = Optimizer::new().optimize(initial.clone());
         // Stage 4: derive the distributed spec.
-        let mut physical_planner = match self.forced_strategy {
-            Some(s) => PhysicalPlanner::with_forced_strategy(self.catalog, s),
-            None => PhysicalPlanner::new(self.catalog),
-        };
-        if let Some(stats) = self.observed {
-            physical_planner = physical_planner.observed(stats);
-        }
-        if self.allow_bushy {
-            physical_planner = physical_planner.allow_bushy();
-        }
-        let physical = physical_planner.plan(&bound, &optimized.plan)?;
+        let physical = physical::plan(self, &bound, &optimized.plan);
 
-        Ok(PlannedQuery {
+        PlannedQuery {
             logical: optimized.plan,
             logical_initial: initial,
             rules_applied: optimized.applied,
@@ -147,14 +140,14 @@ impl<'a> Planner<'a> {
             strategy_note: physical.strategy_note,
             output_names: bound.output_names,
             continuous: bound.continuous,
-        })
+        }
     }
 
     /// Plan a `SELECT` and render every pipeline stage (for `EXPLAIN`).
     pub fn explain_select(&self, stmt: &SelectStmt) -> Result<Explanation, PlanError> {
         let bound = Binder::new(self.catalog).bind_select(stmt)?;
         let binder_text = bound.describe();
-        let planned = self.plan_bound(bound)?;
+        let planned = self.plan_bound(bound);
         Ok(Explanation {
             binder: binder_text,
             logical: planned.logical_initial.explain(),

@@ -4,10 +4,12 @@
 //! [`QueryKind`] spec that is disseminated over the DHT.  This is the layer
 //! that makes *distributed* decisions:
 //!
-//! * multi-way joins are lowered into a **chain of distributed join stages**
+//! * multi-way joins are lowered into **chains of distributed join stages**
 //!   in the order picked by the [join-order enumerator](super::joinorder)
 //!   — each stage's output is rehashed by the next stage's key into that
-//!   stage's DHT namespace (PIER's multihop joins composed);
+//!   stage's DHT namespace (PIER's multihop joins composed).  One lowering
+//!   serves every shape: a left-deep order is a single chain, a bushy order
+//!   two chains whose outputs meet at a rehash-merge stage;
 //! * per-stage join-strategy selection (symmetric rehash vs Fetch-Matches
 //!   vs Bloom-filter semi-join) is **costed from catalog cardinality hints**
 //!   ([`TableStats`](crate::catalog::TableStats)) and filter selectivities;
@@ -19,16 +21,15 @@
 //! * Fetch-Matches is only eligible when the inner relation is partitioned
 //!   on the join key (the DHT can then answer probes with a single `get`).
 
-use crate::catalog::Catalog;
 use crate::expr::Expr;
 use crate::plan::{AggExpr, LogicalPlan};
 use crate::query::{BranchScan, JoinAggregate, JoinStage, JoinStrategy, QueryKind};
 use std::collections::BTreeSet;
 
 use super::binder::BoundSelect;
-use super::joinorder::{choose_order_with, BushyChoice, ObservedStats, OrderPlan, StageChoice};
+use super::joinorder::{choose_order, distinct_values, OrderPlan, StageChoice};
 use super::optimizer::{conjoin, fold_expr, split_conjuncts, split_group_having};
-use super::PlanError;
+use super::Planner;
 
 /// Row-count estimate used when the catalog has no statistics for a table.
 pub const DEFAULT_ROW_ESTIMATE: f64 = 1024.0;
@@ -59,61 +60,22 @@ pub struct PhysicalPlan {
     pub strategy_note: Option<String>,
 }
 
-/// Chooses distributed execution strategies from catalog statistics.
-pub struct PhysicalPlanner<'a> {
-    catalog: &'a Catalog,
-    forced_strategy: Option<JoinStrategy>,
-    observed: Option<&'a ObservedStats>,
-    allow_bushy: bool,
-}
-
-impl<'a> PhysicalPlanner<'a> {
-    /// A planner that costs strategies from the catalog.
-    pub fn new(catalog: &'a Catalog) -> Self {
-        PhysicalPlanner { catalog, forced_strategy: None, observed: None, allow_bushy: false }
+/// Derive the distributed spec for a bound statement whose optimized logical
+/// plan is `optimized`, under `planner`'s options.
+pub(super) fn plan(
+    planner: &Planner<'_>,
+    bound: &BoundSelect,
+    optimized: &LogicalPlan,
+) -> PhysicalPlan {
+    if bound.is_join() {
+        return plan_join(planner, bound, optimized);
     }
-
-    /// A planner that always uses `strategy` for joins wherever it is
-    /// executable (benchmarks and tests compare strategies this way).
-    pub fn with_forced_strategy(catalog: &'a Catalog, strategy: JoinStrategy) -> Self {
-        PhysicalPlanner {
-            catalog,
-            forced_strategy: Some(strategy),
-            observed: None,
-            allow_bushy: false,
-        }
-    }
-
-    /// Overlay trace-fed [`ObservedStats`] on the catalog estimates: the
-    /// feedback loop's re-plan path costs orders, strategies, and aggregate
-    /// placement from what the query *actually* measured.
-    pub fn observed(mut self, stats: &'a ObservedStats) -> Self {
-        self.observed = Some(stats);
-        self
-    }
-
-    /// Let the join-order enumerator pick bushy shapes (two independent
-    /// subchains meeting at a rehash-merge stage) when they cost less than
-    /// every left-deep order.
-    pub fn allow_bushy(mut self) -> Self {
-        self.allow_bushy = true;
-        self
-    }
-
-    /// Derive the distributed spec for a bound statement whose optimized
-    /// logical plan is `optimized`.
-    pub fn plan(
-        &self,
-        bound: &BoundSelect,
-        optimized: &LogicalPlan,
-    ) -> Result<PhysicalPlan, PlanError> {
-        if bound.is_join() {
-            self.plan_join(bound, optimized)
-        } else if let Some(agg) = &bound.aggregate {
+    let kind = match &bound.aggregate {
+        Some(agg) => {
             // HAVING conjuncts over plain group columns run before
-            // aggregation on every node (mirroring the optimizer's rewrite
-            // of the logical plan), so non-qualifying tuples are dropped at
-            // the scan instead of shipping partials the root would discard.
+            // aggregation on every node (mirroring the optimizer's rewrite of
+            // the logical plan), so non-qualifying tuples are dropped at the
+            // scan instead of shipping partials the root would discard.
             let (having_below, having_above) = match &agg.having {
                 Some(h) => split_group_having(h, &agg.group_exprs),
                 None => (None, None),
@@ -124,572 +86,178 @@ impl<'a> PhysicalPlanner<'a> {
                 (None, Some(h)) => Some(h),
                 (None, None) => None,
             };
-            Ok(PhysicalPlan {
-                kind: QueryKind::Aggregate {
-                    table: bound.primary().name.clone(),
-                    filter: filter.as_ref().map(fold_expr),
-                    group_exprs: agg.group_exprs.clone(),
-                    aggs: agg.aggs.clone(),
-                    having: having_above.as_ref().map(fold_expr),
-                    order_by: bound.order_by.clone(),
-                    limit: bound.limit,
-                    final_project: agg.final_project.clone(),
-                    window: agg.window,
-                },
-                strategy_note: None,
-            })
-        } else {
-            Ok(PhysicalPlan {
-                kind: QueryKind::Select {
-                    table: bound.primary().name.clone(),
-                    filter: bound.filter.as_ref().map(fold_expr),
-                    project: bound.projections.iter().map(fold_expr).collect(),
-                    order_by: bound.order_by.clone(),
-                    limit: bound.limit,
-                },
-                strategy_note: None,
-            })
+            QueryKind::Aggregate {
+                table: bound.primary().name.clone(),
+                filter: filter.as_ref().map(fold_expr),
+                group_exprs: agg.group_exprs.clone(),
+                aggs: agg.aggs.clone(),
+                having: having_above.as_ref().map(fold_expr),
+                order_by: bound.order_by.clone(),
+                limit: bound.limit,
+                final_project: agg.final_project.clone(),
+                window: agg.window,
+            }
         }
+        None => QueryKind::Select {
+            table: bound.primary().name.clone(),
+            filter: bound.filter.as_ref().map(fold_expr),
+            project: bound.projections.iter().map(fold_expr).collect(),
+            order_by: bound.order_by.clone(),
+            limit: bound.limit,
+        },
+    };
+    PhysicalPlan { kind, strategy_note: None }
+}
+
+/// Lower a bound join into the staged distributed spec.  The chosen order
+/// is one left-deep chain, or — for a bushy order — two independent chains
+/// whose outputs meet at a rehash-merge stage.  Every chain is lowered by
+/// [`lower_chain`]; residual placement, the EXPLAIN note and the terminal
+/// projection or aggregate are written once, for both shapes.
+fn plan_join(planner: &Planner<'_>, bound: &BoundSelect, optimized: &LogicalPlan) -> PhysicalPlan {
+    let n = bound.relations.len();
+    let offsets = bound.offsets();
+    let pieces = extract_multijoin_pieces(optimized, n);
+    let OrderPlan { order, stages: choices, bushy } =
+        choose_order(planner, &bound.relations, &bound.join_preds, &pieces.rel_filters);
+    let split = bushy.as_ref().map_or(n, |b| b.split);
+    let chains: Vec<(&[usize], &[StageChoice])> = if bushy.is_some() {
+        vec![(&order[..split], &choices[..split - 1]), (&order[split..], &choices[split - 1..])]
+    } else {
+        vec![(&order[..], &choices[..])]
+    };
+
+    // Residual WHERE conjuncts run at the earliest stage of the chain that
+    // holds every relation they reference; conjuncts crossing a bushy
+    // order's two chains run at the merge.  Non-key equi-predicates run as
+    // post-filters where their later relation joins in (or at the merge).
+    let rel_of = |g: usize| crate::plan::relation_of_column(&offsets[..n], g);
+    let equi_filter = |&pi: &usize| {
+        let (gl, gr) = bound.join_preds[pi].global(&offsets);
+        Expr::col(gl).eq(Expr::col(gr))
+    };
+    let mut posts: Vec<Vec<Vec<Expr>>> =
+        chains.iter().map(|(chain, _)| vec![Vec::new(); chain.len() - 1]).collect();
+    let mut merge_posts: Vec<Expr> = Vec::new();
+    let mut conjuncts = Vec::new();
+    if let Some(residual) = &pieces.residual {
+        split_conjuncts(residual.clone(), &mut conjuncts);
     }
-
-    /// Lower a bound join into the staged distributed spec: pick the join
-    /// order, then thread the needed-column sets backward through the chain
-    /// so every stage ships only what later stages (or the final
-    /// projection) consume.
-    fn plan_join(
-        &self,
-        bound: &BoundSelect,
-        optimized: &LogicalPlan,
-    ) -> Result<PhysicalPlan, PlanError> {
-        let n = bound.relations.len();
-        let offsets = bound.offsets();
-        let pieces = extract_multijoin_pieces(optimized, n);
-        let order_plan = choose_order_with(
-            self.catalog,
-            &bound.relations,
-            &bound.join_preds,
-            &pieces.rel_filters,
-            self.forced_strategy,
-            self.observed,
-            self.allow_bushy,
-        );
-        if order_plan.bushy.is_some() {
-            return self.plan_join_bushy(bound, &pieces, &order_plan);
-        }
-        let OrderPlan { order, stages: choices, .. } = &order_plan;
-        let num_stages = n - 1;
-
-        // Position of each relation in the chosen order, and the relation a
-        // global column belongs to.
-        let mut pos = vec![0usize; n];
-        for (i, &r) in order.iter().enumerate() {
-            pos[r] = i;
-        }
-        let rel_of = |g: usize| crate::plan::relation_of_column(&offsets[..n], g);
-
-        // Assign the residual WHERE conjuncts to the earliest stage where
-        // every referenced relation is available.
-        let mut stage_posts: Vec<Vec<Expr>> = vec![Vec::new(); num_stages];
-        if let Some(residual) = &pieces.residual {
-            let mut conjuncts = Vec::new();
-            split_conjuncts(residual.clone(), &mut conjuncts);
-            for c in conjuncts {
-                let stage = c
-                    .referenced_columns()
+    for c in conjuncts {
+        let rels: BTreeSet<usize> = c.referenced_columns().iter().map(|&g| rel_of(g)).collect();
+        match chains.iter().position(|(chain, _)| rels.iter().all(|r| chain.contains(r))) {
+            Some(i) => {
+                let chain = chains[i].0;
+                let k = rels
                     .iter()
-                    .map(|&g| pos[rel_of(g)])
+                    .map(|&r| chain.iter().position(|&x| x == r).expect("rel is in chain"))
                     .max()
                     .unwrap_or(1)
                     .saturating_sub(1)
-                    .min(num_stages - 1);
-                stage_posts[stage].push(c);
+                    .min(chain.len() - 2);
+                posts[i][k].push(c);
             }
+            None => merge_posts.push(c),
         }
-        // Non-key equi-predicates run as post-filters at the stage that
-        // joins in their later relation.
-        for (k, choice) in choices.iter().enumerate() {
-            for &pi in &choice.extra_preds {
-                let (gl, gr) = bound.join_preds[pi].global(&offsets);
-                stage_posts[k].push(Expr::col(gl).eq(Expr::col(gr)));
-            }
+    }
+    for ((_, chain_choices), chain_posts) in chains.iter().zip(&mut posts) {
+        for (k, choice) in chain_choices.iter().enumerate() {
+            chain_posts[k].extend(choice.extra_preds.iter().map(equi_filter));
         }
+    }
+    if let Some(b) = &bushy {
+        merge_posts.extend(b.extra_preds.iter().map(equi_filter));
+    }
 
-        // Per-stage key columns in global numbering: the key predicate's
-        // endpoint on the joined relation is the right key, the other
-        // endpoint (always on an earlier relation) the left key.
-        let mut key_left_global = Vec::with_capacity(num_stages);
-        let mut key_right_local = Vec::with_capacity(num_stages);
-        for choice in choices {
-            let p = &bound.join_preds[choice.key_pred];
-            if p.left_rel == choice.rel {
-                key_right_local.push(p.left_col);
-                key_left_global.push(offsets[p.right_rel] + p.right_col);
-            } else {
-                key_right_local.push(p.right_col);
-                key_left_global.push(offsets[p.left_rel] + p.left_col);
-            }
-        }
+    // The global columns the final projection consumes (for aggregates: the
+    // grouping expressions and aggregate arguments, which is what narrows
+    // every stage's shipments down to exactly what the aggregate reads).
+    let final_cols: BTreeSet<usize> = match &bound.aggregate {
+        Some(agg) => agg
+            .group_exprs
+            .iter()
+            .chain(agg.aggs.iter().filter_map(|a| a.arg.as_ref()))
+            .flat_map(|e| e.referenced_columns())
+            .collect(),
+        None => bound.projections.iter().flat_map(|e| e.referenced_columns()).collect(),
+    };
+    // A bushy order's merge, with its key's endpoints (one global column
+    // per chain).
+    let merge = bushy.as_ref().map(|b| {
+        let kp = &bound.join_preds[b.key_pred];
+        let (l, r) = kp.global(&offsets);
+        (b, if chains[0].0.contains(&kp.left_rel) { (l, r) } else { (r, l) })
+    });
+    // What the chains must carry out: the final columns, plus the merge's
+    // keys and post-filter columns.
+    let mut tail_need = final_cols.clone();
+    for c in &merge_posts {
+        tail_need.extend(c.referenced_columns());
+    }
+    tail_need.extend(merge.iter().flat_map(|&(_, (a, b))| [a, b]));
+    let mut lowered = chains.iter().zip(&posts).map(|(&(chain, chain_choices), chain_posts)| {
+        lower_chain(bound, &pieces.rel_filters, chain, chain_choices, chain_posts, &tail_need)
+    });
+    let first = lowered.next().expect("a join has a chain");
 
-        // Backward pass: the global columns needed *after* each stage — by
-        // later stages' keys and post-filters and by the final projection
-        // (for aggregates: by the grouping expressions and aggregate
-        // arguments, which is what narrows every stage's shipments down to
-        // exactly what the aggregate consumes).
-        let final_cols: BTreeSet<usize> = match &bound.aggregate {
-            Some(agg) => agg
-                .group_exprs
-                .iter()
-                .chain(agg.aggs.iter().filter_map(|a| a.arg.as_ref()))
-                .flat_map(|e| e.referenced_columns())
-                .collect(),
-            None => bound.projections.iter().flat_map(|e| e.referenced_columns()).collect(),
-        };
-        let available = |k: usize| -> BTreeSet<usize> {
-            order[..=k + 1]
-                .iter()
-                .flat_map(|&r| offsets[r]..offsets[r] + bound.relations[r].schema.arity())
-                .collect()
-        };
-        let mut needed = final_cols;
-        let mut need_after: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); num_stages];
-        for k in (0..num_stages).rev() {
-            need_after[k] = needed.intersection(&available(k)).copied().collect();
-            for c in &stage_posts[k] {
-                needed.extend(c.referenced_columns());
-            }
-            needed.insert(key_left_global[k]);
-        }
-
-        // Forward pass: build the stage specs, tracking the left input as a
-        // list of global column ids (`left_map`).
-        let drv = order[0];
-        let mut left_map: Vec<usize> =
-            (offsets[drv]..offsets[drv] + bound.relations[drv].schema.arity()).collect();
-        let mut stages = Vec::with_capacity(num_stages);
-        let mut last_concat_map: Vec<usize> = Vec::new();
-        for k in 0..num_stages {
-            let choice = &choices[k];
-            let q = choice.rel;
-            let q_arity = bound.relations[q].schema.arity();
-            // Fetch-Matches keeps full schemas: its right tuples are read
-            // whole from DHT storage and its left tuples never ship.
-            let is_fetch = choice.strategy == JoinStrategy::FetchMatches;
-            let mut want: BTreeSet<usize> = need_after[k].clone();
-            for c in &stage_posts[k] {
-                want.extend(c.referenced_columns());
-            }
-            let (left_ship_cols, right_ship_cols): (Vec<usize>, Vec<usize>) = if is_fetch {
-                ((0..left_map.len()).collect(), (0..q_arity).collect())
-            } else {
-                (
-                    (0..left_map.len()).filter(|&i| want.contains(&left_map[i])).collect(),
-                    (0..q_arity).filter(|&c| want.contains(&(offsets[q] + c))).collect(),
-                )
-            };
-            let concat_map: Vec<usize> = left_ship_cols
-                .iter()
-                .map(|&i| left_map[i])
-                .chain(right_ship_cols.iter().map(|&c| offsets[q] + c))
-                .collect();
-            let remap = |g: usize| -> Expr {
-                Expr::col(
-                    concat_map
-                        .iter()
-                        .position(|&x| x == g)
-                        .expect("every needed column is shipped"),
-                )
-            };
-            let post_filter = conjoin(
-                stage_posts[k].iter().map(|c| fold_expr(c).substitute_columns(&remap)).collect(),
-            );
-            let left_key = Expr::col(
-                left_map
-                    .iter()
-                    .position(|&g| g == key_left_global[k])
-                    .expect("key column is part of the stage input"),
-            );
-            let right_key = Expr::col(key_right_local[k]);
-            let out_cols: Vec<usize> = if k + 1 == num_stages {
-                last_concat_map = concat_map.clone();
-                Vec::new()
-            } else {
-                let next_map: Vec<usize> = need_after[k].iter().copied().collect();
-                let outs = next_map
-                    .iter()
-                    .map(|&g| {
-                        concat_map
-                            .iter()
-                            .position(|&x| x == g)
-                            .expect("stage output columns are shipped")
-                    })
-                    .collect();
-                left_map = next_map;
-                outs
-            };
+    // Wire the chains into the stage DAG.  A single chain's last stage
+    // feeds the terminal directly; a bushy order's chains each rehash into
+    // one side of the merge stage, the second rooted at its own scan.
+    let (stages, final_map, est_matches, terminal) = match (lowered.next(), merge) {
+        (Some(second), Some((b, keys))) => {
+            let merge_stage = (n - 2) as u8;
+            let mut stages = first.stages;
+            stages.last_mut().expect("chain A has a stage").out_to = Some((merge_stage, 0));
+            let b_root = stages.len();
+            stages.extend(second.stages);
+            let root = order[split];
+            stages[b_root].left_scan = Some(BranchScan {
+                table: bound.relations[root].name.clone(),
+                filter: pieces.rel_filters[root].clone(),
+            });
+            stages.last_mut().expect("chain B has a stage").out_to = Some((merge_stage, 1));
+            // Both sides of the merge index the chains' output schemas.
+            let cols =
+                stage_cols(&first.out_map, &second.out_map, keys, &merge_posts, &final_cols, false);
             stages.push(JoinStage {
-                right_table: bound.relations[q].name.clone(),
-                left_key,
-                right_key,
-                right_filter: pieces.rel_filters[q].clone(),
-                post_filter,
-                left_ship_cols,
-                right_ship_cols,
-                out_cols,
-                strategy: choice.strategy,
-                inner_bloom: choice.inner_bloom,
-                bloom_bits: choice.bloom_bits,
+                right_table: bound.relations[root].name.clone(),
+                left_key: cols.left_key,
+                right_key: cols.right_key,
+                right_filter: None,
+                post_filter: cols.post_filter,
+                left_ship_cols: cols.left_ship_cols,
+                right_ship_cols: cols.right_ship_cols,
+                out_cols: Vec::new(),
+                strategy: JoinStrategy::SymmetricHash,
+                inner_bloom: false,
+                bloom_bits: 0,
                 left_scan: None,
                 out_to: None,
             });
+            (stages, cols.concat_map, b.out_est, "the merge stage")
         }
+        _ => {
+            let mut stages = first.stages;
+            stages.last_mut().expect("a join has a stage").out_cols.clear();
+            let est = choices.last().expect("a join has a stage").out_est;
+            (stages, first.concat_map, est, "the final join stage")
+        }
+    };
+    let final_remap = |g: usize| Expr::col(position(&final_map, g));
 
-        let final_remap = |g: usize| -> Expr {
-            Expr::col(
-                last_concat_map
-                    .iter()
-                    .position(|&x| x == g)
-                    .expect("projected columns reach the final stage"),
-            )
-        };
-
-        // EXPLAIN note: the chosen order plus one rationale line per stage.
-        let order_names: Vec<&str> =
-            order.iter().map(|&r| bound.relations[r].name.as_str()).collect();
-        let mut note = String::new();
+    // EXPLAIN note: the chosen order plus one rationale line per stage.
+    let names = |rels: &[usize]| {
+        rels.iter().map(|&r| bound.relations[r].name.as_str()).collect::<Vec<_>>().join(" ⋈ ")
+    };
+    let mut note = if bushy.is_some() {
+        format!("join order: ({}) ⋈ ({}) [bushy]\n", names(chains[0].0), names(chains[1].0))
+    } else if n > 2 {
+        format!("join order: {}\n", names(&order[..]))
+    } else {
+        String::new()
+    };
+    for (k, choice) in choices.iter().enumerate() {
         if n > 2 {
-            note.push_str(&format!("join order: {}\n", order_names.join(" ⋈ ")));
-        }
-        for (k, choice) in choices.iter().enumerate() {
-            if n > 2 {
-                note.push_str(&format!(
-                    "stage {k} (⋈ '{}', ~{:.0} ⋈ ~{:.0} → ~{:.0} rows): {}\n",
-                    bound.relations[choice.rel].name,
-                    choice.left_est,
-                    choice.right_est,
-                    choice.out_est,
-                    choice.note
-                ));
-            } else {
-                note.push_str(&choice.note);
-                note.push('\n');
-            }
-        }
-
-        // Terminal operator: the final projection for plain joins, or the
-        // aggregate whose placement (hierarchical partials vs raw-row
-        // streaming to the origin) is costed from the estimated group count
-        // versus the estimated matched-row count.
-        let (project, aggregate) = match &bound.aggregate {
-            Some(agg) => {
-                let group_exprs: Vec<Expr> = agg
-                    .group_exprs
-                    .iter()
-                    .map(|e| fold_expr(e).substitute_columns(&final_remap))
-                    .collect();
-                let aggs: Vec<AggExpr> = agg
-                    .aggs
-                    .iter()
-                    .map(|a| AggExpr {
-                        func: a.func,
-                        arg: a.arg.as_ref().map(|e| fold_expr(e).substitute_columns(&final_remap)),
-                        name: a.name.clone(),
-                    })
-                    .collect();
-                // HAVING conjuncts over plain group columns were already
-                // pushed below the join by the optimizer (they reach the
-                // stages through `rel_filters` / the residual); only the
-                // conjuncts that need finalized aggregates stay here.
-                let having_above = match &agg.having {
-                    Some(h) => split_group_having(h, &agg.group_exprs).1,
-                    None => None,
-                };
-                // Placement cost: hierarchical partials ship at most one
-                // state per (group, node) and combine in-network, so they
-                // win whenever groups compress the matched rows; a
-                // group-per-row aggregate (distinct keys ≥ rows) would ship
-                // as many partial states as the raw rows, for no saving.
-                let est_matches = choices.last().map(|c| c.out_est).unwrap_or(DEFAULT_ROW_ESTIMATE);
-                let est_groups: f64 = agg
-                    .group_exprs
-                    .iter()
-                    .map(|e| match e {
-                        Expr::Column(g) => self.distinct_of(bound, &offsets, n, *g),
-                        _ => 32.0,
-                    })
-                    .product::<f64>()
-                    .clamp(1.0, est_matches.max(1.0));
-                // A windowed aggregate always runs hierarchically: the
-                // aggregation root is where per-epoch states are retained
-                // and merged into windows; raw-row streaming has no root.
-                let hierarchical = agg.window.is_some() || est_groups < est_matches.max(1.0);
-                note.push_str(&if hierarchical {
-                    format!(
-                        "aggregation: hierarchical in-network partials \
-                         (~{est_groups:.0} groups compress ~{est_matches:.0} matched rows)"
-                    )
-                } else {
-                    format!(
-                        "aggregation: at origin over raw rows \
-                         (~{est_groups:.0} groups ≈ ~{est_matches:.0} matched rows, \
-                         partials would not compress)"
-                    )
-                });
-                note.push('\n');
-                // Aggregate-aware stage keys: if the (single) grouping
-                // column *is* the final stage's join key — either endpoint,
-                // they are equal on every match — the symmetric rehash has
-                // already partitioned each group wholly onto one join site.
-                // Sites then finalize their own groups in place and the
-                // partial climb up the aggregation tree is skipped.
-                let last = stages.last().expect("at least one stage");
-                let key_pos = |key: &Expr, ship: &[usize], base: usize| -> Option<usize> {
-                    match key {
-                        Expr::Column(i) => ship.iter().position(|c| c == i).map(|p| base + p),
-                        _ => None,
-                    }
-                };
-                let left_pos = key_pos(&last.left_key, &last.left_ship_cols, 0);
-                let right_pos =
-                    key_pos(&last.right_key, &last.right_ship_cols, last.left_ship_cols.len());
-                let colocated = hierarchical
-                    && last.strategy == JoinStrategy::SymmetricHash
-                    && matches!(group_exprs.as_slice(),
-                        [Expr::Column(g)] if Some(*g) == left_pos || Some(*g) == right_pos);
-                if colocated {
-                    note.push_str(
-                        "aggregation: colocated with the final join stage \
-                         (GROUP BY = stage key; groups finalize at their join sites, \
-                         no partial climb)\n",
-                    );
-                }
-                // Identity projection over the final concat schema: the
-                // raw-row streaming baseline ships these rows whole.
-                let project: Vec<Expr> = (0..last_concat_map.len()).map(Expr::col).collect();
-                let aggregate = JoinAggregate {
-                    group_exprs,
-                    aggs,
-                    having: having_above.as_ref().map(fold_expr),
-                    final_project: agg.final_project.clone(),
-                    hierarchical,
-                    colocated,
-                    window: agg.window,
-                };
-                (project, Some(aggregate))
-            }
-            None => {
-                let project: Vec<Expr> = bound
-                    .projections
-                    .iter()
-                    .map(|e| fold_expr(e).substitute_columns(&final_remap))
-                    .collect();
-                (project, None)
-            }
-        };
-
-        Ok(PhysicalPlan {
-            kind: QueryKind::Join {
-                left_table: bound.relations[drv].name.clone(),
-                left_filter: pieces.rel_filters[drv].clone(),
-                stages,
-                project,
-                aggregate,
-                order_by: bound.order_by.clone(),
-                limit: bound.limit,
-            },
-            strategy_note: Some(note),
-        })
-    }
-
-    /// Distinct-value estimate for a global column: the gossiped
-    /// partition-key count when the column is the partitioning column,
-    /// otherwise a flat fraction of the (trace-observed, when available)
-    /// row estimate.
-    fn distinct_of(&self, bound: &BoundSelect, offsets: &[usize], n: usize, g: usize) -> f64 {
-        let rel = crate::plan::relation_of_column(&offsets[..n], g);
-        let col = g - offsets[rel];
-        let name = &bound.relations[rel].name;
-        let partition = self.catalog.get(name).map(|d| d.partition_column);
-        let keys = self.catalog.stats(name).and_then(|s| s.distinct_keys);
-        let rows = self
-            .observed
-            .and_then(|o| o.table_rows.get(name))
-            .copied()
-            .or_else(|| self.catalog.stats(name).map(|s| s.rows as f64))
-            .unwrap_or(DEFAULT_ROW_ESTIMATE);
-        match (partition, keys) {
-            (Some(p), Some(k)) if p == col => (k as f64).max(1.0),
-            _ => (rows * 0.1).max(1.0),
-        }
-    }
-
-    /// Lower a bushy order: two independent left-deep subchains, each run
-    /// through the same backward/forward column passes as a plain chain
-    /// ([`lower_chain`]), meeting at a final rehash-merge stage.  The DAG
-    /// edges — a [`BranchScan`] rooting the second subchain and `out_to`
-    /// routes on both subchain tails — encode the shape for the engine,
-    /// which then evaluates both subchains concurrently within an epoch.
-    fn plan_join_bushy(
-        &self,
-        bound: &BoundSelect,
-        pieces: &MultiJoinPieces,
-        order_plan: &OrderPlan,
-    ) -> Result<PhysicalPlan, PlanError> {
-        let n = bound.relations.len();
-        let offsets = bound.offsets();
-        let bushy: &BushyChoice = order_plan.bushy.as_ref().expect("bushy plan");
-        let split = bushy.split;
-        let chain_a = &order_plan.order[..split];
-        let chain_b = &order_plan.order[split..];
-        let choices_a = &order_plan.stages[..split - 1];
-        let choices_b = &order_plan.stages[split - 1..];
-        let merge_stage = (n - 2) as u8;
-
-        // Residual conjuncts: within one subchain they run at that chain's
-        // earliest able stage; conjuncts crossing the chains run at the
-        // merge.
-        let rel_of = |g: usize| crate::plan::relation_of_column(&offsets[..n], g);
-        let mut posts_a: Vec<Vec<Expr>> = vec![Vec::new(); split - 1];
-        let mut posts_b: Vec<Vec<Expr>> = vec![Vec::new(); n - split - 1];
-        let mut merge_posts: Vec<Expr> = Vec::new();
-        if let Some(residual) = &pieces.residual {
-            let mut conjuncts = Vec::new();
-            split_conjuncts(residual.clone(), &mut conjuncts);
-            for c in conjuncts {
-                let rels: BTreeSet<usize> =
-                    c.referenced_columns().iter().map(|&g| rel_of(g)).collect();
-                let chain_stage = |chain: &[usize]| -> usize {
-                    rels.iter()
-                        .map(|&r| chain.iter().position(|&x| x == r).expect("rel is in chain"))
-                        .max()
-                        .unwrap_or(1)
-                        .saturating_sub(1)
-                        .min(chain.len() - 2)
-                };
-                if rels.iter().all(|r| chain_a.contains(r)) {
-                    let k = chain_stage(chain_a);
-                    posts_a[k].push(c);
-                } else if rels.iter().all(|r| chain_b.contains(r)) {
-                    let k = chain_stage(chain_b);
-                    posts_b[k].push(c);
-                } else {
-                    merge_posts.push(c);
-                }
-            }
-        }
-        for (k, choice) in choices_a.iter().enumerate() {
-            for &pi in &choice.extra_preds {
-                let (gl, gr) = bound.join_preds[pi].global(&offsets);
-                posts_a[k].push(Expr::col(gl).eq(Expr::col(gr)));
-            }
-        }
-        for (k, choice) in choices_b.iter().enumerate() {
-            for &pi in &choice.extra_preds {
-                let (gl, gr) = bound.join_preds[pi].global(&offsets);
-                posts_b[k].push(Expr::col(gl).eq(Expr::col(gr)));
-            }
-        }
-        for &pi in &bushy.extra_preds {
-            let (gl, gr) = bound.join_preds[pi].global(&offsets);
-            merge_posts.push(Expr::col(gl).eq(Expr::col(gr)));
-        }
-
-        // The merge key's endpoints, one global column per subchain.
-        let kp = &bound.join_preds[bushy.key_pred];
-        let (kp_l, kp_r) = kp.global(&offsets);
-        let (ga, gb) = if chain_a.contains(&kp.left_rel) { (kp_l, kp_r) } else { (kp_r, kp_l) };
-
-        // Columns the merge and the final projection/aggregate consume.
-        let final_cols: BTreeSet<usize> = match &bound.aggregate {
-            Some(agg) => agg
-                .group_exprs
-                .iter()
-                .chain(agg.aggs.iter().filter_map(|a| a.arg.as_ref()))
-                .flat_map(|e| e.referenced_columns())
-                .collect(),
-            None => bound.projections.iter().flat_map(|e| e.referenced_columns()).collect(),
-        };
-        let mut tail_need = final_cols.clone();
-        for c in &merge_posts {
-            tail_need.extend(c.referenced_columns());
-        }
-        tail_need.insert(ga);
-        tail_need.insert(gb);
-
-        let plan_a =
-            lower_chain(bound, &pieces.rel_filters, chain_a, choices_a, &posts_a, &tail_need);
-        let plan_b =
-            lower_chain(bound, &pieces.rel_filters, chain_b, choices_b, &posts_b, &tail_need);
-        let mut stages = plan_a.stages;
-        stages.last_mut().expect("chain A has a stage").out_to = Some((merge_stage, 0));
-        let b_root = stages.len();
-        stages.extend(plan_b.stages);
-        stages[b_root].left_scan = Some(BranchScan {
-            table: bound.relations[chain_b[0]].name.clone(),
-            filter: pieces.rel_filters[chain_b[0]].clone(),
-        });
-        stages.last_mut().expect("chain B has a stage").out_to = Some((merge_stage, 1));
-
-        // The merge stage: chain A's output is its side 0, chain B's its
-        // side 1; both keys and ship columns index the chains' output
-        // schemas.
-        let mut want: BTreeSet<usize> = final_cols;
-        for c in &merge_posts {
-            want.extend(c.referenced_columns());
-        }
-        let left_ship_cols: Vec<usize> =
-            (0..plan_a.out_map.len()).filter(|&i| want.contains(&plan_a.out_map[i])).collect();
-        let right_ship_cols: Vec<usize> =
-            (0..plan_b.out_map.len()).filter(|&i| want.contains(&plan_b.out_map[i])).collect();
-        let concat_map: Vec<usize> = left_ship_cols
-            .iter()
-            .map(|&i| plan_a.out_map[i])
-            .chain(right_ship_cols.iter().map(|&i| plan_b.out_map[i]))
-            .collect();
-        let remap = |g: usize| -> Expr {
-            Expr::col(
-                concat_map.iter().position(|&x| x == g).expect("every needed column is shipped"),
-            )
-        };
-        let post_filter =
-            conjoin(merge_posts.iter().map(|c| fold_expr(c).substitute_columns(&remap)).collect());
-        let left_key = Expr::col(
-            plan_a.out_map.iter().position(|&g| g == ga).expect("merge key is in chain A output"),
-        );
-        let right_key = Expr::col(
-            plan_b.out_map.iter().position(|&g| g == gb).expect("merge key is in chain B output"),
-        );
-        stages.push(JoinStage {
-            right_table: bound.relations[chain_b[0]].name.clone(),
-            left_key,
-            right_key,
-            right_filter: None,
-            post_filter,
-            left_ship_cols,
-            right_ship_cols,
-            out_cols: Vec::new(),
-            strategy: JoinStrategy::SymmetricHash,
-            inner_bloom: false,
-            bloom_bits: 0,
-            left_scan: None,
-            out_to: None,
-        });
-        let last_concat_map = concat_map;
-        let final_remap = |g: usize| -> Expr {
-            Expr::col(
-                last_concat_map
-                    .iter()
-                    .position(|&x| x == g)
-                    .expect("projected columns reach the merge stage"),
-            )
-        };
-
-        // EXPLAIN note: the bushy shape, one line per chain stage, and the
-        // merge rationale.
-        let names = |chain: &[usize]| {
-            chain.iter().map(|&r| bound.relations[r].name.as_str()).collect::<Vec<_>>().join(" ⋈ ")
-        };
-        let mut note = format!("join order: ({}) ⋈ ({}) [bushy]\n", names(chain_a), names(chain_b));
-        for (k, choice) in order_plan.stages.iter().enumerate() {
             note.push_str(&format!(
                 "stage {k} (⋈ '{}', ~{:.0} ⋈ ~{:.0} → ~{:.0} rows): {}\n",
                 bound.relations[choice.rel].name,
@@ -698,124 +266,157 @@ impl<'a> PhysicalPlanner<'a> {
                 choice.out_est,
                 choice.note
             ));
+        } else {
+            note.push_str(&choice.note);
+            note.push('\n');
         }
-        note.push_str(&format!("stage {merge_stage}: {}\n", bushy.note));
+    }
+    if let Some(b) = &bushy {
+        note.push_str(&format!("stage {}: {}\n", n - 2, b.note));
+    }
 
-        let (project, aggregate) = match &bound.aggregate {
-            Some(agg) => {
-                let group_exprs: Vec<Expr> = agg
-                    .group_exprs
-                    .iter()
-                    .map(|e| fold_expr(e).substitute_columns(&final_remap))
-                    .collect();
-                let aggs: Vec<AggExpr> = agg
-                    .aggs
-                    .iter()
-                    .map(|a| AggExpr {
-                        func: a.func,
-                        arg: a.arg.as_ref().map(|e| fold_expr(e).substitute_columns(&final_remap)),
-                        name: a.name.clone(),
-                    })
-                    .collect();
-                let having_above = match &agg.having {
-                    Some(h) => split_group_having(h, &agg.group_exprs).1,
-                    None => None,
-                };
-                let est_matches = bushy.out_est;
-                let est_groups: f64 = agg
-                    .group_exprs
-                    .iter()
-                    .map(|e| match e {
-                        Expr::Column(g) => self.distinct_of(bound, &offsets, n, *g),
-                        _ => 32.0,
-                    })
-                    .product::<f64>()
-                    .clamp(1.0, est_matches.max(1.0));
-                let hierarchical = agg.window.is_some() || est_groups < est_matches.max(1.0);
-                note.push_str(&if hierarchical {
-                    format!(
-                        "aggregation: hierarchical in-network partials \
-                         (~{est_groups:.0} groups compress ~{est_matches:.0} matched rows)"
-                    )
-                } else {
-                    format!(
-                        "aggregation: at origin over raw rows \
-                         (~{est_groups:.0} groups ≈ ~{est_matches:.0} matched rows, \
-                         partials would not compress)"
-                    )
-                });
-                note.push('\n');
-                let last = stages.last().expect("merge stage");
-                let key_pos = |key: &Expr, ship: &[usize], base: usize| -> Option<usize> {
-                    match key {
-                        Expr::Column(i) => ship.iter().position(|c| c == i).map(|p| base + p),
-                        _ => None,
+    // Terminal operator: the final projection for plain joins, or the
+    // aggregate whose placement (hierarchical partials vs raw-row streaming
+    // to the origin) is costed from the estimated group count versus the
+    // estimated matched-row count.
+    let (project, aggregate) = match &bound.aggregate {
+        Some(agg) => {
+            let group_exprs: Vec<Expr> = agg
+                .group_exprs
+                .iter()
+                .map(|e| fold_expr(e).substitute_columns(&final_remap))
+                .collect();
+            let aggs: Vec<AggExpr> = agg
+                .aggs
+                .iter()
+                .map(|a| AggExpr {
+                    func: a.func,
+                    arg: a.arg.as_ref().map(|e| fold_expr(e).substitute_columns(&final_remap)),
+                    name: a.name.clone(),
+                })
+                .collect();
+            // HAVING conjuncts over plain group columns were already pushed
+            // below the join by the optimizer (they reach the stages through
+            // `rel_filters` / the residual); only the conjuncts that need
+            // finalized aggregates stay here.
+            let having_above = match &agg.having {
+                Some(h) => split_group_having(h, &agg.group_exprs).1,
+                None => None,
+            };
+            // Placement cost: hierarchical partials ship at most one state
+            // per (group, node) and combine in-network, so they win whenever
+            // groups compress the matched rows; a group-per-row aggregate
+            // (distinct keys ≥ rows) would ship as many partial states as the
+            // raw rows, for no saving.
+            let est_groups: f64 = agg
+                .group_exprs
+                .iter()
+                .map(|e| match e {
+                    Expr::Column(g) => {
+                        let rel = rel_of(*g);
+                        distinct_values(planner, &bound.relations[rel].name, g - offsets[rel])
                     }
-                };
-                let left_pos = key_pos(&last.left_key, &last.left_ship_cols, 0);
-                let right_pos =
-                    key_pos(&last.right_key, &last.right_ship_cols, last.left_ship_cols.len());
-                let colocated = hierarchical
-                    && matches!(group_exprs.as_slice(),
-                        [Expr::Column(g)] if Some(*g) == left_pos || Some(*g) == right_pos);
-                if colocated {
-                    note.push_str(
-                        "aggregation: colocated with the merge stage \
-                         (GROUP BY = stage key; groups finalize at their join sites, \
-                         no partial climb)\n",
-                    );
+                    _ => 32.0,
+                })
+                .product::<f64>()
+                .clamp(1.0, est_matches.max(1.0));
+            // A windowed aggregate always runs hierarchically: the
+            // aggregation root is where per-epoch states are retained and
+            // merged into windows; raw-row streaming has no root.
+            let hierarchical = agg.window.is_some() || est_groups < est_matches.max(1.0);
+            note.push_str(&if hierarchical {
+                format!(
+                    "aggregation: hierarchical in-network partials \
+                     (~{est_groups:.0} groups compress ~{est_matches:.0} matched rows)"
+                )
+            } else {
+                format!(
+                    "aggregation: at origin over raw rows \
+                     (~{est_groups:.0} groups ≈ ~{est_matches:.0} matched rows, \
+                     partials would not compress)"
+                )
+            });
+            note.push('\n');
+            // Aggregate-aware stage keys: if the (single) grouping column
+            // *is* the terminal stage's join key — either endpoint, they are
+            // equal on every match — the symmetric rehash has already
+            // partitioned each group wholly onto one join site.  Sites then
+            // finalize their own groups in place and the partial climb up
+            // the aggregation tree is skipped.
+            let last = stages.last().expect("at least one stage");
+            let key_pos = |key: &Expr, ship: &[usize], base: usize| -> Option<usize> {
+                match key {
+                    Expr::Column(i) => ship.iter().position(|c| c == i).map(|p| base + p),
+                    _ => None,
                 }
-                let project: Vec<Expr> = (0..last_concat_map.len()).map(Expr::col).collect();
-                let aggregate = JoinAggregate {
-                    group_exprs,
-                    aggs,
-                    having: having_above.as_ref().map(fold_expr),
-                    final_project: agg.final_project.clone(),
-                    hierarchical,
-                    colocated,
-                    window: agg.window,
-                };
-                (project, Some(aggregate))
+            };
+            let left_pos = key_pos(&last.left_key, &last.left_ship_cols, 0);
+            let right_pos =
+                key_pos(&last.right_key, &last.right_ship_cols, last.left_ship_cols.len());
+            let colocated = hierarchical
+                && last.strategy == JoinStrategy::SymmetricHash
+                && matches!(group_exprs.as_slice(),
+                    [Expr::Column(g)] if Some(*g) == left_pos || Some(*g) == right_pos);
+            if colocated {
+                note.push_str(&format!(
+                    "aggregation: colocated with {terminal} \
+                     (GROUP BY = stage key; groups finalize at their join sites, \
+                     no partial climb)\n"
+                ));
             }
-            None => {
-                let project: Vec<Expr> = bound
-                    .projections
-                    .iter()
-                    .map(|e| fold_expr(e).substitute_columns(&final_remap))
-                    .collect();
-                (project, None)
-            }
-        };
+            // Identity projection over the terminal concat schema: the
+            // raw-row streaming baseline ships these rows whole.
+            let project: Vec<Expr> = (0..final_map.len()).map(Expr::col).collect();
+            let aggregate = JoinAggregate {
+                group_exprs,
+                aggs,
+                having: having_above.as_ref().map(fold_expr),
+                final_project: agg.final_project.clone(),
+                hierarchical,
+                colocated,
+                window: agg.window,
+            };
+            (project, Some(aggregate))
+        }
+        None => {
+            let project: Vec<Expr> = bound
+                .projections
+                .iter()
+                .map(|e| fold_expr(e).substitute_columns(&final_remap))
+                .collect();
+            (project, None)
+        }
+    };
 
-        Ok(PhysicalPlan {
-            kind: QueryKind::Join {
-                left_table: bound.relations[chain_a[0]].name.clone(),
-                left_filter: pieces.rel_filters[chain_a[0]].clone(),
-                stages,
-                project,
-                aggregate,
-                order_by: bound.order_by.clone(),
-                limit: bound.limit,
-            },
-            strategy_note: Some(note),
-        })
+    PhysicalPlan {
+        kind: QueryKind::Join {
+            left_table: bound.relations[order[0]].name.clone(),
+            left_filter: pieces.rel_filters[order[0]].clone(),
+            stages,
+            project,
+            aggregate,
+            order_by: bound.order_by.clone(),
+            limit: bound.limit,
+        },
+        strategy_note: Some(note),
     }
 }
 
-/// One lowered bushy subchain: its stage specs (chain-local order, DAG edges
-/// not yet stamped) and the global column ids of its output schema — the
-/// rows it rehashes to the merge stage.
+/// One lowered chain: its stage specs (chain-local order, DAG edges not yet
+/// stamped), the global column ids of its output schema (what its last
+/// stage's `out_cols` carry on to a merge), and of its last stage's concat
+/// schema (what a chain that ends the query projects from).
 struct ChainPlan {
     stages: Vec<JoinStage>,
     out_map: Vec<usize>,
+    concat_map: Vec<usize>,
 }
 
-/// Lower one left-deep subchain of a bushy plan: the same backward
-/// needed-column and forward ship-column passes the chain planner runs,
-/// except the last stage also emits `out_cols` (its output feeds the merge
-/// stage rather than the query projection).  `tail_need` is the global
-/// column set consumed after the chain (merge keys, merge post-filters, and
-/// the final projection/aggregate).
+/// Lower one left-deep chain: a backward pass threads the needed-column
+/// sets back from `tail_need` — the global columns consumed after the chain
+/// — so every stage ships only what later stages, their post-filters, or
+/// the consumer of the chain read; a forward pass then builds the stage
+/// specs, tracking the left input as a list of global column ids.
 fn lower_chain(
     bound: &BoundSelect,
     rel_filters: &[Option<Expr>],
@@ -825,87 +426,54 @@ fn lower_chain(
     tail_need: &BTreeSet<usize>,
 ) -> ChainPlan {
     let offsets = bound.offsets();
-    let num = chain.len() - 1;
-    let mut key_left_global = Vec::with_capacity(num);
-    let mut key_right_local = Vec::with_capacity(num);
-    for choice in choices {
-        let p = &bound.join_preds[choice.key_pred];
-        if p.left_rel == choice.rel {
-            key_right_local.push(p.left_col);
-            key_left_global.push(offsets[p.right_rel] + p.right_col);
-        } else {
-            key_right_local.push(p.right_col);
-            key_left_global.push(offsets[p.left_rel] + p.left_col);
-        }
-    }
     let span = |r: usize| offsets[r]..offsets[r] + bound.relations[r].schema.arity();
+    // Per-stage keys in global numbering: the key predicate's endpoint on
+    // the joined relation is the right key, the other endpoint (always on
+    // an earlier relation of the chain) the left key.
+    let keys: Vec<(usize, usize)> = choices
+        .iter()
+        .map(|choice| {
+            let p = &bound.join_preds[choice.key_pred];
+            let (l, r) = p.global(&offsets);
+            if p.left_rel == choice.rel {
+                (r, l)
+            } else {
+                (l, r)
+            }
+        })
+        .collect();
     let chain_cols: BTreeSet<usize> = chain.iter().flat_map(|&r| span(r)).collect();
     let available =
         |k: usize| -> BTreeSet<usize> { chain[..=k + 1].iter().flat_map(|&r| span(r)).collect() };
     let mut needed: BTreeSet<usize> = tail_need.intersection(&chain_cols).copied().collect();
-    let mut need_after: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); num];
-    for k in (0..num).rev() {
+    let mut need_after: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); choices.len()];
+    for k in (0..choices.len()).rev() {
         need_after[k] = needed.intersection(&available(k)).copied().collect();
         for c in &posts[k] {
             needed.extend(c.referenced_columns());
         }
-        needed.insert(key_left_global[k]);
+        needed.insert(keys[k].0);
     }
-    let drv = chain[0];
-    let mut left_map: Vec<usize> = span(drv).collect();
-    let mut stages = Vec::with_capacity(num);
-    for k in 0..num {
-        let choice = &choices[k];
-        let q = choice.rel;
-        let q_arity = bound.relations[q].schema.arity();
-        let is_fetch = choice.strategy == JoinStrategy::FetchMatches;
-        let mut want: BTreeSet<usize> = need_after[k].clone();
-        for c in &posts[k] {
-            want.extend(c.referenced_columns());
-        }
-        let (left_ship_cols, right_ship_cols): (Vec<usize>, Vec<usize>) = if is_fetch {
-            ((0..left_map.len()).collect(), (0..q_arity).collect())
-        } else {
-            (
-                (0..left_map.len()).filter(|&i| want.contains(&left_map[i])).collect(),
-                (0..q_arity).filter(|&c| want.contains(&(offsets[q] + c))).collect(),
-            )
-        };
-        let concat_map: Vec<usize> = left_ship_cols
-            .iter()
-            .map(|&i| left_map[i])
-            .chain(right_ship_cols.iter().map(|&c| offsets[q] + c))
-            .collect();
-        let remap = |g: usize| -> Expr {
-            Expr::col(
-                concat_map.iter().position(|&x| x == g).expect("every needed column is shipped"),
-            )
-        };
-        let post_filter =
-            conjoin(posts[k].iter().map(|c| fold_expr(c).substitute_columns(&remap)).collect());
-        let left_key = Expr::col(
-            left_map
-                .iter()
-                .position(|&g| g == key_left_global[k])
-                .expect("key column is part of the stage input"),
-        );
-        let right_key = Expr::col(key_right_local[k]);
+
+    let mut left_map: Vec<usize> = span(chain[0]).collect();
+    let mut concat_map = Vec::new();
+    let mut stages = Vec::with_capacity(choices.len());
+    for (k, choice) in choices.iter().enumerate() {
+        let right_map: Vec<usize> = span(choice.rel).collect();
+        // Fetch-Matches keeps full schemas: its right tuples are read whole
+        // from DHT storage and its left tuples never ship.
+        let ship_all = choice.strategy == JoinStrategy::FetchMatches;
+        let cols = stage_cols(&left_map, &right_map, keys[k], &posts[k], &need_after[k], ship_all);
         let next_map: Vec<usize> = need_after[k].iter().copied().collect();
-        let out_cols: Vec<usize> = next_map
-            .iter()
-            .map(|&g| {
-                concat_map.iter().position(|&x| x == g).expect("stage output columns are shipped")
-            })
-            .collect();
-        left_map = next_map;
+        let out_cols = next_map.iter().map(|&g| position(&cols.concat_map, g)).collect();
         stages.push(JoinStage {
-            right_table: bound.relations[q].name.clone(),
-            left_key,
-            right_key,
-            right_filter: rel_filters[q].clone(),
-            post_filter,
-            left_ship_cols,
-            right_ship_cols,
+            right_table: bound.relations[choice.rel].name.clone(),
+            left_key: cols.left_key,
+            right_key: cols.right_key,
+            right_filter: rel_filters[choice.rel].clone(),
+            post_filter: cols.post_filter,
+            left_ship_cols: cols.left_ship_cols,
+            right_ship_cols: cols.right_ship_cols,
             out_cols,
             strategy: choice.strategy,
             inner_bloom: choice.inner_bloom,
@@ -913,8 +481,65 @@ fn lower_chain(
             left_scan: None,
             out_to: None,
         });
+        left_map = next_map;
+        concat_map = cols.concat_map;
     }
-    ChainPlan { stages, out_map: left_map }
+    ChainPlan { stages, out_map: left_map, concat_map }
+}
+
+/// One stage's column plumbing: the shipped columns of each input, the
+/// concat schema they form (as global column ids), the keys, and the
+/// post-filter over that schema.
+struct StageCols {
+    left_ship_cols: Vec<usize>,
+    right_ship_cols: Vec<usize>,
+    concat_map: Vec<usize>,
+    left_key: Expr,
+    right_key: Expr,
+    post_filter: Option<Expr>,
+}
+
+/// Lower one stage whose inputs carry the global columns `left_map` and
+/// `right_map`, joined on the global `keys`: ship what `need` (the columns
+/// used after the stage) and the post-filter conjuncts `posts` read — or
+/// everything, when `ship_all`.
+fn stage_cols(
+    left_map: &[usize],
+    right_map: &[usize],
+    keys: (usize, usize),
+    posts: &[Expr],
+    need: &BTreeSet<usize>,
+    ship_all: bool,
+) -> StageCols {
+    let mut want = need.clone();
+    for c in posts {
+        want.extend(c.referenced_columns());
+    }
+    let ship = |map: &[usize]| -> Vec<usize> {
+        (0..map.len()).filter(|&i| ship_all || want.contains(&map[i])).collect()
+    };
+    let (left_ship_cols, right_ship_cols) = (ship(left_map), ship(right_map));
+    let concat_map: Vec<usize> = left_ship_cols
+        .iter()
+        .map(|&i| left_map[i])
+        .chain(right_ship_cols.iter().map(|&i| right_map[i]))
+        .collect();
+    let remap = |g: usize| Expr::col(position(&concat_map, g));
+    let post_filter =
+        conjoin(posts.iter().map(|c| fold_expr(c).substitute_columns(&remap)).collect());
+    StageCols {
+        left_key: Expr::col(position(left_map, keys.0)),
+        right_key: Expr::col(position(right_map, keys.1)),
+        left_ship_cols,
+        right_ship_cols,
+        concat_map,
+        post_filter,
+    }
+}
+
+/// Where global column `g` sits in a schema of global column ids.
+fn position(map: &[usize], g: usize) -> usize {
+    map.iter().position(|&x| x == g).expect("every needed column is shipped")
 }
 
 /// Estimated fraction of rows surviving a predicate (System-R style guesses);

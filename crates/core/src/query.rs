@@ -213,7 +213,9 @@ pub struct JoinStage {
     /// Bloom summary of the arrived keys, and `right_table`'s scan sites
     /// filter their rehash shipments through the combined summary before
     /// the wire.  A lost summary degrades to an unfiltered rehash after a
-    /// hold-down deadline — never wrong results, only more traffic.
+    /// hold-down deadline — never wrong results, only more traffic.  This
+    /// mark is the only switch: a spec with it cleared rehashes the stage's
+    /// right side eagerly and unfiltered.
     pub inner_bloom: bool,
     /// Planner-sized Bloom filter in bits for this stage's summary (stage-0
     /// `BloomFilter` strategy or `inner_bloom`), derived from the estimated

@@ -27,8 +27,6 @@ pub struct DhtConfig {
     pub storage_sweep_interval: Duration,
     /// Default time-to-live of stored items when the caller does not specify.
     pub default_ttl: Duration,
-    /// Number of additional successor replicas for each stored item.
-    pub replication_factor: usize,
     /// Maximum hops a routed message may take before being dropped (loop guard).
     pub max_route_hops: u8,
 }
@@ -44,7 +42,6 @@ impl Default for DhtConfig {
             failure_timeout: Duration::from_millis(3_000),
             storage_sweep_interval: Duration::from_secs(5),
             default_ttl: Duration::from_secs(120),
-            replication_factor: 1,
             max_route_hops: 64,
         }
     }
@@ -63,7 +60,6 @@ impl DhtConfig {
             failure_timeout: Duration::from_millis(800),
             storage_sweep_interval: Duration::from_millis(500),
             default_ttl: Duration::from_secs(60),
-            replication_factor: 1,
             max_route_hops: 64,
         }
     }
@@ -79,7 +75,6 @@ impl DhtConfig {
             failure_timeout: Duration::from_secs(6),
             storage_sweep_interval: Duration::from_secs(10),
             default_ttl: Duration::from_secs(300),
-            replication_factor: 2,
             max_route_hops: 64,
         }
     }
@@ -104,10 +99,5 @@ mod tests {
         let def = DhtConfig::default();
         assert!(fast.stabilize_interval < def.stabilize_interval);
         assert!(fast.failure_timeout < def.failure_timeout);
-    }
-
-    #[test]
-    fn planetlab_replicates() {
-        assert!(DhtConfig::planetlab().replication_factor >= 2);
     }
 }

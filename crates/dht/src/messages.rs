@@ -64,12 +64,12 @@ impl<P: WireSize> WireSize for WireItem<P> {
 /// The operation carried by a routed message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RouteBody<P> {
-    /// Store an item at the responsible node (PIER `put`).
+    /// Store an item at the responsible node (PIER `put`).  Items are not
+    /// replicated: durability comes from soft-state renewal, publishers
+    /// re-publishing within the TTL.
     Put {
         /// Item to store.
         item: WireItem<P>,
-        /// If true, replicate onto the responsible node's successors as well.
-        replicate: bool,
     },
     /// Fetch all items with the given `(namespace, resource)` (PIER `get`).
     Get {
@@ -101,7 +101,8 @@ pub enum RouteBody<P> {
 impl<P: WireSize> WireSize for RouteBody<P> {
     fn wire_size(&self) -> usize {
         match self {
-            RouteBody::Put { item, .. } => 1 + item.wire_size() + 1,
+            // Tag, item, and a flags byte.
+            RouteBody::Put { item } => 1 + item.wire_size() + 1,
             RouteBody::Get { key, .. } => 1 + key.wire_size() + 8 + 4,
             RouteBody::AppSend { key, payload } => 1 + key.wire_size() + payload.wire_size(),
             RouteBody::FindSuccessor { .. } => 1 + 8 + 4,
@@ -182,11 +183,6 @@ pub enum DhtMsg<P> {
         /// Nonce from the ping.
         nonce: u64,
     },
-    /// Replicas of items pushed to a successor.
-    Replicate {
-        /// Items to store locally as replicas.
-        items: Vec<WireItem<P>>,
-    },
     /// Items handed over to the node that now owns their keys (after a join).
     Handoff {
         /// Items to adopt.
@@ -234,9 +230,7 @@ impl<P: WireSize> WireSize for DhtMsg<P> {
                 }
                 DhtMsg::Notify { .. } => PEER_WIRE,
                 DhtMsg::Ping { .. } | DhtMsg::Pong { .. } => 8,
-                DhtMsg::Replicate { items } | DhtMsg::Handoff { items } => {
-                    4 + items.iter().map(|i| i.wire_size()).sum::<usize>()
-                }
+                DhtMsg::Handoff { items } => 4 + items.iter().map(|i| i.wire_size()).sum::<usize>(),
                 DhtMsg::GetReply { key, items, .. } => {
                     8 + key.wire_size()
                         + 4
@@ -321,10 +315,7 @@ mod tests {
         let routed: DhtMsg<u64> = DhtMsg::Route {
             target: Id::from_u64(1),
             hops: 0,
-            body: RouteBody::Put {
-                item: WireItem { key: key(), value: 99u64, ttl_us: 1 },
-                replicate: false,
-            },
+            body: RouteBody::Put { item: WireItem { key: key(), value: 99u64, ttl_us: 1 } },
         };
         assert!(small.wire_size() > 0);
         assert!(routed.wire_size() > small.wire_size());
@@ -354,7 +345,7 @@ mod tests {
     #[test]
     fn route_body_variants_have_distinct_sizes() {
         let put: RouteBody<u64> =
-            RouteBody::Put { item: WireItem { key: key(), value: 1, ttl_us: 0 }, replicate: true };
+            RouteBody::Put { item: WireItem { key: key(), value: 1, ttl_us: 0 } };
         let get: RouteBody<u64> = RouteBody::Get { key: key(), req_id: 0, origin: NodeAddr(0) };
         let app: RouteBody<u64> = RouteBody::AppSend { key: key(), payload: 9 };
         let find: RouteBody<u64> = RouteBody::FindSuccessor { req_id: 0, origin: NodeAddr(0) };

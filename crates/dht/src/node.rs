@@ -259,8 +259,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
         let ttl = ttl.unwrap_or(self.config.default_ttl);
         let item = WireItem { key, value, ttl_us: ttl.as_micros() };
         let target = item.key.routing_id();
-        let body = RouteBody::Put { item, replicate: self.config.replication_factor > 0 };
-        self.route(ctx, target, body, 0)
+        self.route(ctx, target, RouteBody::Put { item }, 0)
     }
 
     /// Store many items in the DHT with one coalesced submission: items whose
@@ -274,14 +273,13 @@ impl<P: Clone + WireSize> DhtNode<P> {
         ctx: &mut Context<DhtMsg<P>>,
         items: Vec<(ResourceKey, P, Option<Duration>)>,
     ) -> usize {
-        let replicate = self.config.replication_factor > 0;
         let envelopes: Vec<RouteEnvelope<P>> = items
             .into_iter()
             .map(|(key, value, ttl)| {
                 let ttl = ttl.unwrap_or(self.config.default_ttl);
                 let item = WireItem { key, value, ttl_us: ttl.as_micros() };
                 let target = item.key.routing_id();
-                RouteEnvelope { target, hops: 0, body: RouteBody::Put { item, replicate } }
+                RouteEnvelope { target, hops: 0, body: RouteBody::Put { item } }
             })
             .collect();
         self.route_many(ctx, envelopes)
@@ -435,12 +433,6 @@ impl<P: Clone + WireSize> DhtNode<P> {
             DhtMsg::Notify { candidate } => self.handle_notify(ctx, candidate),
             DhtMsg::Ping { nonce } => ctx.send(from, DhtMsg::Pong { nonce }),
             DhtMsg::Pong { .. } => { /* liveness recorded above */ }
-            DhtMsg::Replicate { items } => {
-                let now = ctx.now();
-                for item in items {
-                    self.store.put(item.key, item.value, now, Duration::from_micros(item.ttl_us));
-                }
-            }
             DhtMsg::Handoff { items } => {
                 let now = ctx.now();
                 for item in items {
@@ -661,16 +653,12 @@ impl<P: Clone + WireSize> DhtNode<P> {
         self.stats.deliveries += 1;
         self.stats.delivery_hops += hops as u64;
         match body {
-            RouteBody::Put { item, replicate } => {
+            RouteBody::Put { item } => {
                 let now = ctx.now();
                 let ttl = Duration::from_micros(item.ttl_us);
                 let is_new = self.store.put(item.key.clone(), item.value.clone(), now, ttl);
                 if is_new {
-                    self.upcalls
-                        .push(Upcall::NewItem { key: item.key.clone(), value: item.value.clone() });
-                }
-                if replicate {
-                    self.replicate_item(ctx, item);
+                    self.upcalls.push(Upcall::NewItem { key: item.key, value: item.value });
                 }
             }
             RouteBody::Get { key, req_id, origin } => {
@@ -689,19 +677,6 @@ impl<P: Clone + WireSize> DhtNode<P> {
             RouteBody::FindSuccessor { req_id, origin } => {
                 ctx.send(origin, DhtMsg::FoundSuccessor { req_id, successor: self.me, hops });
             }
-        }
-    }
-
-    fn replicate_item(&mut self, ctx: &mut Context<DhtMsg<P>>, item: WireItem<P>) {
-        let replicas: Vec<Peer> = self
-            .successors
-            .iter()
-            .filter(|p| p.addr != self.me.addr)
-            .take(self.config.replication_factor)
-            .copied()
-            .collect();
-        for peer in replicas {
-            ctx.send(peer.addr, DhtMsg::Replicate { items: vec![item.clone()] });
         }
     }
 
@@ -1037,7 +1012,6 @@ mod tests {
                     hops: 2,
                     body: RouteBody::Put {
                         item: WireItem { key: key.clone(), value: 11, ttl_us: 60_000_000 },
-                        replicate: false,
                     },
                 },
             );

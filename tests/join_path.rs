@@ -19,8 +19,8 @@
 
 use pier::core::dataflow::join::{probe_joined, JoinBuild};
 use pier::core::{
-    same_rows, BloomFilter, Catalog, Expr, JoinStrategy, Kernel, MemoryDb, Planner, QueryKind,
-    TableDef, TableStats,
+    same_rows, BloomFilter, Catalog, Expr, JoinStrategy, Kernel, MemoryDb, PlannedQuery, Planner,
+    QueryKind, TableDef, TableStats,
 };
 use pier::dht::{hash_node_addr, Id, ResourceKey};
 use pier::prelude::*;
@@ -225,10 +225,30 @@ fn publish_inner_workload(bed: &mut PierTestbed, match_hosts: &[String], extra_d
     bed.run_for(Duration::from_secs(4));
 }
 
-/// Submit `INNER_SQL`, run it, and return (rows, merged network trace).
-fn run_inner_query(bed: &mut PierTestbed, settle: Duration) -> (Vec<Tuple>, pier::core::OpTrace) {
+/// `INNER_SQL` as the origin plans it, with the planner's inner-Bloom mark
+/// kept, or cleared so the final stage's right side rehashes eagerly and
+/// unfiltered.
+fn inner_plan(inner_bloom: bool) -> PlannedQuery {
+    let stmt = pier::core::sql::parse_select(INNER_SQL).unwrap();
+    let mut planned = Planner::new(&skewed_catalog()).plan_select(&stmt).unwrap();
+    let QueryKind::Join { stages, .. } = &mut planned.kind else { panic!("expected a join") };
+    assert!(stages[1].inner_bloom, "the workload must arm the inner filter");
+    for stage in stages {
+        stage.inner_bloom &= inner_bloom;
+    }
+    planned
+}
+
+/// Submit `INNER_SQL` (inner Bloom on or off), run it, and return (rows,
+/// merged network trace).
+fn run_inner_query(
+    bed: &mut PierTestbed,
+    settle: Duration,
+    inner_bloom: bool,
+) -> (Vec<Tuple>, pier::core::OpTrace) {
     let origin = bed.nodes()[1];
-    let q = bed.submit_sql(origin, INNER_SQL).unwrap();
+    let planned = inner_plan(inner_bloom);
+    let q = bed.submit_query(origin, planned.kind, planned.output_names, None).unwrap();
     bed.run_for(settle);
     let rows = bed.results(origin, q, 0);
     bed.stop_query(origin, q);
@@ -298,13 +318,12 @@ fn bloom_false_positives_add_traffic_never_rows() {
 
     let run = |inner_bloom: bool| {
         let mut pier = PierConfig::fast_test();
-        pier.inner_bloom = inner_bloom;
         pier.bloom_bits_min = 512;
         pier.bloom_bits_max = 512;
         pier.bloom_fallback_delay = Duration::from_secs(10);
         let mut bed = inner_bed(10, 0x5EED, pier);
         publish_inner_workload(&mut bed, &match_hosts, &extra);
-        run_inner_query(&mut bed, Duration::from_secs(20))
+        run_inner_query(&mut bed, Duration::from_secs(20), inner_bloom)
     };
     let (rows_on, trace_on) = run(true);
     let (rows_off, _) = run(false);
@@ -333,11 +352,10 @@ fn hold_down_fallback_ships_unfiltered_but_identical_results() {
     let extra: Vec<String> = (0..24).map(|i| format!("zz{i}")).collect();
     let run = |inner_bloom: bool, fallback: Duration| {
         let mut pier = PierConfig::fast_test();
-        pier.inner_bloom = inner_bloom;
         pier.bloom_fallback_delay = fallback;
         let mut bed = inner_bed(10, 0xFA11, pier);
         publish_inner_workload(&mut bed, &match_hosts, &extra);
-        run_inner_query(&mut bed, Duration::from_secs(20))
+        run_inner_query(&mut bed, Duration::from_secs(20), inner_bloom)
     };
     // A deadline far shorter than the summarize/combine/broadcast handshake:
     // every right-relation scan site must give up waiting and rehash
@@ -490,15 +508,11 @@ fn crash_of_summary_holder_mid_handshake_keeps_later_epochs_identical() {
     let extra: Vec<String> = (0..30).map(|i| format!("zz{i}")).collect();
     let run = |inner_bloom: bool| {
         let mut pier = PierConfig::fast_test();
-        pier.inner_bloom = inner_bloom;
         pier.bloom_fallback_delay = Duration::from_secs(8);
         let mut bed = inner_bed(14, 0xDEAD, pier);
         publish_inner_workload(&mut bed, &match_hosts, &extra);
         let origin = bed.nodes()[1];
-        let stmt = pier::core::sql::parse_select(INNER_SQL).unwrap();
-        let planned = Planner::new(&skewed_catalog()).plan_select(&stmt).unwrap();
-        let QueryKind::Join { stages, .. } = &planned.kind else { panic!("expected a join") };
-        assert!(stages[1].inner_bloom, "the workload must arm the inner filter");
+        let planned = inner_plan(inner_bloom);
         // A wide window decouples re-evaluation from tuple age: every epoch
         // rescans the full (non-expired) store, so a post-crash epoch sees
         // the same workload epoch 0 did.
