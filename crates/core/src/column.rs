@@ -16,8 +16,6 @@
 
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
-use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
 
 /// A packed validity (non-NULL) bitmap.
 #[derive(Clone, Debug, PartialEq)]
@@ -257,76 +255,6 @@ impl Column {
         }
     }
 
-    /// Hash row `i` exactly as `Value::hash` would hash the materialized
-    /// value, so columnar group keys collide with row-path `GroupKey`s.
-    #[inline]
-    pub fn hash_row<H: Hasher>(&self, i: usize, state: &mut H) {
-        if !self.is_valid(i) {
-            0u8.hash(state);
-            return;
-        }
-        match &self.data {
-            ColumnData::Int(v) => {
-                2u8.hash(state);
-                (v[i] as f64).to_bits().hash(state);
-            }
-            ColumnData::Float(v) => {
-                2u8.hash(state);
-                v[i].to_bits().hash(state);
-            }
-            ColumnData::Bool(v) => {
-                1u8.hash(state);
-                v[i].hash(state);
-            }
-            ColumnData::Str(v) => {
-                3u8.hash(state);
-                v[i].hash(state);
-            }
-            ColumnData::Mixed(v) => v[i].hash(state),
-        }
-    }
-
-    /// A fast, deterministic intra-batch pre-grouping hash of row `i`,
-    /// chained onto `seed` for multi-column keys.  Unlike
-    /// [`Column::hash_row`] this does **not** match `Value::hash` — it only
-    /// buckets rows within one batch, where every collision is verified
-    /// with [`Column::rows_eq`] — so a cheap multiplicative mix replaces
-    /// SipHash.  Numeric identity (`Int(3)` groups with `Float(3.0)` in a
-    /// `Mixed` column) is preserved by hashing `f64` bits.
-    #[inline]
-    pub fn pregroup_hash(&self, i: usize, seed: u64) -> u64 {
-        #[inline]
-        fn mix(h: u64, x: u64) -> u64 {
-            (h ^ x).rotate_left(23).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        }
-        fn str_bits(s: &str) -> u64 {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let bytes = s.as_bytes();
-            for chunk in bytes.chunks(8) {
-                let mut word = [0u8; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                h = mix(h, u64::from_le_bytes(word));
-            }
-            mix(h, bytes.len() as u64)
-        }
-        if !self.is_valid(i) {
-            return mix(seed, 0x6e75_6c6c);
-        }
-        match &self.data {
-            ColumnData::Int(v) => mix(seed, (v[i] as f64).to_bits()),
-            ColumnData::Float(v) => mix(seed, v[i].to_bits()),
-            ColumnData::Bool(v) => mix(seed, 0x0b00 + v[i] as u64),
-            ColumnData::Str(v) => mix(seed, str_bits(&v[i])),
-            ColumnData::Mixed(v) => match &v[i] {
-                Value::Int(x) => mix(seed, (*x as f64).to_bits()),
-                Value::Float(x) => mix(seed, x.to_bits()),
-                Value::Bool(b) => mix(seed, 0x0b00 + *b as u64),
-                Value::Str(s) => mix(seed, str_bits(s)),
-                Value::Null => mix(seed, 0x6e75_6c6c),
-            },
-        }
-    }
-
     /// Gather rows by index into a new column: output row `p` holds this
     /// column's row `idx[p]`.  The workhorse of the vectorized join probe —
     /// cross products are expressed as two gathers (an outer repeat of the
@@ -334,9 +262,11 @@ impl Column {
     /// `Value` clones and tuple concatenations.
     pub fn gather(&self, idx: &[u32]) -> Column {
         let mut validity = Bitmap::all_valid(idx.len());
-        for (p, &i) in idx.iter().enumerate() {
-            if !self.validity.get(i as usize) {
-                validity.set(p, false);
+        if !self.validity.all_are_valid() {
+            for (p, &i) in idx.iter().enumerate() {
+                if !self.validity.get(i as usize) {
+                    validity.set(p, false);
+                }
             }
         }
         let data = match &self.data {
@@ -414,25 +344,6 @@ impl Column {
             ColumnData::Mixed(_) => unreachable!("mixed parts take the materializing path"),
         };
         Column { data, validity }
-    }
-
-    /// Do rows `i` and `j` hold equal values, under `Value`'s equality
-    /// (NULL == NULL here — this is grouping equality, not SQL `=`)?
-    #[inline]
-    pub fn rows_eq(&self, i: usize, j: usize) -> bool {
-        match (self.is_valid(i), self.is_valid(j)) {
-            (false, false) => true,
-            (true, true) => match &self.data {
-                ColumnData::Int(v) => v[i] == v[j],
-                ColumnData::Float(v) => {
-                    v[i].partial_cmp(&v[j]).unwrap_or(Ordering::Equal) == Ordering::Equal
-                }
-                ColumnData::Bool(v) => v[i] == v[j],
-                ColumnData::Str(v) => v[i] == v[j],
-                ColumnData::Mixed(v) => v[i] == v[j],
-            },
-            _ => false,
-        }
     }
 }
 
@@ -662,47 +573,6 @@ mod tests {
         let n = Column::from_values(vec![Value::Null, Value::Null]);
         assert_eq!(n.value_at(0), Value::Null);
         assert_eq!(n.len(), 2);
-    }
-
-    #[test]
-    fn hash_agrees_with_value_hash() {
-        use std::collections::hash_map::DefaultHasher;
-        let values = vec![
-            Value::Int(3),
-            Value::Float(3.0),
-            Value::Null,
-            Value::str("h7"),
-            Value::Bool(true),
-        ];
-        let col = Column::from_values(values.clone());
-        for (i, v) in values.iter().enumerate() {
-            let mut a = DefaultHasher::new();
-            col.hash_row(i, &mut a);
-            let mut b = DefaultHasher::new();
-            v.hash(&mut b);
-            assert_eq!(a.finish(), b.finish(), "row {i} ({v:?})");
-        }
-        // Int(3) and Float(3.0) hash identically (numeric identity).
-        let mut a = DefaultHasher::new();
-        col.hash_row(0, &mut a);
-        let mut b = DefaultHasher::new();
-        col.hash_row(1, &mut b);
-        assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn rows_eq_matches_value_eq() {
-        let col = Column::from_values(vec![
-            Value::Int(5),
-            Value::Int(5),
-            Value::Int(6),
-            Value::Null,
-            Value::Null,
-        ]);
-        assert!(col.rows_eq(0, 1));
-        assert!(!col.rows_eq(0, 2));
-        assert!(col.rows_eq(3, 4), "grouping treats NULLs as equal");
-        assert!(!col.rows_eq(0, 3));
     }
 
     #[test]

@@ -144,7 +144,9 @@ pub(super) fn having_top_k(
     (rows, alert_rows)
 }
 
-/// ORDER BY, then LIMIT (a stable sort, so ties keep their input order).
+/// ORDER BY, then LIMIT.  Rows tied on every sort key order by their whole
+/// row ([`compare_on`](crate::dataflow::ops::compare_on)), so the rows kept
+/// do not depend on arrival order.
 pub(super) fn sort_limit(rows: &mut Vec<Tuple>, order_by: &[SortKey], limit: Option<usize>) {
     if !order_by.is_empty() {
         sort_tuples(rows, order_by);

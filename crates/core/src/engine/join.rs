@@ -140,24 +140,11 @@ impl PierNode {
             (&st.right_key, &st.right_ship_cols)
         };
         let namespace = join_namespace(id, stage);
-        // One kernel evaluation over the whole input batch computes every
-        // row's join key (the stage's key kernel is compiled once per spec
-        // and cached on the query).
-        let kern = if rows.len() > 1 { self.query_kernels(id) } else { None };
-        let keys: Vec<Value> = match kern.as_deref().and_then(|c| c.stage_key(stage as usize, side))
-        {
-            Some(k) => {
-                let batch = ColumnarBatch::from_rows(&rows);
-                let col = k.eval(&batch, &batch.full_selection());
-                (0..rows.len()).map(|j| col.value_at(j)).collect()
-            }
-            None => rows.iter().map(|r| key_expr.eval(r)).collect(),
-        };
         let pairs = rows
             .iter()
-            .zip(keys)
-            .filter(|(_, key)| !key.is_null())
-            .map(|(row, key)| (key, row.project(ship_cols)));
+            .map(|row| (key_expr.eval(row), row))
+            .filter(|(key, _)| !key.is_null())
+            .map(|(key, row)| (key, row.project(ship_cols)));
         let mut items = Vec::new();
         let mut shipped = 0u64;
         for (key, group) in group_by_key(pairs) {

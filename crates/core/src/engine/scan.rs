@@ -30,14 +30,13 @@ pub(super) struct CompiledKernels {
     pub(super) filter: Option<Kernel>,
     /// `Select` projection kernels.
     project: Vec<Kernel>,
-    /// Per join stage: `[left key, right key]` plus the pushed-down
-    /// scan filters.
+    /// Per join stage: the pushed-down scan filters and the residual
+    /// predicate.
     pub(super) stages: Vec<StageKernels>,
 }
 
 #[derive(Debug)]
 pub(super) struct StageKernels {
-    keys: [Kernel; 2],
     pub(super) right_filter: Option<Kernel>,
     /// The pushed-down filter of a bushy subchain root's own left scan
     /// ([`BranchScan::filter`](crate::query::BranchScan)).
@@ -64,7 +63,6 @@ impl CompiledKernels {
                 stages: stages
                     .iter()
                     .map(|s| StageKernels {
-                        keys: [Kernel::compile(&s.left_key), Kernel::compile(&s.right_key)],
                         right_filter: s.right_filter.as_ref().map(Kernel::compile),
                         scan_filter: s
                             .left_scan
@@ -77,11 +75,6 @@ impl CompiledKernels {
             },
             QueryKind::Recursive { .. } => CompiledKernels::default(),
         }
-    }
-
-    /// The join-key kernel of one stage side (0 = left, 1 = right).
-    pub(super) fn stage_key(&self, stage: usize, side: u8) -> Option<&Kernel> {
-        self.stages.get(stage).map(|s| &s.keys[side as usize])
     }
 
     /// The pushed-down right-side filter of one stage.

@@ -101,7 +101,7 @@ impl Kernel {
     pub fn eval(&self, batch: &ColumnarBatch, sel: &[u32]) -> Column {
         match self {
             Kernel::Column(i) => match batch.column(*i) {
-                Some(col) => gather(col, sel),
+                Some(col) => col.gather(sel),
                 None => Column::nulls(sel.len()),
             },
             Kernel::Literal(v) => broadcast(v, sel.len()),
@@ -191,80 +191,6 @@ impl Kernel {
         }
         out
     }
-}
-
-/// Materialize `col[sel]` as a dense column.
-fn gather(col: &Column, sel: &[u32]) -> Column {
-    let n = sel.len();
-    let mut validity = Bitmap::all_valid(n);
-    if col.validity.all_are_valid() {
-        let data = match &col.data {
-            ColumnData::Int(v) => ColumnData::Int(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float(v) => ColumnData::Float(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Bool(v) => ColumnData::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Str(v) => {
-                ColumnData::Str(sel.iter().map(|&i| v[i as usize].clone()).collect())
-            }
-            ColumnData::Mixed(v) => {
-                ColumnData::Mixed(sel.iter().map(|&i| v[i as usize].clone()).collect())
-            }
-        };
-        return Column { data, validity };
-    }
-    let data = match &col.data {
-        ColumnData::Int(v) => {
-            let mut out = Vec::with_capacity(n);
-            for (j, &i) in sel.iter().enumerate() {
-                if col.validity.get(i as usize) {
-                    out.push(v[i as usize]);
-                } else {
-                    validity.set(j, false);
-                    out.push(0);
-                }
-            }
-            ColumnData::Int(out)
-        }
-        ColumnData::Float(v) => {
-            let mut out = Vec::with_capacity(n);
-            for (j, &i) in sel.iter().enumerate() {
-                if col.validity.get(i as usize) {
-                    out.push(v[i as usize]);
-                } else {
-                    validity.set(j, false);
-                    out.push(0.0);
-                }
-            }
-            ColumnData::Float(out)
-        }
-        ColumnData::Bool(v) => {
-            let mut out = Vec::with_capacity(n);
-            for (j, &i) in sel.iter().enumerate() {
-                if col.validity.get(i as usize) {
-                    out.push(v[i as usize]);
-                } else {
-                    validity.set(j, false);
-                    out.push(false);
-                }
-            }
-            ColumnData::Bool(out)
-        }
-        ColumnData::Str(v) => {
-            let mut out = Vec::with_capacity(n);
-            for (j, &i) in sel.iter().enumerate() {
-                if col.validity.get(i as usize) {
-                    out.push(v[i as usize].clone());
-                } else {
-                    validity.set(j, false);
-                    out.push(String::new());
-                }
-            }
-            ColumnData::Str(out)
-        }
-        ColumnData::Mixed(v) => {
-            ColumnData::Mixed(sel.iter().map(|&i| v[i as usize].clone()).collect())
-        }
-    };
-    Column { data, validity }
 }
 
 /// A column of `n` copies of a constant.

@@ -197,6 +197,21 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// [`Value::total_cmp`] as `Ord`, which agrees with `Eq`: `Int(3)` equals
+/// `Float(3.0)`, and NaN and `-0.0` are canonical.  Grouped aggregation keys
+/// its groups by it, and `ORDER BY` breaks ties with it.
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Hash must agree with `partition_string`-style identity.
@@ -368,6 +383,27 @@ mod tests {
         assert_ne!(nan, Value::Float(5.0));
         set.insert(nan.clone());
         assert!(set.contains(&Value::Float(-f64::NAN)));
+    }
+
+    #[test]
+    fn ord_agrees_with_eq() {
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::str("a"),
+        ];
+        for a in &values {
+            for b in &values {
+                assert_eq!(a.cmp(b) == Ordering::Equal, a == b, "{a:?} vs {b:?}");
+            }
+        }
+        assert!(vec![Value::Int(1), Value::str("z")] < vec![Value::Float(1.5)]);
     }
 
     #[test]

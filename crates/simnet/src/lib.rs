@@ -20,8 +20,9 @@
 //! Higher layers (`pier-dht` and `pier-core`) implement protocol logic as
 //! [`Node`] state machines; the simulator owns them and drives the event loop.
 //!
-//! The simulation is fully deterministic: the same seed and the same schedule
-//! of external stimuli produce bit-identical traces.
+//! The simulation is fully deterministic: the same seed, the same schedule of
+//! external stimuli and deterministic node handlers produce the same sequence
+//! of events, and so the same [metrics](metrics::Metrics).
 //!
 //! ## Quick example
 //!
@@ -64,7 +65,6 @@ pub mod rng;
 pub mod sim;
 pub mod testkit;
 pub mod time;
-pub mod trace;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use latency::LatencyModel;
@@ -74,4 +74,3 @@ pub use node::{Context, Node, NodeAddr, TimerId, WireSize};
 pub use rng::DetRng;
 pub use sim::{SimConfig, Simulation};
 pub use time::{Duration, SimTime};
-pub use trace::{TraceEvent, TraceLog};

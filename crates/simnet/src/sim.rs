@@ -14,7 +14,6 @@ use crate::metrics::Metrics;
 use crate::node::{Action, Context, Node, NodeAddr, TimerId, WireSize};
 use crate::rng::DetRng;
 use crate::time::{Duration, SimTime};
-use crate::trace::{TraceEvent, TraceLog};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -27,8 +26,6 @@ pub struct SimConfig {
     pub latency: LatencyModel,
     /// Message loss model.
     pub loss: LossModel,
-    /// If non-zero, record up to this many trace events.
-    pub trace_capacity: usize,
     /// Safety valve: abort `run_until` after this many events (0 = unlimited).
     pub max_events_per_run: u64,
 }
@@ -39,7 +36,6 @@ impl Default for SimConfig {
             seed: 0xC0FFEE,
             latency: LatencyModel::default(),
             loss: LossModel::None,
-            trace_capacity: 0,
             max_events_per_run: 0,
         }
     }
@@ -103,7 +99,6 @@ pub struct Simulation<N: Node> {
     next_timer_id: u64,
     net_rng: DetRng,
     metrics: Metrics,
-    trace: TraceLog,
 }
 
 impl<N: Node> Simulation<N> {
@@ -111,11 +106,6 @@ impl<N: Node> Simulation<N> {
     /// address; it is reused when churned nodes restart.
     pub fn new(config: SimConfig, factory: impl FnMut(NodeAddr) -> N + 'static) -> Self {
         let root = DetRng::new(config.seed);
-        let trace = if config.trace_capacity > 0 {
-            TraceLog::with_capacity(config.trace_capacity)
-        } else {
-            TraceLog::disabled()
-        };
         Simulation {
             net_rng: root.stream(0xFACE),
             factory: Box::new(factory),
@@ -127,7 +117,6 @@ impl<N: Node> Simulation<N> {
             seq: 0,
             next_timer_id: 0,
             metrics: Metrics::new(),
-            trace,
             config,
         }
     }
@@ -140,7 +129,6 @@ impl<N: Node> Simulation<N> {
         let rng = DetRng::new(self.config.seed).stream(0x1000 + addr.0 as u64);
         self.nodes.push(NodeSlot { handler, rng, alive: true, incarnation: 0 });
         self.metrics.on_node_start();
-        self.trace.push(TraceEvent::NodeUp { at: self.now, node: addr });
         self.run_handler(addr, HandlerCall::Start);
         addr
     }
@@ -196,11 +184,6 @@ impl<N: Node> Simulation<N> {
         &mut self.metrics
     }
 
-    /// Recorded trace events (empty unless `trace_capacity > 0`).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
     /// Install a network partition.
     pub fn set_partition(&mut self, partitions: PartitionSet) {
         self.partitions = partitions;
@@ -248,7 +231,6 @@ impl<N: Node> Simulation<N> {
         slot.alive = false;
         slot.incarnation += 1;
         self.metrics.on_node_stop();
-        self.trace.push(TraceEvent::NodeDown { at: self.now, node: addr });
     }
 
     /// Restart a dead node immediately with a fresh handler from the factory.
@@ -260,7 +242,6 @@ impl<N: Node> Simulation<N> {
         slot.handler = (self.factory)(addr);
         slot.alive = true;
         self.metrics.on_node_start();
-        self.trace.push(TraceEvent::NodeUp { at: self.now, node: addr });
         self.run_handler(addr, HandlerCall::Start);
     }
 
@@ -333,12 +314,10 @@ impl<N: Node> Simulation<N> {
             EventKind::Deliver { from, to, msg, sent_at, bytes } => {
                 if !self.is_alive(to) {
                     self.metrics.on_drop_dead();
-                    self.trace.push(TraceEvent::DropDead { at: self.now, from, to });
                     return;
                 }
                 let latency = self.now.saturating_since(sent_at);
                 self.metrics.on_deliver(bytes, latency.as_micros());
-                self.trace.push(TraceEvent::Deliver { at: self.now, from, to, bytes });
                 self.run_handler(to, HandlerCall::Message { from, msg });
             }
             EventKind::Timer { node, id, token, incarnation } => {
@@ -351,7 +330,6 @@ impl<N: Node> Simulation<N> {
                     return;
                 }
                 self.metrics.on_timer_fired();
-                self.trace.push(TraceEvent::TimerFired { at: self.now, node, token });
                 self.run_handler(node, HandlerCall::Timer { token });
             }
             EventKind::NodeDown { node } => {
@@ -396,7 +374,6 @@ impl<N: Node> Simulation<N> {
                         || self.config.loss.drops(&mut self.net_rng, from, to)
                     {
                         self.metrics.on_drop_loss();
-                        self.trace.push(TraceEvent::DropLoss { at: self.now, from, to });
                         continue;
                     }
                     let delay = self.config.latency.sample(&mut self.net_rng, from, to);
@@ -648,23 +625,5 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
         assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn trace_records_when_enabled() {
-        let peers = 2u32;
-        let mut sim = Simulation::new(
-            SimConfig {
-                seed: 13,
-                latency: LatencyModel::Constant(Duration::from_millis(1)),
-                trace_capacity: 1000,
-                ..Default::default()
-            },
-            move |_| PingNode { peers, pings_received: 0, pongs_received: 0, ticks: 0 },
-        );
-        sim.add_nodes(2);
-        sim.run_for(Duration::from_millis(500));
-        assert!(sim.trace().count_if(|e| matches!(e, TraceEvent::Deliver { .. })) > 0);
-        assert_eq!(sim.trace().count_if(|e| matches!(e, TraceEvent::NodeUp { .. })), 2);
     }
 }
