@@ -26,7 +26,9 @@
 use pier_apps::netmon::netstats_table;
 use pier_apps::snort::intrusions_table;
 use pier_apps::topology::links_table;
-use pier_bench::{env_parse, fmt_thousands, host, skewed_workload, SkewedWorkload};
+use pier_bench::{
+    env_parse, fmt_thousands, host, skewed_workload, write_bench_json, Json, SkewedWorkload,
+};
 use pier_core::prelude::*;
 use pier_core::{same_rows, Catalog, Planner, QueryKind, TableStats};
 
@@ -333,12 +335,6 @@ fn run_bushy_mode(nodes: usize, seed: u64, planned: &pier_core::PlannedQuery) ->
 
 // ---------------------------------------------------------------------
 
-fn json_strings(items: &[String]) -> String {
-    let quoted: Vec<String> =
-        items.iter().map(|s| format!("\"{}\"", s.replace('"', "'"))).collect();
-    format!("[{}]", quoted.join(", "))
-}
-
 fn main() {
     let nodes: usize = env_parse("PIER_NODES", 40);
     let seed: u64 = env_parse("PIER_SEED", 1);
@@ -422,41 +418,45 @@ fn main() {
     println!("messages improvement                 : {bushy_ratio:.2}x");
     println!("results identical                    : {bushy_identical}");
 
-    let json = format!(
-        "{{\n  \"workload\": {{\"nodes\": {nodes}, \"seed\": {seed}, \
-         \"feedback_query\": \"{}\", \"bushy_query\": \"{}\"}},\n  \
-         \"feedback\": {{\"static_window_messages\": {}, \"fed_window_messages\": {}, \
-         \"static_total_messages\": {}, \"fed_total_messages\": {}, \
-         \"replans\": {}, \"flip_epoch\": {flip}, \"epochs_compared\": {compared}, \
-         \"switches\": {}, \
-         \"static_wall_clock_ms\": {}, \"fed_wall_clock_ms\": {}}},\n  \
-         \"bushy\": {{\"left_deep_messages\": {}, \"bushy_messages\": {}, \
-         \"left_deep_join_tuples\": {}, \"bushy_join_tuples\": {}, \
-         \"order\": {}, \"result_rows\": {}, \
-         \"left_deep_wall_clock_ms\": {}, \"bushy_wall_clock_ms\": {}}},\n  \
-         \"feedback_messages_ratio\": {feedback_ratio:.3},\n  \
-         \"bushy_messages_ratio\": {bushy_ratio:.3},\n  \
-         \"results_identical\": {identical}\n}}\n",
-        FEEDBACK_SQL.replace('"', "'"),
-        BUSHY_SQL.replace('"', "'"),
-        static_run.window_messages,
-        fed_run.window_messages,
-        static_run.total_messages,
-        fed_run.total_messages,
-        fed_run.replans,
-        json_strings(&fed_run.switches),
-        static_run.wall_ms,
-        fed_run.wall_ms,
-        ld.messages,
-        bu.messages,
-        ld.join_tuples,
-        bu.join_tuples,
-        json_strings(&bu.order),
-        bu.rows.len(),
-        ld.wall_ms,
-        bu.wall_ms,
+    let workload = vec![
+        ("nodes", nodes.into()),
+        ("seed", seed.into()),
+        ("feedback_query", FEEDBACK_SQL.into()),
+        ("bushy_query", BUSHY_SQL.into()),
+    ];
+    let feedback = vec![
+        ("static_window_messages", static_run.window_messages.into()),
+        ("fed_window_messages", fed_run.window_messages.into()),
+        ("static_total_messages", static_run.total_messages.into()),
+        ("fed_total_messages", fed_run.total_messages.into()),
+        ("replans", fed_run.replans.into()),
+        ("flip_epoch", flip.into()),
+        ("epochs_compared", compared.into()),
+        ("switches", fed_run.switches.as_slice().into()),
+        ("static_wall_clock_ms", static_run.wall_ms.into()),
+        ("fed_wall_clock_ms", fed_run.wall_ms.into()),
+    ];
+    let bushy = vec![
+        ("left_deep_messages", ld.messages.into()),
+        ("bushy_messages", bu.messages.into()),
+        ("left_deep_join_tuples", ld.join_tuples.into()),
+        ("bushy_join_tuples", bu.join_tuples.into()),
+        ("order", bu.order.as_slice().into()),
+        ("result_rows", bu.rows.len().into()),
+        ("left_deep_wall_clock_ms", ld.wall_ms.into()),
+        ("bushy_wall_clock_ms", bu.wall_ms.into()),
+    ];
+    write_bench_json(
+        "BENCH_adaptive.json",
+        vec![
+            ("workload", Json::Object(workload)),
+            ("feedback", Json::Object(feedback)),
+            ("bushy", Json::Object(bushy)),
+            ("feedback_messages_ratio", Json::Ratio(feedback_ratio)),
+            ("bushy_messages_ratio", Json::Ratio(bushy_ratio)),
+            ("results_identical", identical.into()),
+        ],
     );
-    std::fs::write("BENCH_adaptive.json", &json).expect("write BENCH_adaptive.json");
     eprintln!("[adaptive] wrote BENCH_adaptive.json");
 
     assert!(identical, "a plan change altered a query answer");

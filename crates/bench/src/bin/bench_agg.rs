@@ -29,7 +29,8 @@ use pier_apps::netmon::netstats_table;
 use pier_apps::snort::intrusions_table;
 use pier_apps::topology::links_table;
 use pier_bench::{
-    env_parse, experiment_config, fmt_thousands, skewed_catalog, skewed_workload, SkewedWorkload,
+    env_parse, experiment_config, fmt_thousands, skewed_catalog, skewed_workload, write_bench_json,
+    Json, SkewedWorkload,
 };
 use pier_core::engine::EngineStats;
 use pier_core::prelude::*;
@@ -106,20 +107,17 @@ fn run_mode(nodes: usize, seed: u64, hierarchical: bool) -> RunOutcome {
     RunOutcome { stats, rows: bed.results(origin, q, 0), wall_ms: started.elapsed().as_millis() }
 }
 
-fn mode_json(r: &RunOutcome) -> String {
-    format!(
-        "{{\"messages_sent\": {}, \"bytes_shipped\": {}, \"join_tuples_sent\": {}, \
-         \"join_matches\": {}, \"results_sent\": {}, \"partials_sent\": {}, \
-         \"group_rows\": {}, \"wall_clock_ms\": {}}}",
-        r.stats.messages_sent,
-        r.stats.bytes_shipped,
-        r.stats.join_tuples_sent,
-        r.stats.join_matches,
-        r.stats.results_sent,
-        r.stats.partials_sent,
-        r.rows.len(),
-        r.wall_ms,
-    )
+fn mode_json(r: &RunOutcome) -> Json {
+    Json::Object(vec![
+        ("messages_sent", r.stats.messages_sent.into()),
+        ("bytes_shipped", r.stats.bytes_shipped.into()),
+        ("join_tuples_sent", r.stats.join_tuples_sent.into()),
+        ("join_matches", r.stats.join_matches.into()),
+        ("results_sent", r.stats.results_sent.into()),
+        ("partials_sent", r.stats.partials_sent.into()),
+        ("group_rows", r.rows.len().into()),
+        ("wall_clock_ms", r.wall_ms.into()),
+    ])
 }
 
 fn main() {
@@ -157,16 +155,18 @@ fn main() {
     println!("bytes-shipped improvement        : {byte_ratio:.2}x");
     println!("group results identical          : {identical}");
 
-    let json = format!(
-        "{{\n  \"workload\": {{\"nodes\": {nodes}, \"seed\": {seed}, \"query\": \"{}\"}},\n  \
-         \"hierarchical\": {},\n  \"raw_stream\": {},\n  \
-         \"result_path_messages_ratio\": {result_msg_ratio:.3},\n  \
-         \"bytes_ratio\": {byte_ratio:.3},\n  \"results_identical\": {identical}\n}}\n",
-        AGG_SQL.replace('"', "'"),
-        mode_json(&hier),
-        mode_json(&raw),
+    let workload = vec![("nodes", nodes.into()), ("seed", seed.into()), ("query", AGG_SQL.into())];
+    write_bench_json(
+        "BENCH_agg.json",
+        vec![
+            ("workload", Json::Object(workload)),
+            ("hierarchical", mode_json(&hier)),
+            ("raw_stream", mode_json(&raw)),
+            ("result_path_messages_ratio", Json::Ratio(result_msg_ratio)),
+            ("bytes_ratio", Json::Ratio(byte_ratio)),
+            ("results_identical", identical.into()),
+        ],
     );
-    std::fs::write("BENCH_agg.json", &json).expect("write BENCH_agg.json");
     eprintln!("[agg] wrote BENCH_agg.json");
 
     assert!(identical, "aggregation placement changed the query's answer");

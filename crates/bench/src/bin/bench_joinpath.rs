@@ -13,7 +13,10 @@
 use pier_apps::netmon::netstats_table;
 use pier_apps::snort::intrusions_table;
 use pier_apps::topology::links_table;
-use pier_bench::{env_parse, experiment_config, skewed_catalog, skewed_workload, SkewedWorkload};
+use pier_bench::{
+    env_parse, experiment_config, skewed_catalog, skewed_workload, write_bench_json, Json,
+    SkewedWorkload,
+};
 use pier_core::prelude::*;
 use pier_core::trace::OpTrace;
 use pier_core::{same_rows, Catalog, Planner, QueryKind};
@@ -129,21 +132,25 @@ fn main() {
     println!("{:<44} {:>12}", "inner-stage rehash messages (off/on)", format!("{inner_ratio:.2}x"));
     println!("{:<44} {:>12}", "results identical", identical.to_string());
 
-    let json = format!(
-        "{{\n  \"workload\": {{\"nodes\": {nodes}, \"seed\": {seed}, \"query\": \"{}\"}},\n  \
-         \"inner_bloom\": {{\"rehash_msgs_on\": {}, \"rehash_msgs_off\": {}, \
-         \"bloom_tested\": {tested}, \"bloom_passed\": {passed}, \"fallbacks\": {}, \
-         \"result_rows\": {}, \"wall_clock_ms\": {}}},\n  \
-         \"inner_rehash_ratio\": {inner_ratio:.3},\n  \
-         \"results_identical\": {identical}\n}}\n",
-        JOIN_SQL.replace('"', "'"),
-        bloom_on.inner_rehash_msgs,
-        bloom_off.inner_rehash_msgs,
-        bloom_on.trace.bloom_fallbacks,
-        bloom_on.rows.len(),
-        bloom_on.wall_ms + bloom_off.wall_ms,
+    let workload = vec![("nodes", nodes.into()), ("seed", seed.into()), ("query", JOIN_SQL.into())];
+    let inner_bloom = vec![
+        ("rehash_msgs_on", bloom_on.inner_rehash_msgs.into()),
+        ("rehash_msgs_off", bloom_off.inner_rehash_msgs.into()),
+        ("bloom_tested", tested.into()),
+        ("bloom_passed", passed.into()),
+        ("fallbacks", bloom_on.trace.bloom_fallbacks.into()),
+        ("result_rows", bloom_on.rows.len().into()),
+        ("wall_clock_ms", (bloom_on.wall_ms + bloom_off.wall_ms).into()),
+    ];
+    write_bench_json(
+        "BENCH_joinpath.json",
+        vec![
+            ("workload", Json::Object(workload)),
+            ("inner_bloom", Json::Object(inner_bloom)),
+            ("inner_rehash_ratio", Json::Ratio(inner_ratio)),
+            ("results_identical", identical.into()),
+        ],
     );
-    std::fs::write("BENCH_joinpath.json", &json).expect("write BENCH_joinpath.json");
     eprintln!("[joinpath] wrote BENCH_joinpath.json");
 
     assert!(identical, "the inner-stage Bloom semi-join changed the query's answer");

@@ -27,7 +27,8 @@ use pier_apps::netmon::netstats_table;
 use pier_apps::snort::intrusions_table;
 use pier_apps::topology::links_table;
 use pier_bench::{
-    env_parse, experiment_config, fmt_thousands, skewed_catalog, skewed_workload, SkewedWorkload,
+    env_parse, experiment_config, fmt_thousands, skewed_catalog, skewed_workload, write_bench_json,
+    Json, SkewedWorkload,
 };
 use pier_core::engine::EngineStats;
 use pier_core::prelude::*;
@@ -120,20 +121,16 @@ fn run_mode(nodes: usize, seed: u64, inverted: bool) -> RunOutcome {
     }
 }
 
-fn mode_json(r: &RunOutcome) -> String {
-    let order: Vec<String> = r.order.iter().map(|t| format!("\"{t}\"")).collect();
-    format!(
-        "{{\"order\": [{}], \"messages_sent\": {}, \"bytes_shipped\": {}, \
-         \"join_tuples_sent\": {}, \"join_matches\": {}, \"result_rows\": {}, \
-         \"wall_clock_ms\": {}}}",
-        order.join(", "),
-        r.stats.messages_sent,
-        r.stats.bytes_shipped,
-        r.stats.join_tuples_sent,
-        r.stats.join_matches,
-        r.rows.len(),
-        r.wall_ms,
-    )
+fn mode_json(r: &RunOutcome) -> Json {
+    Json::Object(vec![
+        ("order", r.order.as_slice().into()),
+        ("messages_sent", r.stats.messages_sent.into()),
+        ("bytes_shipped", r.stats.bytes_shipped.into()),
+        ("join_tuples_sent", r.stats.join_tuples_sent.into()),
+        ("join_matches", r.stats.join_matches.into()),
+        ("result_rows", r.rows.len().into()),
+        ("wall_clock_ms", r.wall_ms.into()),
+    ])
 }
 
 fn main() {
@@ -175,15 +172,17 @@ fn main() {
     println!("messages-sent improvement : {msg_ratio:.2}x");
     println!("results identical         : {identical}");
 
-    let json = format!(
-        "{{\n  \"workload\": {{\"nodes\": {nodes}, \"seed\": {seed}, \"query\": \"{}\"}},\n  \
-         \"optimized\": {},\n  \"worst\": {},\n  \
-         \"messages_ratio\": {msg_ratio:.3},\n  \"results_identical\": {identical}\n}}\n",
-        JOIN_SQL.replace('"', "'"),
-        mode_json(&optimized),
-        mode_json(&worst),
+    let workload = vec![("nodes", nodes.into()), ("seed", seed.into()), ("query", JOIN_SQL.into())];
+    write_bench_json(
+        "BENCH_joins.json",
+        vec![
+            ("workload", Json::Object(workload)),
+            ("optimized", mode_json(&optimized)),
+            ("worst", mode_json(&worst)),
+            ("messages_ratio", Json::Ratio(msg_ratio)),
+            ("results_identical", identical.into()),
+        ],
     );
-    std::fs::write("BENCH_joins.json", &json).expect("write BENCH_joins.json");
     eprintln!("[joins] wrote BENCH_joins.json");
 
     assert!(identical, "the join order changed the query's answer");

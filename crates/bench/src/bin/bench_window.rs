@@ -27,7 +27,7 @@
 //! Run with: `cargo run --release -p pier-bench --bin bench_window`
 
 use pier_apps::selfmon::{node_stats_stats, node_stats_table, SelfMonitor};
-use pier_bench::{env_parse, fmt_thousands};
+use pier_bench::{env_parse, fmt_thousands, write_bench_json, Json};
 use pier_core::engine::EngineStats;
 use pier_core::prelude::*;
 use pier_core::same_rows;
@@ -139,19 +139,16 @@ fn verify_windows(
     true
 }
 
-fn mode_json(r: &RunOutcome) -> String {
-    format!(
-        "{{\"tuples_scanned\": {}, \"results_sent\": {}, \"partials_sent\": {}, \
-         \"messages_sent\": {}, \"bytes_shipped\": {}, \"emissions\": {}, \
-         \"wall_clock_ms\": {}}}",
-        r.stats.tuples_scanned,
-        r.stats.results_sent,
-        r.stats.partials_sent,
-        r.stats.messages_sent,
-        r.stats.bytes_shipped,
-        r.emissions,
-        r.wall_ms,
-    )
+fn mode_json(r: &RunOutcome) -> Json {
+    Json::Object(vec![
+        ("tuples_scanned", r.stats.tuples_scanned.into()),
+        ("results_sent", r.stats.results_sent.into()),
+        ("partials_sent", r.stats.partials_sent.into()),
+        ("messages_sent", r.stats.messages_sent.into()),
+        ("bytes_shipped", r.stats.bytes_shipped.into()),
+        ("emissions", r.emissions.into()),
+        ("wall_clock_ms", r.wall_ms.into()),
+    ])
 }
 
 fn main() {
@@ -186,20 +183,24 @@ fn main() {
     println!("result-rows improvement      : {results_ratio:.2}x");
     println!("windowed results identical   : {}", win.identical);
 
-    let json = format!(
-        "{{\n  \"workload\": {{\"nodes\": {nodes}, \"seed\": {seed}, \"rounds\": {ROUNDS}, \
-         \"windowed_query\": \"{}\", \"rescan_query\": \"{}\"}},\n  \
-         \"windowed\": {},\n  \"rescan\": {},\n  \
-         \"tuples_scanned_ratio\": {scanned_ratio:.3},\n  \
-         \"results_sent_ratio\": {results_ratio:.3},\n  \
-         \"results_identical\": {}\n}}\n",
-        WINDOWED_SQL.replace('"', "'"),
-        RESCAN_SQL.replace('"', "'"),
-        mode_json(&win),
-        mode_json(&rescan),
-        win.identical,
+    let workload = vec![
+        ("nodes", nodes.into()),
+        ("seed", seed.into()),
+        ("rounds", ROUNDS.into()),
+        ("windowed_query", WINDOWED_SQL.into()),
+        ("rescan_query", RESCAN_SQL.into()),
+    ];
+    write_bench_json(
+        "BENCH_window.json",
+        vec![
+            ("workload", Json::Object(workload)),
+            ("windowed", mode_json(&win)),
+            ("rescan", mode_json(&rescan)),
+            ("tuples_scanned_ratio", Json::Ratio(scanned_ratio)),
+            ("results_sent_ratio", Json::Ratio(results_ratio)),
+            ("results_identical", win.identical.into()),
+        ],
     );
-    std::fs::write("BENCH_window.json", &json).expect("write BENCH_window.json");
     eprintln!("[window] wrote BENCH_window.json");
 
     assert!(win.identical, "windowed results diverged from the reference evaluation");

@@ -138,9 +138,111 @@ pub fn fmt_thousands(v: f64) -> String {
     format!("{}{}{}", if int < 0 { "-" } else { "" }, s, out)
 }
 
+/// One value of a `BENCH_*.json` file.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// A count (or a wall-clock time in milliseconds).
+    Int(u128),
+    /// A ratio, written with three decimals.
+    Ratio(f64),
+    /// A flag.
+    Bool(bool),
+    /// A string; double quotes are written as single quotes, so a query's
+    /// text needs no escaping.
+    Str(String),
+    /// A list, written on one line.
+    List(Vec<Json>),
+    /// An object, written on one line.
+    Object(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    fn render(&self) -> String {
+        match self {
+            Json::Int(n) => n.to_string(),
+            Json::Ratio(r) => format!("{r:.3}"),
+            Json::Bool(b) => b.to_string(),
+            Json::Str(s) => format!("\"{}\"", s.replace('"', "'")),
+            Json::List(items) => {
+                let items: Vec<String> = items.iter().map(Json::render).collect();
+                format!("[{}]", items.join(", "))
+            }
+            Json::Object(fields) => {
+                let fields: Vec<String> =
+                    fields.iter().map(|(k, v)| format!("\"{k}\": {}", v.render())).collect();
+                format!("{{{}}}", fields.join(", "))
+            }
+        }
+    }
+}
+
+macro_rules! json_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Int(n as u128)
+            }
+        }
+    )*};
+}
+json_int!(u64, usize, u128);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl<T: AsRef<str>> From<&[T]> for Json {
+    fn from(items: &[T]) -> Json {
+        Json::List(items.iter().map(|s| s.as_ref().into()).collect())
+    }
+}
+
+/// Write a ratio bin's `BENCH_*.json`: one object, one top-level field per
+/// line, nested values on that field's line.
+pub fn write_bench_json(path: &str, fields: Vec<(&'static str, Json)>) {
+    let lines: Vec<String> =
+        fields.iter().map(|(k, v)| format!("  \"{k}\": {}", v.render())).collect();
+    let json = format!("{{\n{}\n}}\n", lines.join(",\n"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_json_layout() {
+        let path = std::env::temp_dir().join(format!("bench-json-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let order = ["a", "b"];
+        write_bench_json(
+            path,
+            vec![
+                (
+                    "workload",
+                    Json::Object(vec![("nodes", 40usize.into()), ("query", "x \"y\"".into())]),
+                ),
+                ("order", order.as_slice().into()),
+                ("ratio", Json::Ratio(14.8514)),
+                ("identical", true.into()),
+            ],
+        );
+        let written = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(
+            written,
+            "{\n  \"workload\": {\"nodes\": 40, \"query\": \"x 'y'\"},\n  \"order\": [\"a\", \"b\"],\n  \
+             \"ratio\": 14.851,\n  \"identical\": true\n}\n"
+        );
+    }
 
     #[test]
     fn thousands_formatting() {

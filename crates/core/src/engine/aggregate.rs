@@ -2,28 +2,44 @@
 //! aggregation root, root finalization, epoch-count windows with their
 //! late-data policy, and `HAVING`-triggered alerts.
 //!
-//! Completion, not a timer, closes an epoch of a continuous single-table
-//! aggregate.  Every node that runs an epoch contributes exactly one partial
-//! with `contributors: 1` (an empty scan included), so the contributors that
-//! reached a node last epoch predict this epoch's.  A hop forwards as soon as
-//! that many have passed through it; the root finalizes once that many have
-//! reported and no partial has arrived for one hold-down.  The timers stay as
-//! the fallback and the upper bound: a hop's hold-down from its first
-//! arrival, and the root's `collect_delay` from its first partial plus up to
-//! four quiet extensions.  Aggregates over joins and one-shot aggregates run
-//! on the timers alone: a join site keeps sending partials as matches arrive,
-//! and a one-shot query has no previous epoch.
+//! Completion, not a timer, closes the epochs of continuous aggregates.
+//!
+//! * **Single-table aggregates** count contributors.  Every node that runs
+//!   an epoch contributes exactly one partial with `contributors: 1` (an
+//!   empty scan included), so the contributors that reached a node last
+//!   epoch predict this epoch's.  A hop forwards as soon as that many have
+//!   passed through it; the root finalizes once that many have reported and
+//!   no partial has arrived for one hold-down.
+//! * **Aggregates over symmetric-hash joins** recover credit
+//!   ([`Credit`]): a join site keeps sending partials as matches arrive, so
+//!   no contributor count can show its input is complete.  Every node that
+//!   runs the epoch injects one unit and splits it over its rehash payloads;
+//!   each join site pools what it receives per (query, epoch), passes the
+//!   pool on to its outputs for the next stage, and returns what is left —
+//!   with its groups — once the pool has not grown for one hold-down.  A
+//!   node holding groups keeps a share back, so groups never travel without
+//!   credit.  The root finalizes the moment it holds as many units as nodes
+//!   ran the last epoch.  Colocated plans ship each site's groups one direct
+//!   hop to the origin, which is their root.
+//!
+//! The timers stay as the fallback and the upper bound: a hop's hold-down
+//! from its first arrival, and the root's `collect_delay` from its first
+//! partial plus up to four quiet extensions.  With no count to expect — the
+//! first epochs, one-shot aggregates, epochs around a re-planned spec, and
+//! joins whose Fetch-Matches probes or Bloom-gated scans send after the
+//! scan — the timer decides.
 
 use super::{Ctx, PierNode, TimerPurpose, WindowLatePolicy};
 use crate::aggregate::AggState;
 use crate::dataflow::ops::{sort_tuples, GroupAggregator, GroupKey};
-use crate::payload::PierPayload;
-use crate::plan::SortKey;
-use crate::query::{AggFinish, QueryId, QueryKind, QuerySpec, WindowSpec};
+use crate::expr::Expr;
+use crate::payload::{Credit, PierPayload};
+use crate::plan::{AggExpr, SortKey};
+use crate::query::{AggFinish, JoinStrategy, QueryId, QueryKind, QuerySpec, WindowSpec};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use pier_dht::ResourceKey;
-use pier_simnet::{Duration, SimTime};
+use pier_simnet::{Duration, NodeAddr, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// How many closed windows' worth of state the root retains for late-data
@@ -45,6 +61,10 @@ struct Merged {
 }
 
 impl Merged {
+    fn new((group_exprs, aggs): (&[Expr], &[AggExpr])) -> Self {
+        Merged { acc: GroupAggregator::new(group_exprs.to_vec(), aggs.to_vec()), contributors: 0 }
+    }
+
     fn absorb(&mut self, groups: Partials, contributors: u64) {
         for (key, states) in groups {
             self.acc.merge_group(key, &states);
@@ -53,17 +73,30 @@ impl Merged {
     }
 }
 
-/// Partials a hop holds for one epoch, and the token of the hold-down timer
-/// that forwards them (`None` only while the arrival that created the entry
-/// is being absorbed).
+/// What a node holds for one epoch before it climbs: partials, and the
+/// epoch's credit pool (credit received and not yet passed on).  The
+/// hold-down timer forwards both (`holddown` is `None` only while the
+/// arrival that created the entry is being absorbed); while the pool holds
+/// credit, it waits until the pool has not grown for one hold-down.
 struct Pending {
     merged: Merged,
+    credit: Credit,
+    /// When the pool last grew.
+    grew: SimTime,
     holddown: Option<u64>,
+}
+
+impl Pending {
+    fn new(merged: Merged, now: SimTime) -> Self {
+        Pending { merged, credit: Credit::NONE, grew: now, holddown: None }
+    }
 }
 
 /// The aggregation root's accumulation for one epoch, removed at finalize.
 struct RootEpoch {
     merged: Merged,
+    /// Credit returned so far (credit-tracked queries).
+    credit: Credit,
     /// Last time a partial arrived (quiescence check).
     last_update: SimTime,
     /// How many times finalization has been postponed.
@@ -84,9 +117,15 @@ pub(super) struct AggQuery {
     /// completion rule finalizes first, the deadline later fires on nothing.
     root: HashMap<u64, RootEpoch>,
     /// Epochs this node has already finalized as the aggregation root, with
-    /// their contributor counts; late partials for them are discarded rather
-    /// than double-reported.
+    /// the count the next epoch's completion rule expects: contributors, or
+    /// for a credit-tracked query the nodes that ran the epoch (returned
+    /// credit in units, a fraction rounded up).  Late partials for these
+    /// epochs are discarded rather than double-reported.
     finalized: HashMap<u64, u64>,
+    /// The first epoch whose count the completion rule trusts.  Nodes apply
+    /// a re-planned spec up to an epoch apart, so the epochs around a swap
+    /// mix plans and their counts mean nothing for the next.
+    expect_from: u64,
     /// Windowed aggregates, root side: per-window merged group states (each
     /// finalized epoch's accumulator folded into every window covering it)
     /// and the best per-epoch contributor count among them.
@@ -110,17 +149,40 @@ impl AggQuery {
         self.forwarded.get(&epoch.checked_sub(1)?).copied()
     }
 
-    /// The completion rule's expected count at the root: the contributors it
-    /// finalized last epoch.
+    /// The completion rule's expected count at the root: what it finalized
+    /// last epoch.
     fn root_expected(&self, epoch: u64) -> Option<u64> {
-        self.finalized.get(&epoch.checked_sub(1)?).copied()
+        let last = epoch.checked_sub(1).filter(|&e| e >= self.expect_from)?;
+        self.finalized.get(&last).copied()
+    }
+
+    /// This node applied a re-planned spec at `epoch`: only counts from
+    /// epochs after it are expected again.
+    pub(super) fn spec_swapped(&mut self, epoch: u64) {
+        self.expect_from = epoch + 1;
     }
 }
 
-/// Does completion close this query's epochs?  Only a continuous
-/// single-table aggregate's: its contributor count repeats epoch to epoch.
-fn closes_on_completion(spec: &QuerySpec) -> bool {
+/// Do contributor counts close this query's epochs?  A continuous
+/// single-table aggregate's do: its contributor count repeats epoch to
+/// epoch.
+fn counts_contributors(spec: &QuerySpec) -> bool {
     spec.continuous.is_some() && matches!(spec.kind, QueryKind::Aggregate { .. })
+}
+
+/// Is this query's work tracked by credit?  A continuous hierarchical
+/// aggregate over joins whose every stage is a symmetric-hash join without
+/// an inner-Bloom gate: each of its payloads is sent while the scan or a
+/// delivery is processed, so credit can ride on all of them.
+/// Fetch-Matches probes and Bloom-gated scans send later, and the raw-row
+/// baseline has no groups to return credit with.
+pub(super) fn tracks_credit(spec: &QuerySpec) -> bool {
+    let QueryKind::Join { stages, aggregate: Some(agg), .. } = &spec.kind else { return false };
+    spec.continuous.is_some()
+        && agg.hierarchical
+        && stages.iter().enumerate().all(|(k, stage)| {
+            stage.strategy == JoinStrategy::SymmetricHash && !super::bloom::bloom_gated(k, stage)
+        })
 }
 
 /// HAVING, then ORDER BY / LIMIT over finalized aggregate output (the
@@ -179,7 +241,7 @@ impl PierNode {
         };
         let mut agg = GroupAggregator::new(group_exprs.to_vec(), aggs.to_vec());
         agg.update_batch(&batch, &sel);
-        self.absorb_partials(ctx, spec.id, epoch, agg.take_partials(), 1, false);
+        self.absorb_partials(ctx, spec.id, epoch, agg.take_partials(), 1, Credit::NONE, false);
     }
 
     /// Hand join-produced partials (empty for the origin's per-epoch seed)
@@ -197,12 +259,30 @@ impl PierNode {
             .get_mut(&id)
             .map(|q| u64::from(q.agg.contributed.insert(epoch)))
             .unwrap_or(0);
-        self.absorb_partials(ctx, id, epoch, partials, contributors, false);
+        self.absorb_partials(ctx, id, epoch, partials, contributors, Credit::NONE, false);
+    }
+
+    /// Where this node's partials for `spec` go next: the origin for a
+    /// credit-tracked colocated aggregate (each group is whole at one join
+    /// site, so one direct hop reaches its root), the next hop toward the
+    /// aggregation key otherwise.  `None` when this node is the root; every
+    /// join site is the root of its own groups in a colocated aggregate that
+    /// closes on the timer.
+    fn next_agg_hop(&self, spec: &QuerySpec) -> Option<NodeAddr> {
+        match spec.kind.join_aggregate() {
+            Some(agg) if agg.hierarchical && agg.colocated => {
+                let origin = spec.origin();
+                (tracks_credit(spec) && origin != self.addr).then_some(origin)
+            }
+            _ => self.dht.route_next_hop(&agg_root_id(spec.id)).map(|p| p.addr),
+        }
     }
 
     /// Fold partial states into this node's role for the query: root
     /// accumulator if we are the aggregation root, otherwise the pending
     /// buffer that the completion rule or the hold-down timer will forward.
+    /// `credit` is what the sender returned with them.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn absorb_partials(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -210,9 +290,10 @@ impl PierNode {
         epoch: u64,
         groups: Partials,
         contributors: u64,
+        credit: Credit,
         from_network: bool,
     ) {
-        let Some(q) = self.queries.get_mut(&id) else {
+        let Some(q) = self.queries.get(&id) else {
             // This node never received the query plan (e.g. it joined after
             // dissemination).  It cannot combine — it lacks the aggregate
             // specs — but it can still relay the partials toward the root so
@@ -220,68 +301,139 @@ impl PierNode {
             if from_network {
                 if let Some(next) = self.dht.route_next_hop(&agg_root_id(id)) {
                     self.stats.partials_sent += 1;
-                    let payload = PierPayload::Partial { query: id, epoch, groups, contributors };
+                    let payload =
+                        PierPayload::Partial { query: id, epoch, groups, contributors, credit };
                     self.note_payload(&payload);
                     self.pending_direct.push((next.addr, super::DirectStream::Engine, payload));
                 }
             }
             return;
         };
+        let is_root = self.next_agg_hop(&q.spec).is_none();
+        let Some(q) = self.queries.get_mut(&id) else { return };
         if from_network {
             self.stats.partials_merged += 1;
             q.trace.partials_merged += 1;
         }
-        // Colocated join aggregation: the grouping column *is* the final
-        // stage's join key, so the DHT already partitioned each group wholly
-        // onto one join site.  Every site acts as the aggregation root for
-        // its own groups — finalizing in place and skipping the partial
-        // climb entirely (aggregate-aware stage keys).
-        let is_root = self.dht.route_next_hop(&agg_root_id(id)).is_none()
-            || q.spec.kind.join_aggregate().is_some_and(|a| a.hierarchical && a.colocated);
-        let Some((group_exprs, aggs)) = q.spec.kind.partial_agg_parts() else { return };
-        if is_root && q.agg.finalized.contains_key(&epoch) {
+        if !is_root {
+            self.hold(ctx, id, epoch, groups, contributors, credit);
+            return;
+        }
+        let Some(parts) = q.spec.kind.partial_agg_parts() else { return };
+        if q.agg.finalized.contains_key(&epoch) {
             self.absorb_late(ctx, id, epoch, groups, contributors);
             return;
         }
-        let new_acc = || Merged {
-            acc: GroupAggregator::new(group_exprs.to_vec(), aggs.to_vec()),
-            contributors: 0,
-        };
         let now = ctx.now();
-        if is_root {
-            let mut armed = false;
-            let root = q.agg.root.entry(epoch).or_insert_with(|| {
-                armed = true;
-                RootEpoch { merged: new_acc(), last_update: now, extensions: 0 }
-            });
-            root.merged.absorb(groups, contributors);
-            root.last_update = now;
-            if armed {
-                let delay = self.config.collect_delay;
-                self.arm_timer(ctx, delay, TimerPurpose::RootFinalize(id, epoch));
+        let mut armed = false;
+        let root = q.agg.root.entry(epoch).or_insert_with(|| {
+            armed = true;
+            RootEpoch {
+                merged: Merged::new(parts),
+                credit: Credit::NONE,
+                last_update: now,
+                extensions: 0,
             }
-            self.arm_if_complete(ctx, id, epoch);
-            return;
+        });
+        root.merged.absorb(groups, contributors);
+        root.credit += credit;
+        root.last_update = now;
+        if armed {
+            let delay = self.config.collect_delay;
+            self.arm_timer(ctx, delay, TimerPurpose::RootFinalize(id, epoch));
         }
-        let expected = q.agg.hop_expected(epoch).filter(|_| closes_on_completion(&q.spec));
+        self.check_complete(ctx, id, epoch);
+    }
+
+    /// Hold partials and credit for (query, epoch) at this node until the
+    /// completion rule or the hold-down forwards them.
+    fn hold(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: QueryId,
+        epoch: u64,
+        groups: Partials,
+        contributors: u64,
+        credit: Credit,
+    ) {
+        let now = ctx.now();
+        let Some(q) = self.queries.get_mut(&id) else { return };
+        let Some(parts) = q.spec.kind.partial_agg_parts() else { return };
+        let expected = q.agg.hop_expected(epoch).filter(|_| counts_contributors(&q.spec));
         let through = q.agg.forwarded.get(&epoch).copied().unwrap_or(0);
-        let pending = q
-            .agg
-            .pending
-            .entry(epoch)
-            .or_insert_with(|| Pending { merged: new_acc(), holddown: None });
+        let pending =
+            q.agg.pending.entry(epoch).or_insert_with(|| Pending::new(Merged::new(parts), now));
         pending.merged.absorb(groups, contributors);
+        if !credit.is_none() {
+            pending.credit += credit;
+            pending.grew = now;
+        }
         if expected.is_some_and(|x| through + pending.merged.contributors >= x) {
             // As many contributors as last epoch have reached this hop: ship
             // now instead of waiting out the hold-down.
             self.forward_partials(ctx, id, epoch);
         } else if pending.holddown.is_none() {
-            let delay = self.config.holddown;
-            let token = self.arm_timer(ctx, delay, TimerPurpose::Holddown(id, epoch));
-            if let Some(p) = self.queries.get_mut(&id).and_then(|q| q.agg.pending.get_mut(&epoch)) {
-                p.holddown = Some(token);
-            }
+            self.arm_holddown(ctx, id, epoch, self.config.holddown);
         }
+    }
+
+    /// Arm (or re-arm) the hold-down that forwards (query, epoch)'s pending
+    /// partials and credit.
+    fn arm_holddown(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64, delay: Duration) {
+        let token = self.arm_timer(ctx, delay, TimerPurpose::Holddown(id, epoch));
+        if let Some(p) = self.queries.get_mut(&id).and_then(|q| q.agg.pending.get_mut(&epoch)) {
+            p.holddown = Some(token);
+        }
+    }
+
+    /// Add a delivery's credit to this node's pool for (query, epoch).  The
+    /// pool returns, with any groups this node holds for the epoch, once it
+    /// has not grown for one hold-down.
+    pub(super) fn pool_credit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: QueryId,
+        epoch: u64,
+        credit: Credit,
+    ) {
+        if !credit.is_none() {
+            self.hold(ctx, id, epoch, Vec::new(), 0, credit);
+        }
+    }
+
+    /// Take this node's whole pool for (query, epoch), to pass on with its
+    /// outputs for the next stage.
+    pub(super) fn take_pool(&mut self, id: QueryId, epoch: u64) -> Credit {
+        self.queries
+            .get_mut(&id)
+            .and_then(|q| q.agg.pending.get_mut(&epoch))
+            .map_or(Credit::NONE, |p| std::mem::take(&mut p.credit))
+    }
+
+    /// Does this node hold groups for (query, epoch) that have not been
+    /// sent toward the root?
+    pub(super) fn holds_groups(&self, id: QueryId, epoch: u64) -> bool {
+        self.queries
+            .get(&id)
+            .and_then(|q| q.agg.pending.get(&epoch))
+            .is_some_and(|p| p.merged.contributors > 0 || !p.merged.acc.is_empty())
+    }
+
+    /// A hold-down fired: forward (query, epoch)'s pending partials and
+    /// credit, unless the pool grew within the last hold-down — then check
+    /// again once it has been quiet that long.
+    pub(super) fn on_holddown(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
+        let quiet = self.config.holddown;
+        let now = ctx.now();
+        let Some(p) = self.queries.get(&id).and_then(|q| q.agg.pending.get(&epoch)) else {
+            return;
+        };
+        let quiet_at = p.grew + quiet;
+        if !p.credit.is_none() && now < quiet_at {
+            self.arm_holddown(ctx, id, epoch, quiet_at - now);
+            return;
+        }
+        self.forward_partials(ctx, id, epoch);
     }
 
     /// A partial for an epoch the root already finalized.  Plain continuous
@@ -299,7 +451,7 @@ impl PierNode {
         let policy = self.config.window_late_policy;
         let Some(q) = self.queries.get_mut(&id) else { return };
         let Some(wspec) = q.spec.kind.window_spec() else { return };
-        let Some((group_exprs, aggs)) = q.spec.kind.partial_agg_parts() else { return };
+        let Some(parts) = q.spec.kind.partial_agg_parts() else { return };
         let mut dropped = false;
         let mut reemit: Vec<u64> = Vec::new();
         for w in wspec.windows_of(epoch) {
@@ -322,10 +474,7 @@ impl PierNode {
                 q.agg
                     .windows
                     .entry(w)
-                    .or_insert_with(|| Merged {
-                        acc: GroupAggregator::new(group_exprs.to_vec(), aggs.to_vec()),
-                        contributors: 0,
-                    })
+                    .or_insert_with(|| Merged::new(parts))
                     .absorb(groups.clone(), contributors);
             }
         }
@@ -341,12 +490,15 @@ impl PierNode {
         }
     }
 
-    /// Ship the buffered partials for (query, epoch) one hop closer to the
-    /// root, disarming their hold-down if the completion rule got there
-    /// first.
+    /// Ship the buffered partials and credit for (query, epoch) one hop
+    /// closer to the root, disarming their hold-down if the completion rule
+    /// got there first.
     pub(super) fn forward_partials(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
+        let Some(q) = self.queries.get(&id) else { return };
+        let next = self.next_agg_hop(&q.spec).filter(|&next| next != self.addr);
         let Some(q) = self.queries.get_mut(&id) else { return };
-        let Some(Pending { merged: mut buf, holddown }) = q.agg.pending.remove(&epoch) else {
+        let Some(Pending { merged: mut buf, credit, holddown, .. }) = q.agg.pending.remove(&epoch)
+        else {
             return;
         };
         if let Some(token) = holddown {
@@ -354,38 +506,45 @@ impl PierNode {
         }
         let contributors = buf.contributors;
         let groups = buf.acc.take_partials();
-        if groups.is_empty() && contributors == 0 {
+        if groups.is_empty() && contributors == 0 && credit.is_none() {
             return;
         }
-        match self.dht.route_next_hop(&agg_root_id(id)).map(|p| p.addr) {
-            Some(next) if next != self.addr => {
+        match next {
+            Some(next) => {
                 self.stats.partials_sent += 1;
                 q.trace.partials_sent += 1;
                 *q.agg.forwarded.entry(epoch).or_insert(0) += contributors;
                 while q.agg.forwarded.len() > FORWARDED_RETAIN {
                     q.agg.forwarded.pop_first();
                 }
-                let payload = PierPayload::Partial { query: id, epoch, groups, contributors };
+                let payload =
+                    PierPayload::Partial { query: id, epoch, groups, contributors, credit };
                 self.stage_query_direct(id, next, payload);
             }
-            _ => {
-                // We became the root in the meantime: absorb locally.
-                self.absorb_partials(ctx, id, epoch, groups, contributors, false);
+            None => {
+                // We are (or became) the root: absorb locally.
+                self.absorb_partials(ctx, id, epoch, groups, contributors, credit, false);
             }
         }
     }
 
-    /// The root's completion rule: once an epoch has as many contributors
-    /// as the root finalized last epoch, arm a check that finalizes it one
-    /// hold-down after its latest partial.  Runs on every root arrival, and
-    /// for the next epoch when one finalizes (its expected count is only
-    /// known then), so completion never finalizes an epoch before the one
-    /// preceding it.
-    fn arm_if_complete(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
+    /// The root's completion rule, run on every root arrival and for the
+    /// next epoch when one finalizes (its expected count is only known
+    /// then), so completion never finalizes an epoch before the one
+    /// preceding it.  A credit-tracked epoch finalizes the moment the root
+    /// holds as many units as nodes ran the last epoch: credit is conserved,
+    /// so nothing is outstanding and no quiet wait is needed.  A
+    /// single-table epoch that has as many contributors as the last arms a
+    /// check that finalizes it one hold-down after its latest partial.
+    fn check_complete(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
         let Some(q) = self.queries.get(&id) else { return };
         let Some(root) = q.agg.root.get(&epoch) else { return };
-        let expected = q.agg.root_expected(epoch).filter(|_| closes_on_completion(&q.spec));
-        if expected.is_some_and(|x| root.merged.contributors >= x) {
+        let Some(expected) = q.agg.root_expected(epoch) else { return };
+        if tracks_credit(&q.spec) {
+            if expected > 0 && root.credit == Credit::units(expected) {
+                self.finalize_epoch(ctx, id, epoch, true);
+            }
+        } else if counts_contributors(&q.spec) && root.merged.contributors >= expected {
             // Every arrival past the expected count arms its own check; only
             // the one after the latest partial finds a hold-down of quiet.
             let delay = (root.last_update + self.config.holddown) - ctx.now();
@@ -426,7 +585,12 @@ impl PierNode {
     fn finalize_epoch(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64, complete: bool) {
         let Some(q) = self.queries.get_mut(&id) else { return };
         let Some(root) = q.agg.root.remove(&epoch) else { return };
-        q.agg.finalized.insert(epoch, root.merged.contributors);
+        let count = if tracks_credit(&q.spec) {
+            root.credit.units_ceil()
+        } else {
+            root.merged.contributors
+        };
+        q.agg.finalized.insert(epoch, count);
         if complete {
             self.stats.finalized_on_completion += 1;
             q.trace.finalized_on_completion += 1;
@@ -436,7 +600,7 @@ impl PierNode {
         }
         let spec = q.spec.clone();
         let Merged { acc, contributors } = root.merged;
-        self.arm_if_complete(ctx, id, epoch + 1);
+        self.check_complete(ctx, id, epoch + 1);
 
         if let Some(wspec) = spec.kind.window_spec() {
             // Windowed aggregate: the epoch's merged state is not reported
@@ -449,14 +613,46 @@ impl PierNode {
         // aggregate, and the hierarchical aggregate terminating a join.
         let Some(finish) = spec.kind.agg_finish() else { return };
         let (rows, _) = having_top_k(&finish, acc.finalize(), false);
-        // Rows ship pre-projection (hidden aggregates included) so the
-        // origin can re-sort on any ORDER BY key; it projects afterwards.
+        self.report(ctx, &spec, epoch, rows, contributors, false);
+        self.process_upcalls(ctx);
+    }
+
+    /// Hand one finalized epoch's (or closed window's) rows and its
+    /// `EpochDone` to the origin, after a `WindowRetract` when `retract`
+    /// re-emits a patched window.  Rows ship pre-projection (hidden
+    /// aggregates included) so the origin can re-sort on any ORDER BY key;
+    /// it projects afterwards.  An origin that is the root of a
+    /// credit-tracked query keeps them instead of sending them to itself.
+    fn report(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        spec: &QuerySpec,
+        epoch: u64,
+        rows: Vec<Tuple>,
+        contributors: u64,
+        retract: bool,
+    ) {
+        let id = spec.id;
+        if spec.origin() == self.addr && tracks_credit(spec) {
+            if let Some(q) = self.queries.get_mut(&id).filter(|_| !rows.is_empty()) {
+                *q.trace.epoch_rows.entry(epoch).or_insert(0) += rows.len() as u64;
+            }
+            if retract {
+                self.receive_retract(id, epoch);
+            }
+            self.receive_rows(id, epoch, rows);
+            self.receive_epoch_done(id, epoch, contributors);
+            return;
+        }
+        if retract {
+            let retract = PierPayload::WindowRetract { query: id, window: epoch };
+            self.send_query_direct(ctx, id, spec.origin(), retract);
+        }
         for row in rows {
-            self.send_result(ctx, &spec, epoch, row);
+            self.send_result(ctx, spec, epoch, row);
         }
         let done = PierPayload::EpochDone { query: id, epoch, contributors };
         self.send_query_direct(ctx, id, spec.origin(), done);
-        self.process_upcalls(ctx);
     }
 
     /// Fold one finalized epoch's root accumulator into every window
@@ -538,15 +734,7 @@ impl PierNode {
         // Trigger form: every row surviving HAVING is an alert for this
         // window, captured before ORDER BY / LIMIT trim the report.
         let (rows, alert_rows) = having_top_k(&finish, rows, true);
-        if reemit {
-            let retract = PierPayload::WindowRetract { query: id, window };
-            self.send_query_direct(ctx, id, spec.origin(), retract);
-        }
-        for row in rows {
-            self.send_result(ctx, &spec, window, row);
-        }
-        let done = PierPayload::EpochDone { query: id, epoch: window, contributors };
-        self.send_query_direct(ctx, id, spec.origin(), done);
+        self.report(ctx, &spec, window, rows, contributors, reemit);
         if !alert_rows.is_empty() {
             self.publish_alerts(ctx, &spec, &finish, window, alert_rows);
         }

@@ -64,18 +64,18 @@ pub(super) struct BloomQuery {
     phase2: HashMap<(u8, u64), Vec<Tuple>>,
 }
 
-impl PierNode {
-    /// Does stage `k`'s right relation wait for a combined filter?  A
-    /// stage-0 Bloom join always does; an inner symmetric-hash stage does
-    /// when the planner marked it [`JoinStage::inner_bloom`].
-    pub(super) fn bloom_gated(&self, k: usize, stage: &JoinStage) -> bool {
-        match stage.strategy {
-            JoinStrategy::BloomFilter => true,
-            JoinStrategy::SymmetricHash => k > 0 && stage.inner_bloom,
-            JoinStrategy::FetchMatches => false,
-        }
+/// Does stage `k`'s right relation wait for a combined filter?  A stage-0
+/// Bloom join always does; an inner symmetric-hash stage does when the
+/// planner marked it [`JoinStage::inner_bloom`].
+pub(super) fn bloom_gated(k: usize, stage: &JoinStage) -> bool {
+    match stage.strategy {
+        JoinStrategy::BloomFilter => true,
+        JoinStrategy::SymmetricHash => k > 0 && stage.inner_bloom,
+        JoinStrategy::FetchMatches => false,
     }
+}
 
+impl PierNode {
     /// The planner-sized geometry of a stage's filter, clamped to the
     /// configured bounds (all nodes clamp the same disseminated value, so
     /// their summaries union cleanly).
@@ -332,7 +332,8 @@ impl PierNode {
         if !first && ship.is_empty() {
             return;
         }
-        self.rehash_stage(ctx, &spec, stage, epoch, 1, ship);
+        let out = self.build_rehash(&spec, stage, epoch, 1, ship);
+        self.send_rehash(ctx, id, out);
         self.process_upcalls(ctx);
     }
 }

@@ -48,17 +48,22 @@ pub struct PierConfig {
     /// once as many contributors as last epoch have passed through it
     /// (continuous single-table aggregates), or this long after the epoch's
     /// first arrival, whichever comes first.  It is also the root's quiet
-    /// period: a complete epoch finalizes once no partial has arrived for
-    /// one hold-down.
+    /// period: a complete single-table epoch finalizes once no partial has
+    /// arrived for one hold-down.  For a continuous aggregate over
+    /// symmetric-hash joins it is the quiet period of a node's credit pool:
+    /// the pool, with the node's groups, returns toward the root once it has
+    /// not grown for one hold-down.
     pub holddown: Duration,
     /// How long the aggregation root waits after an epoch's first partial
     /// before finalizing it (must exceed typical tree depth × hold-down +
     /// latency), postponed up to four times by 3 × `holddown` while
-    /// partials still arrive.  For continuous single-table aggregates this
-    /// is only the upper bound: completion — as many contributors as the
-    /// root finalized last epoch, then one quiet hold-down — usually closes
-    /// the epoch first.  Aggregates over joins and one-shot aggregates
-    /// always wait for it.
+    /// partials still arrive.  For continuous aggregates this is only the
+    /// upper bound: completion usually closes the epoch first — for a
+    /// single-table aggregate, as many contributors as the root finalized
+    /// last epoch, then one quiet hold-down; over symmetric-hash joins, the
+    /// moment the root has recovered as much credit as nodes ran last epoch.
+    /// One-shot aggregates, joins with Fetch-Matches or Bloom-gated stages,
+    /// and epochs with no previous count always wait for it.
     pub collect_delay: Duration,
     /// How long the origin collects per-node Bloom filters before
     /// broadcasting the combined filter.
@@ -247,14 +252,17 @@ pub struct EngineStats {
     /// Alert tuples published into a query's `pier:alert:<id>` namespace
     /// (windowed aggregates with a `HAVING` trigger).
     pub alerts_emitted: u64,
-    /// Epochs this node finalized as an aggregation root because as many
-    /// contributors as last epoch had reported and partials went quiet for
-    /// one hold-down (continuous single-table aggregates).
+    /// Epochs this node finalized as an aggregation root on completion: as
+    /// many contributors as last epoch had reported and partials went quiet
+    /// for one hold-down (continuous single-table aggregates), or the root
+    /// recovered as much credit as nodes ran last epoch (continuous
+    /// aggregates over symmetric-hash joins).
     pub finalized_on_completion: u64,
     /// Epochs this node finalized as an aggregation root on the
-    /// `collect_delay` timer and its quiet extensions: every aggregate over a
-    /// join, every one-shot aggregate, and continuous epochs that did not
-    /// reach last epoch's count in time.
+    /// `collect_delay` timer and its quiet extensions: every one-shot
+    /// aggregate, every aggregate over a join with a Fetch-Matches or
+    /// Bloom-gated stage, and continuous epochs that had no count to expect
+    /// or did not reach it in time (a lost contributor or lost credit).
     pub finalized_on_timer: u64,
 }
 

@@ -2,12 +2,14 @@
 //! namespaces, Fetch-Matches probes, stage DAG routing, the columnar
 //! build/probe at join sites, and recursive expansion.
 
-use super::{group_by_key, Ctx, PierNode, TimerPurpose, BATCH_MAX};
+use super::aggregate::tracks_credit;
+use super::bloom::bloom_gated;
+use super::{epoch_since, group_by_key, Ctx, PierNode, TimerPurpose, BATCH_MAX};
 use crate::column::ColumnarBatch;
 use crate::dataflow::join::{probe_joined, JoinBuild};
 use crate::dataflow::ops::GroupAggregator;
 use crate::encoding::TupleBlock;
-use crate::payload::PierPayload;
+use crate::payload::{Credit, PierPayload};
 use crate::query::{join_side_fed, JoinStrategy, QueryId, QueryKind, QuerySpec};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -25,6 +27,16 @@ pub(super) struct JoinQuery {
     visited: HashSet<String>,
 }
 
+/// One stage side's rehash payloads, built but not yet sent, so that the
+/// credit they carry can be stamped first.
+pub(super) struct Rehash {
+    stage: u8,
+    side: u8,
+    /// Tuples the payloads carry.
+    shipped: u64,
+    items: Vec<(ResourceKey, PierPayload)>,
+}
+
 /// The query-and-stage-scoped DHT namespace a join stage's tuples rehash
 /// into.  Scoping by stage keeps the chain's intermediate shipments of one
 /// key value from colliding across stages.
@@ -34,7 +46,9 @@ fn join_namespace(id: QueryId, stage: u8) -> String {
 
 impl PierNode {
     /// One join epoch at this node: scan and ship every base-table input of
-    /// the stage DAG.
+    /// the stage DAG.  A credit-tracked query holds its rehashes until all
+    /// are built, splits the node's unit of credit over them, then sends
+    /// each stage's batch as an untracked query does.
     pub(super) fn run_join(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -46,6 +60,7 @@ impl PierNode {
         let QueryKind::Join { left_table, stages, .. } = &spec.kind else { return };
         let id = spec.id;
         let kern = self.query_kernels(id);
+        let mut held = tracks_credit(spec).then(Vec::new);
         // Right sides first: every stage's base right relation is scanned
         // and rehashed into that stage's namespace.  Fetch-Matches stages
         // are probed on demand, a merge stage's side 1 is another stage's
@@ -55,14 +70,15 @@ impl PierNode {
             if stage.strategy == JoinStrategy::FetchMatches || join_side_fed(stages, k as u8, 1) {
                 continue;
             }
-            if self.bloom_gated(k, stage) {
+            if bloom_gated(k, stage) {
                 let delay = self.config.bloom_fallback_delay;
                 self.arm_timer(ctx, delay, TimerPurpose::BloomFallback(id, k as u8, epoch));
                 continue;
             }
             let filter = kern.as_deref().and_then(|c| c.right_filter(k));
             let rows = self.scan_filtered_traced(id, &stage.right_table, now, since, filter);
-            self.rehash_stage(ctx, spec, k as u8, epoch, 1, rows);
+            let out = self.build_rehash(spec, k as u8, epoch, 1, rows);
+            self.send_or_hold(ctx, id, &mut held, Some(out));
         }
         // Bushy subchain roots: a stage whose left side is its own
         // base-table scan (rather than the previous stage's output) starts
@@ -73,7 +89,8 @@ impl PierNode {
             let filter =
                 kern.as_deref().and_then(|c| c.stages.get(k).and_then(|s| s.scan_filter.as_ref()));
             let rows = self.scan_filtered_traced(id, &scan.table, now, since, filter);
-            self.feed_left(ctx, spec, k as u8, epoch, rows);
+            let out = self.feed_left(ctx, spec, k as u8, epoch, since, rows);
+            self.send_or_hold(ctx, id, &mut held, out);
         }
         // Driving side: the stage-0 left input is a base-table scan.  A
         // Bloom join summarizes its keys for the origin (phase 1) after
@@ -82,7 +99,8 @@ impl PierNode {
         let rows = self.scan_filtered_traced(id, left_table, now, since, filter);
         let summary = (stages[0].strategy == JoinStrategy::BloomFilter)
             .then(|| self.left_summary(&stages[0], &rows));
-        self.feed_left(ctx, spec, 0, epoch, rows);
+        let out = self.feed_left(ctx, spec, 0, epoch, since, rows);
+        self.send_or_hold(ctx, id, &mut held, out);
         if let Some(words) = summary {
             self.send_summary(ctx, id, 0, epoch, words);
         }
@@ -96,44 +114,70 @@ impl PierNode {
         {
             self.absorb_join_partials(ctx, id, epoch, Vec::new());
         }
+        if let Some(mut held) = held {
+            self.stamp_credit(ctx, id, epoch, Credit::UNIT, &mut held);
+            for out in held {
+                self.send_rehash(ctx, id, out);
+            }
+        }
+    }
+
+    /// Send a scan-time rehash now, or hold it for stamping when the query
+    /// is credit-tracked.
+    fn send_or_hold(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: QueryId,
+        held: &mut Option<Vec<Rehash>>,
+        out: Option<Rehash>,
+    ) {
+        let Some(out) = out else { return };
+        match held {
+            Some(held) => held.push(out),
+            None => self.send_rehash(ctx, id, out),
+        }
     }
 
     /// Feed rows into a stage's probing (left) side: Fetch-Matches stages
-    /// probe the right table from here, every other strategy rehashes them
-    /// into the stage's namespace.
+    /// probe the right table from here, reading the window `since` the
+    /// epoch's scans read; every other strategy rehashes them into the
+    /// stage's namespace (returned for the caller to send).
     fn feed_left(
         &mut self,
         ctx: &mut Ctx<'_>,
         spec: &QuerySpec,
         stage: u8,
         epoch: u64,
+        since: SimTime,
         rows: Vec<Tuple>,
-    ) {
-        let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)) else { return };
+    ) -> Option<Rehash> {
+        let st = spec.kind.join_stages().and_then(|s| s.get(stage as usize))?;
         if st.strategy == JoinStrategy::FetchMatches {
-            self.probe_stage(ctx, spec, stage, epoch, rows);
-        } else {
-            self.rehash_stage(ctx, spec, stage, epoch, 0, rows);
+            self.probe_stage(ctx, spec, stage, epoch, since, rows);
+            return None;
         }
+        Some(self.build_rehash(spec, stage, epoch, 0, rows))
     }
 
-    /// Rehash one side of a join stage into the stage's DHT namespace.  The
-    /// side's join key is evaluated over the full input tuple, then only its
-    /// ship columns travel (join-side projection pushdown).  Tuples coalesce
-    /// per join-key value — every tuple with the same key value travels to
-    /// the same site — so one `JoinBatch` per (destination, query, stage,
-    /// epoch) replaces one message per tuple.
-    pub(super) fn rehash_stage(
+    /// Build one side of a join stage's rehash into the stage's DHT
+    /// namespace.  The side's join key is evaluated over the full input
+    /// tuple, then only its ship columns travel (join-side projection
+    /// pushdown).  Tuples coalesce per join-key value — every tuple with the
+    /// same key value travels to the same site — so one `JoinBatch` per
+    /// (destination, query, stage, epoch) replaces one message per tuple.
+    pub(super) fn build_rehash(
         &mut self,
-        ctx: &mut Ctx<'_>,
         spec: &QuerySpec,
         stage: u8,
         epoch: u64,
         side: u8,
         rows: Vec<Tuple>,
-    ) {
+    ) -> Rehash {
         let id = spec.id;
-        let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)) else { return };
+        let mut out = Rehash { stage, side, shipped: 0, items: Vec::new() };
+        let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)) else {
+            return out;
+        };
         let (key_expr, ship_cols) = if side == 0 {
             (&st.left_key, &st.left_ship_cols)
         } else {
@@ -145,24 +189,32 @@ impl PierNode {
             .map(|row| (key_expr.eval(row), row))
             .filter(|(key, _)| !key.is_null())
             .map(|(key, row)| (key, row.project(ship_cols)));
-        let mut items = Vec::new();
-        let mut shipped = 0u64;
         for (key, group) in group_by_key(pairs) {
             let resource = ResourceKey::singleton(namespace.clone(), key.partition_string());
             for chunk in group.chunks(BATCH_MAX) {
                 self.stats.join_tuples_sent += chunk.len() as u64;
-                shipped += chunk.len() as u64;
+                out.shipped += chunk.len() as u64;
                 let key = key.clone();
+                let credit = Credit::NONE;
                 let payload = if chunk.len() == 1 {
                     let tuple = chunk[0].clone();
-                    PierPayload::JoinTuple { query: id, stage, epoch, side, key, tuple }
+                    PierPayload::JoinTuple { query: id, stage, epoch, side, key, tuple, credit }
                 } else {
                     let tuples = TupleBlock::columnar(chunk.to_vec());
-                    PierPayload::JoinBatch { query: id, stage, epoch, side, key, tuples }
+                    PierPayload::JoinBatch { query: id, stage, epoch, side, key, tuples, credit }
                 };
-                self.note_query_payload(id, &payload);
-                items.push((resource.clone(), payload));
+                out.items.push((resource.clone(), payload));
             }
+        }
+        out
+    }
+
+    /// Send a built rehash: one coalesced DHT submission, charged to the
+    /// query.
+    pub(super) fn send_rehash(&mut self, ctx: &mut Ctx<'_>, id: QueryId, out: Rehash) {
+        let Rehash { stage, side, shipped, items } = out;
+        for (_, payload) in &items {
+            self.note_query_payload(id, payload);
         }
         let sent = self.dht.send_to_key_batch(ctx, items) as u64;
         self.add_query_msgs(id, sent);
@@ -178,19 +230,55 @@ impl PierNode {
         }
     }
 
+    /// Stamp `credit` over the payloads of `outs`, one part each.  A node
+    /// that holds groups for the epoch not yet sent keeps a share back in
+    /// its pool, so the groups never travel without credit; with nothing to
+    /// stamp, the pool keeps all of it.  A credit too finely divided to
+    /// cover the payloads is withheld, so the epoch can only close on the
+    /// timer.
+    fn stamp_credit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: QueryId,
+        epoch: u64,
+        credit: Credit,
+        outs: &mut [Rehash],
+    ) {
+        let mut payloads: Vec<&mut PierPayload> =
+            outs.iter_mut().flat_map(|o| o.items.iter_mut().map(|(_, p)| p)).collect();
+        if payloads.is_empty() {
+            self.pool_credit(ctx, id, epoch, credit);
+            return;
+        }
+        let keep = usize::from(self.holds_groups(id, epoch));
+        let Some(mut parts) = credit.split(payloads.len() + keep) else { return };
+        let kept = if keep == 1 { parts.pop() } else { None };
+        for (payload, part) in payloads.iter_mut().zip(parts) {
+            payload.set_credit(part);
+        }
+        if let Some(kept) = kept {
+            self.pool_credit(ctx, id, epoch, kept);
+        }
+    }
+
     /// Send one Fetch-Matches DHT probe per input tuple against a stage's
-    /// (join-key-partitioned) right table.  The tuples never leave this
-    /// node; probe answers continue in [`on_get_result`](Self::on_get_result).
+    /// (join-key-partitioned) right table.  A continuous query's probe reads
+    /// only the items stored since `since`, as its scans do: soft state is
+    /// re-published, and every renewal stores one more matching instance.
+    /// The tuples never leave this node; probe answers continue in
+    /// [`on_get_result`](Self::on_get_result).
     fn probe_stage(
         &mut self,
         ctx: &mut Ctx<'_>,
         spec: &QuerySpec,
         stage: u8,
         epoch: u64,
+        since: SimTime,
         rows: Vec<Tuple>,
     ) {
         let id = spec.id;
         let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)) else { return };
+        let window = spec.continuous.map(|_| since);
         let mut probes = 0u64;
         for row in rows {
             let key = st.left_key.eval(&row);
@@ -198,7 +286,7 @@ impl PierNode {
                 continue;
             }
             let resource = ResourceKey::singleton(st.right_table.clone(), key.partition_string());
-            let req = self.dht.get(ctx, resource);
+            let req = self.dht.get(ctx, resource, window);
             self.pending_fetch.insert(req, (id, stage, epoch, row));
             probes += 1;
         }
@@ -270,15 +358,22 @@ impl PierNode {
         // sites); the chain default is the next stage's probing side.
         let (target, side) = st.out_to.unwrap_or((stage + 1, 0));
         let outs: Vec<Tuple> = rows.iter().map(|r| r.project(&st.out_cols)).collect();
-        if side == 1 {
-            self.rehash_stage(ctx, spec, target, epoch, 1, outs);
+        let out = if side == 1 {
+            Some(self.build_rehash(spec, target, epoch, 1, outs))
         } else {
-            self.feed_left(ctx, spec, target, epoch, outs);
+            self.feed_left(ctx, spec, target, epoch, epoch_since(spec, epoch), outs)
+        };
+        if let Some(mut out) = out {
+            // The outputs take the pool: credit this site received for the
+            // epoch travels on with them.
+            let credit = self.take_pool(spec.id, epoch);
+            self.stamp_credit(ctx, spec.id, epoch, credit, std::slice::from_mut(&mut out));
+            self.send_rehash(ctx, spec.id, out);
         }
     }
 
-    /// A rehashed join delivery at this join site: store it in the stage's
-    /// build and probe the other side's stored chunks.
+    /// A rehashed join delivery at this join site: pool its credit, store
+    /// it in the stage's build and probe the other side's stored chunks.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn on_join_tuples(
         &mut self,
@@ -289,7 +384,11 @@ impl PierNode {
         side: u8,
         key: Value,
         tuples: Vec<Tuple>,
+        credit: Credit,
     ) {
+        // Pooled before anything can drop the delivery, so its credit
+        // always returns.
+        self.pool_credit(ctx, id, epoch, credit);
         let Some(q) = self.queries.get(&id) else { return };
         let spec = q.spec.clone();
         let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)) else {
@@ -319,7 +418,7 @@ impl PierNode {
         // Inner-stage Bloom phase 1: every intermediate key that reaches
         // this join site makes the stage's summary (the batch shares one
         // key, so this is one filter insertion per delivery).
-        if side == 0 && stage > 0 && self.bloom_gated(stage as usize, st) {
+        if side == 0 && stage > 0 && bloom_gated(stage as usize, st) {
             self.note_inner_key(ctx, id, stage, epoch, st.bloom_bits, &key);
         }
 

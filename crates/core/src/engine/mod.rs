@@ -12,9 +12,11 @@
 //!   toward the node responsible for the query's aggregation key,
 //!   combining at every hop (the classic in-network aggregation of
 //!   PIER/TAG).  The root finalizes each epoch (or window) and streams
-//!   result rows to the query origin.  A continuous single-table
-//!   aggregate's epoch closes on completion — as many contributors as last
-//!   epoch — with the hold-down and collect timers as the fallback.
+//!   result rows to the query origin.  A continuous aggregate's epoch
+//!   closes on completion — as many contributors as last epoch for a
+//!   single table, all of last epoch's credit back at the root over
+//!   symmetric-hash joins — with the hold-down and collect timers as the
+//!   fallback.
 //! * `join` — **distributed joins** as a stage DAG: symmetric rehash joins
 //!   (both relations rehashed on the join key into a query-scoped
 //!   namespace) and Fetch-Matches joins (DHT `get` probes against the inner
@@ -115,7 +117,8 @@ enum TimerPurpose {
     /// Start the next epoch of a continuous query.
     Epoch(QueryId),
     /// A hop's hold-down for (query, epoch): forward the combined partials
-    /// the completion rule has not already shipped.
+    /// the completion rule has not already shipped, with the epoch's credit
+    /// pool once it has stopped growing.
     Holddown(QueryId, u64),
     /// The aggregation root's timer rule for (query, epoch): `collect_delay`
     /// after the first partial, postponed while partials still arrive.
@@ -575,11 +578,12 @@ impl PierNode {
             }
         }
         match payload {
-            PierPayload::JoinTuple { query, stage, epoch, side, key, tuple } => {
-                self.on_join_tuples(ctx, query, stage, epoch, side, key, vec![tuple])
+            PierPayload::JoinTuple { query, stage, epoch, side, key, tuple, credit } => {
+                self.on_join_tuples(ctx, query, stage, epoch, side, key, vec![tuple], credit)
             }
-            PierPayload::JoinBatch { query, stage, epoch, side, key, tuples } => {
-                self.on_join_tuples(ctx, query, stage, epoch, side, key, tuples.into_rows())
+            PierPayload::JoinBatch { query, stage, epoch, side, key, tuples, credit } => {
+                let tuples = tuples.into_rows();
+                self.on_join_tuples(ctx, query, stage, epoch, side, key, tuples, credit)
             }
             PierPayload::Expand { query, vertex, depth } => {
                 self.on_expand(ctx, query, vertex, depth)
@@ -590,53 +594,60 @@ impl PierNode {
 
     fn on_direct(&mut self, ctx: &mut Ctx<'_>, payload: PierPayload) {
         match payload {
-            PierPayload::Partial { query, epoch, groups, contributors } => {
-                self.absorb_partials(ctx, query, epoch, groups, contributors, true);
+            PierPayload::Partial { query, epoch, groups, contributors, credit } => {
+                self.absorb_partials(ctx, query, epoch, groups, contributors, credit, true);
             }
-            PierPayload::Result(row) => {
-                if let Some(res) = self.results.get_mut(&row.query) {
-                    res.rows.entry(row.epoch).or_default().push(row.tuple);
-                }
-            }
+            PierPayload::Result(row) => self.receive_rows(row.query, row.epoch, [row.tuple]),
             PierPayload::ResultBatch { query, epoch, rows } => {
-                if let Some(res) = self.results.get_mut(&query) {
-                    res.rows.entry(epoch).or_default().extend(rows.into_rows());
-                }
+                self.receive_rows(query, epoch, rows.into_rows())
             }
             PierPayload::EpochDone { query, epoch, contributors } => {
-                if let Some(res) = self.results.get_mut(&query) {
-                    // One root per query normally (take the max over its
-                    // possibly-postponed reports); colocated aggregation has
-                    // one root per join site, each reporting disjoint
-                    // contributors, so they sum.
-                    let colocated = res
-                        .spec
-                        .kind
-                        .join_aggregate()
-                        .is_some_and(|a| a.hierarchical && a.colocated);
-                    let e = res.contributors.entry(epoch).or_insert(0);
-                    if colocated {
-                        *e += contributors;
-                    } else {
-                        *e = (*e).max(contributors);
-                    }
-                    res.rows.entry(epoch).or_default();
-                }
+                self.receive_epoch_done(query, epoch, contributors)
             }
-            PierPayload::WindowRetract { query, window } => {
-                // A late-data patch is coming: forget the window's previous
-                // rows; the corrected rows and a fresh EpochDone follow.
-                if let Some(res) = self.results.get_mut(&query) {
-                    res.rows.insert(window, Vec::new());
-                    res.contributors.remove(&window);
-                }
-            }
+            PierPayload::WindowRetract { query, window } => self.receive_retract(query, window),
             PierPayload::Bloom { query, stage, epoch, bits, k, combined: false } => {
                 self.on_bloom_summary(ctx, query, stage, epoch, bits, k);
             }
             PierPayload::TraceReport { query, trace, .. } => self.merge_trace_report(query, &trace),
             PierPayload::StatsGossip { entries } => self.absorb_gossip(ctx.now(), entries),
             _ => {}
+        }
+    }
+
+    /// Origin side: result rows for an epoch (or window) of a query this
+    /// node originated.
+    fn receive_rows(&mut self, query: QueryId, epoch: u64, rows: impl IntoIterator<Item = Tuple>) {
+        if let Some(res) = self.results.get_mut(&query) {
+            res.rows.entry(epoch).or_default().extend(rows);
+        }
+    }
+
+    /// Origin side: an aggregation root finalized an epoch (or window).
+    fn receive_epoch_done(&mut self, query: QueryId, epoch: u64, contributors: u64) {
+        if let Some(res) = self.results.get_mut(&query) {
+            // One root per query normally (take the max over its
+            // possibly-postponed reports); a colocated aggregate that closes
+            // on the timer has one root per join site, each reporting
+            // disjoint contributors, so they sum.  One that closes on credit
+            // reports once, from the origin.
+            let colocated =
+                res.spec.kind.join_aggregate().is_some_and(|a| a.hierarchical && a.colocated);
+            let e = res.contributors.entry(epoch).or_insert(0);
+            if colocated {
+                *e += contributors;
+            } else {
+                *e = (*e).max(contributors);
+            }
+            res.rows.entry(epoch).or_default();
+        }
+    }
+
+    /// Origin side: a late-data patch is coming, so forget the window's
+    /// previous rows; the corrected rows and a fresh `EpochDone` follow.
+    fn receive_retract(&mut self, query: QueryId, window: u64) {
+        if let Some(res) = self.results.get_mut(&query) {
+            res.rows.insert(window, Vec::new());
+            res.contributors.remove(&window);
         }
     }
 
@@ -742,6 +753,14 @@ fn scan_since(spec: &QuerySpec, now: SimTime) -> SimTime {
     }
 }
 
+/// The window of `epoch`'s scans as its epoch-aligned evaluation reads it:
+/// continuous epochs are evaluated [`EPOCH_LAG_US`] after their boundary.  A
+/// Fetch-Matches probe sent from a join site mid-epoch reads this window.
+fn epoch_since(spec: &QuerySpec, epoch: u64) -> SimTime {
+    let at = spec.continuous.map_or(0, |c| epoch * c.period.as_micros() + EPOCH_LAG_US);
+    scan_since(spec, SimTime::from_micros(at))
+}
+
 /// Group `items` by key, preserving first-occurrence group order (the
 /// simulator's reproducibility requires deterministic message ordering, which
 /// bare HashMap iteration would break).  O(n) via an index map.
@@ -771,10 +790,13 @@ fn continuous_epoch(now: SimTime, c: &ContinuousSpec) -> u64 {
     now.as_micros() / c.period.as_micros().max(1)
 }
 
+/// How long after its boundary a continuous query evaluates an epoch, in µs.
+const EPOCH_LAG_US: u64 = 1_000;
+
 /// Delay until shortly after the next epoch boundary.
 fn epoch_align_delay(now: SimTime, c: &ContinuousSpec) -> Duration {
     let period = c.period.as_micros().max(1);
-    Duration::from_micros(period - (now.as_micros() % period) + 1_000)
+    Duration::from_micros(period - (now.as_micros() % period) + EPOCH_LAG_US)
 }
 
 impl Node for PierNode {
@@ -804,7 +826,7 @@ impl Node for PierNode {
         match purpose {
             TimerPurpose::Epoch(id) => self.on_epoch_timer(ctx, id),
             TimerPurpose::Holddown(id, epoch) => {
-                self.forward_partials(ctx, id, epoch);
+                self.on_holddown(ctx, id, epoch);
                 self.process_upcalls(ctx);
             }
             TimerPurpose::RootFinalize(id, epoch) => self.on_root_deadline(ctx, id, epoch),

@@ -180,6 +180,7 @@ impl PierNode {
                 ));
                 q.spec = new_spec;
                 q.kernels = None;
+                q.agg.spec_swapped(epoch);
                 replanned = true;
             }
         }

@@ -91,7 +91,7 @@ pub use engine::{
 };
 pub use expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 pub use kernel::Kernel;
-pub use payload::PierPayload;
+pub use payload::{Credit, PierPayload};
 pub use plan::{AggExpr, LogicalPlan, SortKey};
 pub use planner::{Explanation, PlanCache, PlanError, PlannedQuery, Planner};
 pub use query::{

@@ -4,7 +4,8 @@
 //! base-table tuples, disseminated query plans, partial aggregates climbing
 //! the aggregation tree, rehashed join tuples, Bloom-filter summaries,
 //! recursive-expansion requests, and result rows streaming back to the query
-//! origin.
+//! origin.  Rehashed join tuples and partials may also carry a [`Credit`],
+//! the share of an epoch's work they stand for.
 
 use crate::aggregate::AggState;
 use crate::dataflow::ops::GroupKey;
@@ -46,6 +47,9 @@ pub enum PierPayload {
         groups: Vec<(GroupKey, Vec<AggState>)>,
         /// How many leaf nodes' data is reflected in these states.
         contributors: u64,
+        /// The credit the sender returns with these states (none outside
+        /// credit-tracked queries).
+        credit: Credit,
     },
     /// One result row, streamed to the query origin.
     Result(ResultRow),
@@ -85,6 +89,8 @@ pub enum PierPayload {
         key: Value,
         /// The tuple itself.
         tuple: Tuple,
+        /// The share of the epoch's credit this tuple carries.
+        credit: Credit,
     },
     /// Several tuples of one join side that rehash to the *same* join-key
     /// value — and therefore to the same site — shipped as one message per
@@ -102,6 +108,8 @@ pub enum PierPayload {
         key: Value,
         /// The tuples themselves, in the block's chosen wire encoding.
         tuples: TupleBlock,
+        /// The share of the epoch's credit this batch carries.
+        credit: Credit,
     },
     /// Several result rows of one (query, epoch) streamed to the origin in a
     /// single message.  Producers buffer rows while evaluating an epoch tick
@@ -176,8 +184,9 @@ impl WireSize for PierPayload {
             PierPayload::TupleBatch(block) => block.wire_size(),
             PierPayload::Query(q) => q.wire_size(),
             PierPayload::StopQuery(_) => 8,
-            PierPayload::Partial { groups, .. } => {
+            PierPayload::Partial { groups, credit, .. } => {
                 16 + 8
+                    + credit.wire_size()
                     + groups
                         .iter()
                         .map(|(k, s)| {
@@ -189,8 +198,12 @@ impl WireSize for PierPayload {
             PierPayload::Result(r) => r.wire_size(),
             PierPayload::EpochDone { .. } => 24,
             PierPayload::WindowRetract { .. } => 16,
-            PierPayload::JoinTuple { key, tuple, .. } => 19 + key.wire_size() + tuple.wire_size(),
-            PierPayload::JoinBatch { key, tuples, .. } => 19 + key.wire_size() + tuples.wire_size(),
+            PierPayload::JoinTuple { key, tuple, credit, .. } => {
+                19 + key.wire_size() + tuple.wire_size() + credit.wire_size()
+            }
+            PierPayload::JoinBatch { key, tuples, credit, .. } => {
+                19 + key.wire_size() + tuples.wire_size() + credit.wire_size()
+            }
             PierPayload::ResultBatch { rows, .. } => 16 + rows.wire_size(),
             PierPayload::Bloom { bits, .. } => 19 + bits.len() * 8,
             PierPayload::Expand { vertex, .. } => 20 + vertex.wire_size(),
@@ -203,12 +216,116 @@ impl WireSize for PierPayload {
     }
 }
 
+/// Termination credit (Mattern's weight throwing) for one epoch of a
+/// credit-tracked query: a continuous hierarchical aggregate over
+/// symmetric-hash joins.  Every node that runs the epoch injects one
+/// [`Credit::UNIT`] and splits it over its rehash payloads; a join site
+/// passes the credit it receives on to its outputs for the next stage and
+/// returns what it cannot pass on to the aggregation root with its groups.
+/// Credit is conserved, so the root holds `n` units only once every payload
+/// the epoch's `n` nodes produced has been processed and every group has
+/// arrived.
+///
+/// A credit is a sum of powers of two.  It travels as one exponent byte per
+/// set bit; their count rides in spare bits of a byte the payload already
+/// has (the side, the contributor count), so an absent credit costs nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Credit(u128);
+
+impl Credit {
+    /// No credit: the payload is not tracked.
+    pub const NONE: Credit = Credit(0);
+    /// What one node injects per epoch.  Leaves 96 halvings below it, and
+    /// room above it for 2^32 nodes' units.
+    pub const UNIT: Credit = Credit(1 << 96);
+
+    /// `n` whole units.
+    pub fn units(n: u64) -> Credit {
+        Credit(Self::UNIT.0.saturating_mul(u128::from(n)))
+    }
+
+    /// How many units this credit makes, counting a fraction as a whole one.
+    pub fn units_ceil(self) -> u64 {
+        self.0.div_ceil(Self::UNIT.0) as u64
+    }
+
+    /// Is this the absent credit?
+    pub fn is_none(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Split this credit into `n` nonzero parts that sum to it exactly, by
+    /// halving the largest piece until there are `n` pieces.  Every part is
+    /// a single power of two, except the last when the credit already has
+    /// more than `n` pieces: it takes all that are left.  `None` when the
+    /// credit is absent or too finely divided already.
+    pub fn split(self, n: usize) -> Option<Vec<Credit>> {
+        if self.is_none() || n == 0 {
+            return None;
+        }
+        // counts[k]: how many pieces of 2^k there are.
+        let mut counts = [0u64; 128];
+        for (k, c) in counts.iter_mut().enumerate() {
+            *c = (self.0 >> k & 1) as u64;
+        }
+        let mut pieces = self.0.count_ones() as usize;
+        let mut top = 127 - self.0.leading_zeros() as usize;
+        while pieces < n {
+            if top == 0 {
+                return None;
+            }
+            counts[top] -= 1;
+            counts[top - 1] += 2;
+            pieces += 1;
+            if counts[top] == 0 {
+                top -= 1;
+            }
+        }
+        let mut parts = Vec::with_capacity(n);
+        let mut rest = 0u128;
+        for k in (0..128).rev() {
+            for _ in 0..counts[k] {
+                if parts.len() + 1 < n {
+                    parts.push(Credit(1 << k));
+                } else {
+                    rest += 1 << k;
+                }
+            }
+        }
+        parts.push(Credit(rest));
+        Some(parts)
+    }
+}
+
+impl std::ops::AddAssign for Credit {
+    /// Saturating: a duplicated delivery can only push a sum past the count
+    /// the root waits for, never wrap it back onto it.
+    fn add_assign(&mut self, other: Credit) {
+        self.0 = self.0.saturating_add(other.0);
+    }
+}
+
+impl WireSize for Credit {
+    fn wire_size(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
+
 impl PierPayload {
     /// If this payload is a stored tuple, view it.
     pub fn as_tuple(&self) -> Option<&Tuple> {
         match self {
             PierPayload::Tuple(t) => Some(t),
             _ => None,
+        }
+    }
+
+    /// Set the credit a rehashed join payload carries (other variants carry
+    /// none, or get theirs when they are built).
+    pub fn set_credit(&mut self, to: Credit) {
+        if let PierPayload::JoinTuple { credit, .. } | PierPayload::JoinBatch { credit, .. } = self
+        {
+            *credit = to;
         }
     }
 
@@ -251,5 +368,11 @@ mod tests {
             combined: false,
         };
         assert!(bloom.wire_size() > 64 * 8);
+    }
+
+    #[test]
+    fn the_finest_credit_cannot_be_split() {
+        assert_eq!(Credit(1).split(2), None);
+        assert_eq!(Credit(3).split(2), Some(vec![Credit(2), Credit(1)]));
     }
 }

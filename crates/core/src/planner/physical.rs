@@ -340,9 +340,10 @@ fn plan_join(planner: &Planner<'_>, bound: &BoundSelect, optimized: &LogicalPlan
             // Aggregate-aware stage keys: if the (single) grouping column
             // *is* the terminal stage's join key — either endpoint, they are
             // equal on every match — the symmetric rehash has already
-            // partitioned each group wholly onto one join site.  Sites then
-            // finalize their own groups in place and the partial climb up
-            // the aggregation tree is skipped.
+            // partitioned each group wholly onto one join site, so the
+            // partial climb up the aggregation tree is skipped: sites
+            // finalize their groups in place, or — when credit closes the
+            // epochs — ship them one direct hop to the origin.
             let last = stages.last().expect("at least one stage");
             let key_pos = |key: &Expr, ship: &[usize], base: usize| -> Option<usize> {
                 match key {
@@ -360,7 +361,7 @@ fn plan_join(planner: &Planner<'_>, bound: &BoundSelect, optimized: &LogicalPlan
             if colocated {
                 note.push_str(&format!(
                     "aggregation: colocated with {terminal} \
-                     (GROUP BY = stage key; groups finalize at their join sites, \
+                     (GROUP BY = stage key; each group is whole at one join site, \
                      no partial climb)\n"
                 ));
             }

@@ -302,9 +302,10 @@ pub struct JoinAggregate {
     pub window: Option<WindowSpec>,
     /// Aggregate-aware stage keys: `true` when the grouping column *is* the
     /// final stage's join key, so every row of a group already lives at one
-    /// join site (the DHT partitioned matches by that very value).  Join
-    /// sites then finalize their own groups in place instead of rehashing
-    /// partials into the aggregation tree — the climb is skipped entirely.
+    /// join site (the DHT partitioned matches by that very value), and the
+    /// climb up the aggregation tree is skipped.  Join sites finalize their
+    /// own groups in place, or, when credit closes the query's epochs, ship
+    /// them one direct hop to the origin, which is their root.
     pub colocated: bool,
 }
 

@@ -117,8 +117,9 @@ pub struct OpTrace {
     /// Alert tuples this root published into the query's alert namespace
     /// (`HAVING` trigger on a windowed aggregate).
     pub alerts_emitted: u64,
-    /// Epochs this node finalized as the aggregation root once last epoch's
-    /// contributor count had reported (the completion rule).
+    /// Epochs this node finalized as the aggregation root on completion:
+    /// last epoch's contributor count had reported, or last epoch's nodes'
+    /// credit had returned (the completion rule).
     pub finalized_on_completion: u64,
     /// Epochs this node finalized as the aggregation root on the
     /// `collect_delay` timer (the timer rule).

@@ -16,7 +16,7 @@
 
 use crate::id::Id;
 use crate::key::ResourceKey;
-use pier_simnet::{NodeAddr, WireSize};
+use pier_simnet::{NodeAddr, SimTime, WireSize};
 use std::fmt;
 
 /// A network-visible reference to a DHT node: its address and ring identifier.
@@ -79,6 +79,9 @@ pub enum RouteBody<P> {
         req_id: u64,
         /// Where to send the reply.
         origin: NodeAddr,
+        /// Read only items stored at or after this time (a continuous
+        /// query's window); `None` reads every live item and costs no bytes.
+        since: Option<SimTime>,
     },
     /// Deliver an application payload to the responsible node (PIER uses this
     /// to rehash tuples to join/aggregation sites).
@@ -103,7 +106,9 @@ impl<P: WireSize> WireSize for RouteBody<P> {
         match self {
             // Tag, item, and a flags byte.
             RouteBody::Put { item } => 1 + item.wire_size() + 1,
-            RouteBody::Get { key, .. } => 1 + key.wire_size() + 8 + 4,
+            RouteBody::Get { key, since, .. } => {
+                1 + key.wire_size() + 8 + 4 + if since.is_some() { 8 } else { 0 }
+            }
             RouteBody::AppSend { key, payload } => 1 + key.wire_size() + payload.wire_size(),
             RouteBody::FindSuccessor { .. } => 1 + 8 + 4,
         }
@@ -346,7 +351,8 @@ mod tests {
     fn route_body_variants_have_distinct_sizes() {
         let put: RouteBody<u64> =
             RouteBody::Put { item: WireItem { key: key(), value: 1, ttl_us: 0 } };
-        let get: RouteBody<u64> = RouteBody::Get { key: key(), req_id: 0, origin: NodeAddr(0) };
+        let get: RouteBody<u64> =
+            RouteBody::Get { key: key(), req_id: 0, origin: NodeAddr(0), since: None };
         let app: RouteBody<u64> = RouteBody::AppSend { key: key(), payload: 9 };
         let find: RouteBody<u64> = RouteBody::FindSuccessor { req_id: 0, origin: NodeAddr(0) };
         for body in [&put, &get, &app, &find] {

@@ -305,12 +305,19 @@ impl<P: Clone + WireSize> DhtNode<P> {
         self.route_many(ctx, envelopes)
     }
 
-    /// Fetch all items stored under `(key.namespace, key.resource)`.  Returns
-    /// a request id; the answer arrives later as [`Upcall::GetResult`].
-    pub fn get(&mut self, ctx: &mut Context<DhtMsg<P>>, key: ResourceKey) -> u64 {
+    /// Fetch all items stored under `(key.namespace, key.resource)`, or with
+    /// `since` only those stored at or after it (a continuous query's
+    /// window).  Returns a request id; the answer arrives later as
+    /// [`Upcall::GetResult`].
+    pub fn get(
+        &mut self,
+        ctx: &mut Context<DhtMsg<P>>,
+        key: ResourceKey,
+        since: Option<SimTime>,
+    ) -> u64 {
         let req_id = self.fresh_req_id();
         let target = key.routing_id();
-        let body = RouteBody::Get { key, req_id, origin: self.me.addr };
+        let body = RouteBody::Get { key, req_id, origin: self.me.addr, since };
         self.route(ctx, target, body, 0);
         req_id
     }
@@ -396,10 +403,12 @@ impl<P: Clone + WireSize> DhtNode<P> {
 
     /// Store an item directly at this node, bypassing routing.  PIER uses
     /// this for data that is *about* the local node (e.g. its own monitoring
-    /// readings) when partitioning by publisher is desired.
+    /// readings) when partitioning by publisher is desired.  The item
+    /// belongs to this node, not to its key's owner, so hand-off leaves it
+    /// here.
     pub fn local_put(&mut self, now: SimTime, key: ResourceKey, value: P, ttl: Option<Duration>) {
         let ttl = ttl.unwrap_or(self.config.default_ttl);
-        let is_new = self.store.put(key.clone(), value.clone(), now, ttl);
+        let is_new = self.store.put_local(key.clone(), value.clone(), now, ttl);
         if is_new {
             self.upcalls.push(Upcall::NewItem { key, value });
         }
@@ -661,11 +670,12 @@ impl<P: Clone + WireSize> DhtNode<P> {
                     self.upcalls.push(Upcall::NewItem { key: item.key, value: item.value });
                 }
             }
-            RouteBody::Get { key, req_id, origin } => {
+            RouteBody::Get { key, req_id, origin, since } => {
                 let now = ctx.now();
+                let since = since.unwrap_or(SimTime::ZERO);
                 let items = self
                     .store
-                    .get(&key.namespace, &key.resource, now)
+                    .get_since(&key.namespace, &key.resource, now, since)
                     .into_iter()
                     .map(|item| (item.key.clone(), item.value.clone()))
                     .collect();
@@ -780,6 +790,9 @@ impl<P: Clone + WireSize> DhtNode<P> {
     }
 
     /// After adopting a new predecessor, transfer items we no longer own.
+    /// Items stored with [`local_put`](Self::local_put) are not owned by key
+    /// and stay: a moved copy would be stored anew at the receiver, and a
+    /// windowed scan there would count it again.
     fn handoff_items(&mut self, ctx: &mut Context<DhtMsg<P>>, new_pred: Peer) {
         let now = ctx.now();
         let to_move: Vec<WireItem<P>> = self
@@ -788,7 +801,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
             .into_iter()
             .filter(|item| {
                 let id = item.key.routing_id();
-                !id.in_half_open_interval(&new_pred.id, &self.me.id)
+                !item.local && !id.in_half_open_interval(&new_pred.id, &self.me.id)
             })
             .map(|item| WireItem {
                 key: item.key.clone(),

@@ -26,6 +26,10 @@ pub struct Item<V> {
     /// Virtual time at which the item was (last) stored here.  Continuous
     /// queries use this to restrict evaluation to a recent window of data.
     pub stored_at: SimTime,
+    /// Stored by its publisher for itself
+    /// ([`DhtNode::local_put`](crate::DhtNode::local_put)), not at its key's
+    /// owner: it stays where it is when the ring hands keys over.
+    pub local: bool,
 }
 
 impl<V> Item<V> {
@@ -66,14 +70,18 @@ impl<V: Clone> SoftStateStore<V> {
     /// `(namespace, resource, instance)` is replaced (its TTL refreshed);
     /// returns `true` if the item was new.
     pub fn put(&mut self, key: ResourceKey, value: V, now: SimTime, ttl: Duration) -> bool {
-        let expires_at = now + ttl;
-        let ns = self.namespaces.entry(key.namespace.clone()).or_default();
-        let existed = ns
-            .insert(
-                (key.resource.clone(), key.instance),
-                Item { key, value, expires_at, stored_at: now },
-            )
-            .is_some();
+        self.insert(Item { key, value, expires_at: now + ttl, stored_at: now, local: false })
+    }
+
+    /// Like [`put`](Self::put), for an item its publisher stores for itself
+    /// rather than at its key's owner ([`Item::local`]).
+    pub fn put_local(&mut self, key: ResourceKey, value: V, now: SimTime, ttl: Duration) -> bool {
+        self.insert(Item { key, value, expires_at: now + ttl, stored_at: now, local: true })
+    }
+
+    fn insert(&mut self, item: Item<V>) -> bool {
+        let ns = self.namespaces.entry(item.key.namespace.clone()).or_default();
+        let existed = ns.insert((item.key.resource.clone(), item.key.instance), item).is_some();
         if !existed {
             self.item_count += 1;
         }
@@ -89,14 +97,23 @@ impl<V: Clone> SoftStateStore<V> {
         self.total_puts
     }
 
-    /// All live items for a `(namespace, resource)` pair (any instance).
-    pub fn get(&self, namespace: &str, resource: &str, now: SimTime) -> Vec<&Item<V>> {
+    /// Live items for a `(namespace, resource)` pair (any instance) stored
+    /// at or after `since`: the window of a continuous query, as
+    /// [`lscan_since`](Self::lscan_since) reads it, so a probe sees what a
+    /// scan of the same window sees.  `SimTime::ZERO` reads them all.
+    pub fn get_since(
+        &self,
+        namespace: &str,
+        resource: &str,
+        now: SimTime,
+        since: SimTime,
+    ) -> Vec<&Item<V>> {
         self.namespaces
             .get(namespace)
             .map(|ns| {
                 ns.range((resource.to_string(), 0)..=(resource.to_string(), u64::MAX))
                     .map(|(_, item)| item)
-                    .filter(|item| !item.is_expired(now))
+                    .filter(|item| !item.is_expired(now) && item.stored_at >= since)
                     .collect()
             })
             .unwrap_or_default()
@@ -248,7 +265,7 @@ mod tests {
         assert!(!store.put(key("t", "a", 0), 10, now, ttl));
 
         assert_eq!(store.len(), 4);
-        let got = store.get("t", "a", now);
+        let got = store.get_since("t", "a", now, SimTime::ZERO);
         assert_eq!(got.len(), 2);
         assert_eq!(store.lscan("t", now).len(), 3);
         assert_eq!(store.lscan("u", now).len(), 1);
@@ -268,7 +285,7 @@ mod tests {
         let t1 = SimTime::from_secs(11);
         // Expired items are invisible to reads even before sweeping.
         assert_eq!(store.lscan("t", t1).len(), 1);
-        assert_eq!(store.get("t", "x", t1).len(), 0);
+        assert_eq!(store.get_since("t", "x", t1, SimTime::ZERO).len(), 0);
         assert_eq!(store.len(), 2);
 
         let removed = store.sweep(t1);
@@ -319,7 +336,7 @@ mod tests {
         store.put(key("t", "a", 0), 1, now, ttl);
         store.put(key("t", "ab", 0), 2, now, ttl);
         store.put(key("t", "b", 0), 3, now, ttl);
-        let got = store.get("t", "a", now);
+        let got = store.get_since("t", "a", now, SimTime::ZERO);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].value, 1);
     }
@@ -340,12 +357,33 @@ mod tests {
     }
 
     #[test]
+    fn get_since_reads_the_window_lscan_since_reads() {
+        let mut store: SoftStateStore<u32> = SoftStateStore::new();
+        let ttl = Duration::from_secs(100);
+        // The same row, re-published every epoch: one instance per publish.
+        store.put(key("t", "a", 0), 1, SimTime::from_secs(1), ttl);
+        store.put(key("t", "a", 1), 1, SimTime::from_secs(6), ttl);
+        store.put(key("t", "a", 2), 1, SimTime::from_secs(11), ttl);
+        let now = SimTime::from_secs(12);
+        assert_eq!(store.get_since("t", "a", now, SimTime::ZERO).len(), 3);
+        for since in [0, 5, 10, 12] {
+            let since = SimTime::from_secs(since);
+            assert_eq!(
+                store.get_since("t", "a", now, since).len(),
+                store.lscan_since("t", now, since).len()
+            );
+        }
+        assert_eq!(store.get_since("t", "a", now, SimTime::from_secs(10)).len(), 1);
+    }
+
+    #[test]
     fn item_is_expired() {
         let item = Item {
             key: key("t", "a", 0),
             value: 0u8,
             expires_at: SimTime::from_secs(5),
             stored_at: SimTime::ZERO,
+            local: false,
         };
         assert!(!item.is_expired(SimTime::from_secs(4)));
         assert!(item.is_expired(SimTime::from_secs(5)));

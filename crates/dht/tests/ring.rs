@@ -155,7 +155,7 @@ fn get_returns_previously_put_items() {
 
     let req = sim
         .invoke(NodeAddr(9), |node, ctx| {
-            node.dht.get(ctx, ResourceKey::singleton("inventory", "widget"))
+            node.dht.get(ctx, ResourceKey::singleton("inventory", "widget"), None)
         })
         .unwrap();
     sim.run_for(Duration::from_secs(5));

@@ -6,9 +6,10 @@
 //!   reference under **every** join-strategy mix, in both aggregation
 //!   placements (hierarchical partials and the raw-row streaming baseline).
 //! * The workload groups by the final stage's join key, so the aggregate is
-//!   *colocated*: join sites finalize their own groups in place, no partial
-//!   states climb the tree, and the result path still ships measurably
-//!   fewer rows than the raw-row baseline at identical answers.
+//!   *colocated*: no partial states climb the tree.  One-shot, join sites
+//!   finalize their own groups in place, and the result path still ships
+//!   measurably fewer rows than the raw-row baseline at identical answers;
+//!   continuous, they ship their groups one direct hop to the origin.
 //! * `EXPLAIN ANALYZE` renders the per-stage *and* aggregation trace
 //!   sections, and the totals reconcile field-for-field with
 //!   `engine_totals()`.
@@ -247,8 +248,14 @@ fn explain_analyze_renders_aggregation_section_that_reconciles() {
     assert_eq!(trace.batches_sent, totals.batches_sent);
     assert_eq!(trace.bytes_shipped, totals.bytes_shipped);
     // GROUP BY i.host = the final stage's join key, so the aggregate is
-    // colocated with the join sites and no partials climb the tree.
-    assert_eq!(trace.partials_sent, 0, "colocated aggregation must skip the partial climb");
+    // colocated with the join sites.  This continuous query closes its
+    // epochs on completion, so each site ships its groups (and credit) one
+    // direct hop to the origin, the root, which merges them: no partial is
+    // relayed.
+    assert!(trace.partials_sent > 0, "join sites must ship their groups to the origin");
+    assert_eq!(trace.partials_sent, trace.partials_merged);
+    let merged_at_origin = bed.node(origin).unwrap().stats().partials_merged;
+    assert_eq!(merged_at_origin, totals.partials_sent, "every partial reaches the origin");
 
     // The per-stage sections still partition the join-side totals exactly.
     let shipped: u64 = trace.stage_shipped.values().sum();

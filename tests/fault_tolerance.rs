@@ -294,3 +294,79 @@ fn expired_soft_state_drops_out_of_answers() {
     let stale = bed.results(origin, q2, 0)[0].get(0).as_i64().unwrap();
     assert_eq!(stale, 0, "expired tuples must not be counted");
 }
+
+/// ROADMAP D9: a node that adopts a new predecessor hands over the items
+/// whose keys the newcomer now owns.  Readings a node stored for itself
+/// (`publish_local`) are not owned by key; moved, they were stored anew at
+/// the receiver, and its windowed scans counted them again.  A continuous
+/// windowed SUM over such readings must equal the live nodes' readings in
+/// every epoch, also after a node rejoins mid-run.
+#[test]
+fn hand_off_leaves_local_readings_with_their_publisher() {
+    const NODES: usize = 16;
+    const PERIOD_MS: u64 = 5_000;
+    /// Epochs a reading stays in the query's window.
+    const WINDOW_EPOCHS: u64 = 4;
+    const READINGS: usize = 12;
+    let sql =
+        "SELECT COUNT(*) AS c, SUM(v) AS s FROM m CONTINUOUS EVERY 5 SECONDS WINDOW 20 SECONDS";
+    let table = TableDef::new(
+        "m",
+        Schema::of(&[("sensor", DataType::Str), ("v", DataType::Int)]),
+        "sensor",
+        Duration::from_secs(3_600),
+    );
+    let mut bed = PierTestbed::quick(NODES, 0xD9);
+    bed.create_table_everywhere(&table);
+    let origin = bed.nodes()[1];
+    // The rejoining node publishes nothing: the live nodes' readings are the
+    // other nodes' readings, whether or not it is in the ring.
+    let rejoiner = bed.nodes()[9];
+    bed.kill_node(rejoiner);
+    bed.run_for(Duration::from_secs(5));
+
+    let epoch_ms = |e: u64, ms: u64| SimTime::from_micros((e * PERIOD_MS + ms) * 1_000);
+    let first = bed.now().as_micros() / 1_000 / PERIOD_MS + 1;
+    bed.run_until(epoch_ms(first, 2_600));
+    let q = bed.submit_sql(origin, sql).unwrap();
+    let rejoin = first + 8;
+    let end = first + 16;
+    // Every epoch, 2.5 s in, every publishing node stores readings about
+    // its sensors under keys spread over the whole ring.
+    let mut published: Vec<(u64, i64)> = Vec::new();
+    for e in first + 1..end {
+        bed.run_until(epoch_ms(e, 2_500));
+        for (i, addr) in bed.nodes().to_vec().into_iter().enumerate() {
+            if addr == rejoiner {
+                continue;
+            }
+            for j in 0..READINGS {
+                let v = (e as i64 % 100) * 10_000 + (i * READINGS + j) as i64;
+                let row = Tuple::new(vec![Value::str(format!("n{i}-s{j}")), Value::Int(v)]);
+                bed.publish_local(addr, "m", row);
+                published.push((e, v));
+            }
+        }
+        if e == rejoin {
+            bed.run_for(Duration::from_millis(500));
+            bed.restart_node(rejoiner);
+        }
+    }
+    bed.run_until(epoch_ms(end, 4_000));
+
+    // Epoch `e` scans the readings stored in the window before its start:
+    // those published in the WINDOW_EPOCHS epochs before it.
+    for e in first + 1 + WINDOW_EPOCHS..end {
+        let window: Vec<i64> = published
+            .iter()
+            .filter(|(p, _)| (e - WINDOW_EPOCHS..e).contains(p))
+            .map(|&(_, v)| v)
+            .collect();
+        let want = vec![Tuple::new(vec![
+            Value::Int(window.len() as i64),
+            Value::Int(window.iter().sum()),
+        ])];
+        let got = bed.results(origin, q, e);
+        assert_eq!(got, want, "epoch {e} (the node rejoined in epoch {rejoin})");
+    }
+}

@@ -196,3 +196,80 @@ fn recursive_query_kind_reports_edge_table() {
     assert!(matches!(kind, QueryKind::Recursive { .. }));
     assert_eq!(kind.primary_table(), "links");
 }
+
+/// ROADMAP D6: a continuous Fetch-Matches join over soft state that its
+/// publishers re-publish every epoch.  Every re-publish stores one more
+/// instance of each row, so a probe that read every live instance returned
+/// one more copy of each match per epoch (k copies by epoch k).  Probes read
+/// the window the epoch's scans read, so every epoch equals the reference —
+/// on both join orders, whichever table is probed.
+#[test]
+fn fetch_matches_probes_read_the_scan_window_under_republication() {
+    const PERIOD_MS: u64 = 5_000;
+    let ttl = Duration::from_secs(600);
+    let l =
+        TableDef::new("l", Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]), "k", ttl);
+    let r = TableDef::new("r", Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]), "k", ttl);
+    let l_rows: Vec<Tuple> =
+        (0..20).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 5)])).collect();
+    let r_rows: Vec<Tuple> =
+        (0..5).map(|k| Tuple::new(vec![Value::Int(k), Value::Int(10 * k)])).collect();
+    let mut catalog = Catalog::new();
+    catalog.register(l.clone());
+    catalog.register(r.clone());
+    let mut db = MemoryDb::new();
+    db.insert("l", l_rows.clone());
+    db.insert("r", r_rows.clone());
+
+    for sql in [
+        "SELECT l.id, r.v FROM l JOIN r ON l.k = r.k CONTINUOUS EVERY 5 SECONDS WINDOW 5 SECONDS",
+        "SELECT l.id, r.v FROM r JOIN l ON r.k = l.k CONTINUOUS EVERY 5 SECONDS WINDOW 5 SECONDS",
+    ] {
+        let stmt = pier::core::sql::parse_select(sql).unwrap();
+        let planned = Planner::with_join_strategy(&catalog, JoinStrategy::FetchMatches)
+            .plan_select(&stmt)
+            .unwrap();
+        let reference = db.execute(&planned.logical);
+        assert_eq!(reference.len(), 20);
+
+        let mut bed = PierTestbed::quick(16, 0xD6);
+        bed.create_table_everywhere(&l);
+        bed.create_table_everywhere(&r);
+        let publisher = bed.nodes()[3];
+        let origin = bed.nodes()[1];
+        // Re-publish both tables 2.5 s into every epoch, as soft state is.
+        let mut epoch = bed.now().as_micros() / 1_000 / PERIOD_MS + 1;
+        let publish_at = |e: u64| SimTime::from_micros((e * PERIOD_MS + 2_500) * 1_000);
+        bed.run_until(publish_at(epoch));
+        bed.publish_batch(publisher, "l", l_rows.clone());
+        bed.publish_batch(publisher, "r", r_rows.clone());
+        bed.run_for(Duration::from_millis(1_000));
+        let q = bed
+            .submit_query(
+                origin,
+                planned.kind.clone(),
+                planned.output_names.clone(),
+                planned.continuous,
+            )
+            .unwrap();
+        let first = epoch;
+        for _ in 0..6 {
+            epoch += 1;
+            bed.run_until(publish_at(epoch));
+            bed.publish_batch(publisher, "l", l_rows.clone());
+            bed.publish_batch(publisher, "r", r_rows.clone());
+        }
+        bed.run_for(Duration::from_millis(2_000));
+        let counts: Vec<usize> = (first..=epoch).map(|e| bed.results(origin, q, e).len()).collect();
+        eprintln!("{sql}: rows per epoch {counts:?}");
+        for e in first..=epoch {
+            let rows = bed.results(origin, q, e);
+            assert!(
+                same_rows(&rows, &reference),
+                "{sql}: epoch {e} returned {} rows, the reference {}",
+                rows.len(),
+                reference.len()
+            );
+        }
+    }
+}
