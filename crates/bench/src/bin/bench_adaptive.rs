@@ -127,7 +127,6 @@ struct FeedbackRun {
     window_epoch: u64,
     replans: u64,
     switches: Vec<String>,
-    wall_ms: u128,
 }
 
 /// The settle-then-measure timeline, identical for both runs: 45 s for the
@@ -137,7 +136,6 @@ const SETTLE_SECS: u64 = 45;
 const WINDOW_SECS: u64 = 30;
 
 fn run_feedback(nodes: usize, seed: u64, feedback: bool) -> FeedbackRun {
-    let started = std::time::Instant::now();
     let mut bed = feedback_bed(nodes, seed, feedback);
     let origin = bed.nodes()[1];
     let before = bed.engine_totals();
@@ -162,7 +160,6 @@ fn run_feedback(nodes: usize, seed: u64, feedback: bool) -> FeedbackRun {
         window_epoch,
         replans: after.feedback_replans,
         switches,
-        wall_ms: started.elapsed().as_millis(),
     }
 }
 
@@ -295,11 +292,9 @@ struct BushyRun {
     join_tuples: u64,
     rows: Vec<Tuple>,
     order: Vec<String>,
-    wall_ms: u128,
 }
 
 fn run_bushy_mode(nodes: usize, seed: u64, planned: &pier_core::PlannedQuery) -> BushyRun {
-    let started = std::time::Instant::now();
     let rows = bushy_rows(nodes);
     let mut bed = PierTestbed::new(TestbedConfig {
         nodes,
@@ -329,7 +324,6 @@ fn run_bushy_mode(nodes: usize, seed: u64, planned: &pier_core::PlannedQuery) ->
         join_tuples: after.join_tuples_sent - before.join_tuples_sent,
         rows: bed.results(origin, q, 0),
         order: planned.kind.tables().iter().map(|s| s.to_string()).collect(),
-        wall_ms: started.elapsed().as_millis(),
     }
 }
 
@@ -404,7 +398,6 @@ fn main() {
     row("window messages (post-correction)", static_run.window_messages, fed_run.window_messages);
     row("total messages", static_run.total_messages, fed_run.total_messages);
     row("feedback re-plans", static_run.replans, fed_run.replans);
-    println!("{:<36} {:>14} {:>14}", "wall clock (ms)", static_run.wall_ms, fed_run.wall_ms);
     println!("plan switch                          : {:?}", fed_run.switches);
     println!("post-correction message improvement  : {feedback_ratio:.2}x");
     println!("settled epochs identical             : {feedback_identical} ({compared} compared)");
@@ -414,7 +407,6 @@ fn main() {
     row("engine messages sent", ld.messages, bu.messages);
     row("join tuples shipped", ld.join_tuples, bu.join_tuples);
     row("result rows", ld.rows.len() as u64, bu.rows.len() as u64);
-    println!("{:<36} {:>14} {:>14}", "wall clock (ms)", ld.wall_ms, bu.wall_ms);
     println!("messages improvement                 : {bushy_ratio:.2}x");
     println!("results identical                    : {bushy_identical}");
 
@@ -433,8 +425,6 @@ fn main() {
         ("flip_epoch", flip.into()),
         ("epochs_compared", compared.into()),
         ("switches", fed_run.switches.as_slice().into()),
-        ("static_wall_clock_ms", static_run.wall_ms.into()),
-        ("fed_wall_clock_ms", fed_run.wall_ms.into()),
     ];
     let bushy = vec![
         ("left_deep_messages", ld.messages.into()),
@@ -443,8 +433,6 @@ fn main() {
         ("bushy_join_tuples", bu.join_tuples.into()),
         ("order", bu.order.as_slice().into()),
         ("result_rows", bu.rows.len().into()),
-        ("left_deep_wall_clock_ms", ld.wall_ms.into()),
-        ("bushy_wall_clock_ms", bu.wall_ms.into()),
     ];
     write_bench_json(
         "BENCH_adaptive.json",

@@ -21,7 +21,7 @@
 //! relative epsilon: in-network partials merge in arrival order, and float
 //! addition order differs between any two runs).
 //!
-//! Environment knobs: `PIER_NODES` (default 60), `PIER_SEED` (default 1).
+//! Environment knobs: `PIER_NODES` (default 40), `PIER_SEED` (default 1).
 //!
 //! Run with: `cargo run --release -p pier-bench --bin bench_agg`
 
@@ -56,11 +56,9 @@ fn catalog(nodes: usize) -> Catalog {
 struct RunOutcome {
     stats: EngineStats,
     rows: Vec<Tuple>,
-    wall_ms: u128,
 }
 
 fn run_mode(nodes: usize, seed: u64, hierarchical: bool) -> RunOutcome {
-    let started = std::time::Instant::now();
     let cat = catalog(nodes);
     let stmt = pier_core::sql::parse_select(AGG_SQL).expect("agg SQL parses");
     let planned = Planner::new(&cat).plan_select(&stmt).expect("agg SQL plans");
@@ -104,7 +102,7 @@ fn run_mode(nodes: usize, seed: u64, hierarchical: bool) -> RunOutcome {
     stats.results_sent -= before.results_sent;
     stats.partials_sent -= before.partials_sent;
 
-    RunOutcome { stats, rows: bed.results(origin, q, 0), wall_ms: started.elapsed().as_millis() }
+    RunOutcome { stats, rows: bed.results(origin, q, 0) }
 }
 
 fn mode_json(r: &RunOutcome) -> Json {
@@ -116,12 +114,11 @@ fn mode_json(r: &RunOutcome) -> Json {
         ("results_sent", r.stats.results_sent.into()),
         ("partials_sent", r.stats.partials_sent.into()),
         ("group_rows", r.rows.len().into()),
-        ("wall_clock_ms", r.wall_ms.into()),
     ])
 }
 
 fn main() {
-    let nodes: usize = env_parse("PIER_NODES", 60);
+    let nodes: usize = env_parse("PIER_NODES", 40);
     let seed: u64 = env_parse("PIER_SEED", 1);
 
     eprintln!("[agg] aggregate over 3-way join: {AGG_SQL}");

@@ -59,7 +59,6 @@ struct InnerOutcome {
     rows: Vec<Tuple>,
     trace: OpTrace,
     inner_rehash_msgs: u64,
-    wall_ms: u128,
 }
 
 /// One inner-Bloom measurement run: submit the forced-symmetric-hash 3-way
@@ -68,7 +67,6 @@ struct InnerOutcome {
 /// network-merged trace, and sum the stage-≥1 right-relation rehash
 /// messages.
 fn run_inner(nodes: usize, seed: u64, inner_bloom: bool) -> InnerOutcome {
-    let started = std::time::Instant::now();
     let cat = catalog(nodes);
     let stmt = pier_core::sql::parse_select(JOIN_SQL).expect("join SQL parses");
     let planned = Planner::with_join_strategy(&cat, JoinStrategy::SymmetricHash)
@@ -106,7 +104,7 @@ fn run_inner(nodes: usize, seed: u64, inner_bloom: bool) -> InnerOutcome {
         .expect("trace collected");
     let inner_rehash_msgs =
         trace.stage_rehash_msgs.iter().filter(|(&s, _)| s >= 1).map(|(_, &n)| n).sum();
-    InnerOutcome { rows, trace, inner_rehash_msgs, wall_ms: started.elapsed().as_millis() }
+    InnerOutcome { rows, trace, inner_rehash_msgs }
 }
 
 fn main() {
@@ -140,7 +138,6 @@ fn main() {
         ("bloom_passed", passed.into()),
         ("fallbacks", bloom_on.trace.bloom_fallbacks.into()),
         ("result_rows", bloom_on.rows.len().into()),
-        ("wall_clock_ms", (bloom_on.wall_ms + bloom_off.wall_ms).into()),
     ];
     write_bench_json(
         "BENCH_joinpath.json",

@@ -19,7 +19,7 @@
 //! Both runs must produce identical join answers; the optimized order must
 //! ship strictly fewer join tuples *and* fewer engine wire messages.
 //!
-//! Environment knobs: `PIER_NODES` (default 60), `PIER_SEED` (default 1).
+//! Environment knobs: `PIER_NODES` (default 40), `PIER_SEED` (default 1).
 //!
 //! Run with: `cargo run --release -p pier-bench --bin bench_joins`
 
@@ -67,11 +67,9 @@ struct RunOutcome {
     stats: EngineStats,
     order: Vec<String>,
     rows: Vec<Tuple>,
-    wall_ms: u128,
 }
 
 fn run_mode(nodes: usize, seed: u64, inverted: bool) -> RunOutcome {
-    let started = std::time::Instant::now();
     let cat = catalog(nodes, inverted);
     let stmt = pier_core::sql::parse_select(JOIN_SQL).expect("join SQL parses");
     let planned = Planner::new(&cat).plan_select(&stmt).expect("join SQL plans");
@@ -113,12 +111,7 @@ fn run_mode(nodes: usize, seed: u64, inverted: bool) -> RunOutcome {
     stats.bytes_shipped -= before.bytes_shipped;
     stats.join_tuples_sent -= before.join_tuples_sent;
 
-    RunOutcome {
-        stats,
-        order,
-        rows: bed.results(origin, q, 0),
-        wall_ms: started.elapsed().as_millis(),
-    }
+    RunOutcome { stats, order, rows: bed.results(origin, q, 0) }
 }
 
 fn mode_json(r: &RunOutcome) -> Json {
@@ -129,12 +122,11 @@ fn mode_json(r: &RunOutcome) -> Json {
         ("join_tuples_sent", r.stats.join_tuples_sent.into()),
         ("join_matches", r.stats.join_matches.into()),
         ("result_rows", r.rows.len().into()),
-        ("wall_clock_ms", r.wall_ms.into()),
     ])
 }
 
 fn main() {
-    let nodes: usize = env_parse("PIER_NODES", 60);
+    let nodes: usize = env_parse("PIER_NODES", 40);
     let seed: u64 = env_parse("PIER_SEED", 1);
 
     eprintln!("[joins] 3-way {JOIN_SQL}");

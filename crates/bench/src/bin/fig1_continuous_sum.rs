@@ -16,15 +16,14 @@
 //! Run with: `cargo run --release -p pier-bench --bin fig1_continuous_sum`
 
 use pier_apps::netmon::NetworkMonitor;
-use pier_bench::{experiment_config, fmt_thousands, monitoring_testbed};
+use pier_bench::{env_parse, experiment_config, fmt_thousands, monitoring_testbed};
 use pier_core::prelude::*;
 use pier_simnet::ChurnSchedule;
 
 fn main() {
-    let nodes: usize = std::env::var("PIER_NODES").ok().and_then(|s| s.parse().ok()).unwrap_or(300);
-    let seed: u64 = std::env::var("PIER_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
-    let epochs: usize =
-        std::env::var("PIER_EPOCHS").ok().and_then(|s| s.parse().ok()).unwrap_or(24);
+    let nodes: usize = env_parse("PIER_NODES", 300);
+    let seed: u64 = env_parse("PIER_SEED", 1);
+    let epochs: usize = env_parse("PIER_EPOCHS", 24);
 
     eprintln!("[fig1] booting {nodes} PIER nodes …");
     let mut bed = monitoring_testbed(nodes, seed, experiment_config());

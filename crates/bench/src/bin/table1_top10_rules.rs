@@ -12,12 +12,12 @@
 //! Run with: `cargo run --release -p pier-bench --bin table1_top10_rules`
 
 use pier_apps::snort::{SnortSimulator, SNORT_RULES};
-use pier_bench::{experiment_config, fmt_thousands, monitoring_testbed};
+use pier_bench::{env_parse, experiment_config, fmt_thousands, monitoring_testbed};
 use pier_core::prelude::*;
 
 fn main() {
-    let nodes: usize = std::env::var("PIER_NODES").ok().and_then(|s| s.parse().ok()).unwrap_or(300);
-    let seed: u64 = std::env::var("PIER_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2004);
+    let nodes: usize = env_parse("PIER_NODES", 300);
+    let seed: u64 = env_parse("PIER_SEED", 2004);
     // Network-wide hit volume matching the paper's table (~700k across rules).
     let total_hits: u64 = 710_000;
 

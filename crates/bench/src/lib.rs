@@ -141,8 +141,8 @@ pub fn fmt_thousands(v: f64) -> String {
 /// One value of a `BENCH_*.json` file.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
-    /// A count (or a wall-clock time in milliseconds).
-    Int(u128),
+    /// A count.
+    Int(u64),
     /// A ratio, written with three decimals.
     Ratio(f64),
     /// A flag.
@@ -180,12 +180,12 @@ macro_rules! json_int {
     ($($t:ty),*) => {$(
         impl From<$t> for Json {
             fn from(n: $t) -> Json {
-                Json::Int(n as u128)
+                Json::Int(n as u64)
             }
         }
     )*};
 }
-json_int!(u64, usize, u128);
+json_int!(u64, usize);
 
 impl From<bool> for Json {
     fn from(b: bool) -> Json {

@@ -106,13 +106,6 @@ pub struct PierConfig {
     /// next epoch boundary.  Off by default: plans then come from catalog
     /// statistics only.
     pub feedback: bool,
-    /// Batch-aware soft-state renewal: publishers log what
-    /// [`publish_batch`](super::PierNode::publish_batch) stored, and
-    /// [`renew_published`](super::PierNode::renew_published) re-publishes
-    /// only the tuples past half their table's TTL instead of the whole
-    /// batch — per-item renewal inside a stored batch.  Off by default
-    /// (publishers re-publish everything every TTL).
-    pub renewal: bool,
     /// What the aggregation root does with partials that arrive after the
     /// windows covering their epoch have closed (windowed continuous
     /// aggregates only; see [`WindowLatePolicy`]).  Interacts with
@@ -138,7 +131,6 @@ impl Default for PierConfig {
             stats_interval: Duration::from_millis(5_000),
             stats_ttl_intervals: 8,
             feedback: false,
-            renewal: false,
             window_late_policy: WindowLatePolicy::Drop,
         }
     }
@@ -156,20 +148,6 @@ impl PierConfig {
             bloom_bits_max: 16_384,
             bloom_fallback_delay: Duration::from_millis(3_000),
             stats_interval: Duration::from_millis(2_000),
-            ..PierConfig::default()
-        }
-    }
-
-    /// Parameters matching the PlanetLab-scale experiments.
-    pub fn planetlab() -> Self {
-        PierConfig {
-            dht: DhtConfig::planetlab(),
-            holddown: Duration::from_millis(300),
-            collect_delay: Duration::from_millis(5_000),
-            bloom_collect_delay: Duration::from_millis(2_000),
-            bloom_bits_min: 2048,
-            bloom_bits_max: 131_072,
-            bloom_fallback_delay: Duration::from_millis(10_000),
             ..PierConfig::default()
         }
     }
@@ -234,11 +212,6 @@ pub struct EngineStats {
     /// Times this node staged a trace-corrected plan for a live query
     /// (trace-fed costing, a subset of `replans`).
     pub feedback_replans: u64,
-    /// Tuples re-published by per-item soft-state renewal (past half TTL).
-    pub renewals_published: u64,
-    /// Tuples a renewal sweep left in place because they were still fresh —
-    /// the traffic a whole-batch re-publish would have paid for.
-    pub renewal_tuples_skipped: u64,
     /// Epoch-count windows this node closed and reported as an aggregation
     /// root (windowed continuous aggregates).
     pub windows_closed: u64,
@@ -291,8 +264,6 @@ impl EngineStats {
         self.piggybacked_payloads += other.piggybacked_payloads;
         self.shared_frames += other.shared_frames;
         self.feedback_replans += other.feedback_replans;
-        self.renewals_published += other.renewals_published;
-        self.renewal_tuples_skipped += other.renewal_tuples_skipped;
         self.windows_closed += other.windows_closed;
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;

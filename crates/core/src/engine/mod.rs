@@ -5,8 +5,8 @@
 //! state for every active query.  The engine implements the paper's
 //! "multihop, in-network" operators, one module per layer:
 //!
-//! * `scan` — publishing into the DHT (and soft-state renewal), local scans,
-//!   and the compiled kernels every per-epoch hot loop runs.
+//! * `scan` — publishing into the DHT, local scans, and the compiled
+//!   kernels every per-epoch hot loop runs.
 //! * `aggregate` — **hierarchical aggregation**: each node folds its local
 //!   tuples into mergeable partial states and forwards them hop-by-hop
 //!   toward the node responsible for the query's aggregation key,
@@ -299,10 +299,6 @@ pub struct PierNode {
     /// scanning the same table window in the same quiescent store state
     /// share one row-to-column pivot instead of each paying for it.
     scan_batches: Vec<(ScanBatchKey, Rc<ColumnarBatch>)>,
-    /// Per-table log of what this node's `publish_batch` calls stored, with
-    /// each tuple's last publish time (only kept when `PierConfig::renewal`
-    /// is on): the input of per-item soft-state renewal.
-    publish_log: HashMap<String, Vec<(Tuple, SimTime)>>,
     next_token: u64,
     next_query_seq: u32,
     publish_seq: u64,
@@ -334,7 +330,6 @@ impl PierNode {
             gossip: GossipView::new(),
             gossip_seq: 0,
             scan_batches: Vec::new(),
-            publish_log: HashMap::new(),
             next_token: 1_000,
             next_query_seq: 1,
             publish_seq: 0,

@@ -1,6 +1,6 @@
-//! Publish/scan layer: putting tuples into the DHT (and renewing them),
-//! local scans over a node's soft state, the scan-batch memo, the compiled
-//! kernels every per-epoch hot loop runs, and the streaming `SELECT` epoch.
+//! Publish/scan layer: putting tuples into the DHT, local scans over a
+//! node's soft state, the scan-batch memo, the compiled kernels every
+//! per-epoch hot loop runs, and the streaming `SELECT` epoch.
 
 use super::{group_by_key, Ctx, PierError, PierNode, BATCH_MAX};
 use crate::catalog::TableDef;
@@ -108,15 +108,7 @@ impl PierNode {
         table: &str,
         tuple: Tuple,
     ) -> Result<(), PierError> {
-        let def = self.table_def(table)?;
-        let key = ResourceKey::new(def.name.clone(), def.resource_of(&tuple), self.next_instance());
-        let payload = PierPayload::Tuple(tuple);
-        self.note_payload(&payload);
-        let sent = self.dht.put(ctx, key, payload, Some(def.ttl));
-        self.stats.messages_sent += sent as u64;
-        self.stats.tuples_published += 1;
-        self.process_upcalls(ctx);
-        Ok(())
+        self.publish_batch(ctx, table, vec![tuple])
     }
 
     /// Publish many tuples of one table with coalesced wire traffic: tuples
@@ -143,11 +135,6 @@ impl PierNode {
                 };
                 self.stats.tuples_published += chunk.len() as u64;
                 self.note_payload(&payload);
-                if self.config.renewal {
-                    let log = self.publish_log.entry(def.name.clone()).or_default();
-                    let now = ctx.now();
-                    log.extend(chunk.iter().map(|t| (t.clone(), now)));
-                }
                 items.push((key, payload, Some(def.ttl)));
             }
         }
@@ -155,32 +142,6 @@ impl PierNode {
         self.stats.messages_sent += sent as u64;
         self.process_upcalls(ctx);
         Ok(())
-    }
-
-    /// Soft-state renewal for a table this node publishes into: re-publish
-    /// only the logged tuples whose remaining lifetime has fallen below half
-    /// the table's TTL, and skip (but keep) the fresh ones.  The blanket
-    /// alternative — re-publishing the whole working set every period — pays
-    /// full wire cost for tuples nowhere near expiry; per-item ages make the
-    /// renewal traffic proportional to what is actually going stale.
-    /// Requires [`PierConfig::renewal`](super::PierConfig::renewal); without
-    /// it the publish log is empty and this is a no-op.
-    pub fn renew_published(&mut self, ctx: &mut Ctx<'_>, table: &str) -> Result<(), PierError> {
-        let def = self.table_def(table)?;
-        let Some(log) = self.publish_log.get_mut(table) else { return Ok(()) };
-        let now = ctx.now();
-        let half_ttl = def.ttl.as_micros() / 2;
-        let (stale, fresh): (Vec<_>, Vec<_>) = log
-            .drain(..)
-            .partition(|(_, at)| now.as_micros().saturating_sub(at.as_micros()) >= half_ttl);
-        *log = fresh;
-        self.stats.renewal_tuples_skipped += log.len() as u64;
-        if stale.is_empty() {
-            return Ok(());
-        }
-        self.stats.renewals_published += stale.len() as u64;
-        // Re-publishing re-logs the stale half at `now`, resetting its age.
-        self.publish_batch(ctx, table, stale.into_iter().map(|(t, _)| t).collect())
     }
 
     /// Store a tuple locally (no routing).  Monitoring data *about this node*

@@ -27,8 +27,6 @@ pub struct DhtConfig {
     pub storage_sweep_interval: Duration,
     /// Default time-to-live of stored items when the caller does not specify.
     pub default_ttl: Duration,
-    /// Maximum hops a routed message may take before being dropped (loop guard).
-    pub max_route_hops: u8,
 }
 
 impl Default for DhtConfig {
@@ -42,7 +40,6 @@ impl Default for DhtConfig {
             failure_timeout: Duration::from_millis(3_000),
             storage_sweep_interval: Duration::from_secs(5),
             default_ttl: Duration::from_secs(120),
-            max_route_hops: 64,
         }
     }
 }
@@ -60,22 +57,6 @@ impl DhtConfig {
             failure_timeout: Duration::from_millis(800),
             storage_sweep_interval: Duration::from_millis(500),
             default_ttl: Duration::from_secs(60),
-            max_route_hops: 64,
-        }
-    }
-
-    /// Configuration used by the PlanetLab-scale experiments (300+ nodes).
-    pub fn planetlab() -> Self {
-        DhtConfig {
-            successor_list_len: 8,
-            finger_count: 64,
-            stabilize_interval: Duration::from_millis(1_000),
-            fix_finger_interval: Duration::from_millis(500),
-            ping_interval: Duration::from_millis(2_000),
-            failure_timeout: Duration::from_secs(6),
-            storage_sweep_interval: Duration::from_secs(10),
-            default_ttl: Duration::from_secs(300),
-            max_route_hops: 64,
         }
     }
 }
@@ -90,7 +71,6 @@ mod tests {
         assert!(c.successor_list_len >= 2);
         assert!(c.finger_count > 0 && c.finger_count <= 160);
         assert!(c.failure_timeout > c.ping_interval);
-        assert!(c.max_route_hops >= 32);
     }
 
     #[test]

@@ -51,6 +51,12 @@ pub mod timers {
     pub const JOIN_RETRY: u64 = 5;
 }
 
+/// Hops a routed envelope may take; a node that would forward one that has
+/// taken this many drops it instead (a loop guard, counted in
+/// [`DhtStats::hop_limit_drops`]).  Greedy routing takes `O(log n)` hops,
+/// so only a routing loop comes near it.
+const MAX_ROUTE_HOPS: u8 = 64;
+
 /// Why a `FindSuccessor` request was issued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LookupPurpose {
@@ -71,7 +77,8 @@ pub struct DhtStats {
     pub delivery_hops: u64,
     /// Routed operations forwarded by this node.
     pub forwards: u64,
-    /// Routed operations dropped because they exceeded the hop limit.
+    /// Routed operations dropped because they had taken the hop limit (64)
+    /// and were still not at the responsible node.
     pub hop_limit_drops: u64,
     /// Broadcast messages forwarded by this node.
     pub broadcast_forwards: u64,
@@ -256,10 +263,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
         value: P,
         ttl: Option<Duration>,
     ) -> usize {
-        let ttl = ttl.unwrap_or(self.config.default_ttl);
-        let item = WireItem { key, value, ttl_us: ttl.as_micros() };
-        let target = item.key.routing_id();
-        self.route(ctx, target, RouteBody::Put { item }, 0)
+        self.put_batch(ctx, vec![(key, value, ttl)])
     }
 
     /// Store many items in the DHT with one coalesced submission: items whose
@@ -318,7 +322,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
         let req_id = self.fresh_req_id();
         let target = key.routing_id();
         let body = RouteBody::Get { key, req_id, origin: self.me.addr, since };
-        self.route(ctx, target, body, 0);
+        self.route_many(ctx, [RouteEnvelope { target, hops: 0, body }]);
         req_id
     }
 
@@ -331,9 +335,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
         key: ResourceKey,
         payload: P,
     ) -> usize {
-        let target = key.routing_id();
-        let body = RouteBody::AppSend { key, payload };
-        self.route(ctx, target, body, 0)
+        self.send_to_key_batch(ctx, vec![(key, payload)])
     }
 
     /// Send an application payload directly to a known node address (one hop,
@@ -349,7 +351,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
         let req_id = self.fresh_req_id();
         self.pending_lookups.insert(req_id, LookupPurpose::App);
         let body = RouteBody::FindSuccessor { req_id, origin: self.me.addr };
-        self.route(ctx, target, body, 0);
+        self.route_many(ctx, [RouteEnvelope { target, hops: 0, body }]);
         req_id
     }
 
@@ -422,7 +424,9 @@ impl<P: Clone + WireSize> DhtNode<P> {
     pub fn handle_message(&mut self, ctx: &mut Context<DhtMsg<P>>, from: NodeAddr, msg: DhtMsg<P>) {
         self.last_heard.insert(from, ctx.now());
         match msg {
-            DhtMsg::Route { target, hops, body } => self.handle_route(ctx, target, hops, body),
+            DhtMsg::Route { target, hops, body } => {
+                self.route_many(ctx, [RouteEnvelope { target, hops, body }]);
+            }
             DhtMsg::RouteBatch { routes } => {
                 self.route_many(ctx, routes);
             }
@@ -559,58 +563,23 @@ impl<P: Clone + WireSize> DhtNode<P> {
         best
     }
 
-    fn route(
-        &mut self,
-        ctx: &mut Context<DhtMsg<P>>,
-        target: Id,
-        body: RouteBody<P>,
-        hops: u8,
-    ) -> usize {
-        match self.next_hop(&target) {
-            None => {
-                self.deliver(ctx, target, hops, body);
-                0
-            }
-            Some(peer) => {
-                if hops >= self.config.max_route_hops {
-                    self.stats.hop_limit_drops += 1;
-                    return 0;
-                }
-                self.stats.forwards += 1;
-                if matches!(body, RouteBody::Put { .. } | RouteBody::AppSend { .. }) {
-                    self.stats.app_msgs_sent += 1;
-                }
-                ctx.send(peer.addr, DhtMsg::Route { target, hops: hops + 1, body });
-                1
-            }
-        }
-    }
-
-    fn handle_route(
-        &mut self,
-        ctx: &mut Context<DhtMsg<P>>,
-        target: Id,
-        hops: u8,
-        body: RouteBody<P>,
-    ) {
-        self.route(ctx, target, body, hops);
-    }
-
     /// Route a set of envelopes, coalescing the ones that share a next hop
-    /// into one [`DhtMsg::RouteBatch`] per peer.  Envelopes this node is
-    /// responsible for are delivered immediately.  Returns the number of wire
-    /// messages sent.
+    /// into one [`DhtMsg::RouteBatch`] per peer (a plain [`DhtMsg::Route`]
+    /// when only one envelope goes that way).  Envelopes this node is
+    /// responsible for are delivered immediately.  Every routed operation
+    /// passes through here, single or batched, originated or forwarded.
+    /// Returns the number of wire messages sent.
     fn route_many(
         &mut self,
         ctx: &mut Context<DhtMsg<P>>,
-        envelopes: Vec<RouteEnvelope<P>>,
+        envelopes: impl IntoIterator<Item = RouteEnvelope<P>>,
     ) -> usize {
         // Group by next hop, preserving arrival order within each group so
         // batching never reorders two ops on the same (source, destination)
-        // pair.  Groups are kept in first-occurrence order (not HashMap
-        // iteration order) so runs stay deterministic; the index map makes
-        // the grouping O(n).
-        let mut index: HashMap<NodeAddr, usize> = HashMap::new();
+        // pair.  Groups are kept in first-occurrence order so runs stay
+        // deterministic.  Next hops are drawn from the fingers and the
+        // successor list, so there are few groups and a linear search finds
+        // one without hashing.
         let mut groups: Vec<(NodeAddr, Vec<RouteEnvelope<P>>)> = Vec::new();
         for envelope in envelopes {
             match self.next_hop(&envelope.target) {
@@ -619,17 +588,14 @@ impl<P: Clone + WireSize> DhtNode<P> {
                     self.deliver(ctx, target, hops, body);
                 }
                 Some(peer) => {
-                    if envelope.hops >= self.config.max_route_hops {
+                    if envelope.hops >= MAX_ROUTE_HOPS {
                         self.stats.hop_limit_drops += 1;
                         continue;
                     }
                     self.stats.forwards += 1;
-                    match index.get(&peer.addr) {
-                        Some(&i) => groups[i].1.push(envelope),
-                        None => {
-                            index.insert(peer.addr, groups.len());
-                            groups.push((peer.addr, vec![envelope]));
-                        }
+                    match groups.iter_mut().find(|(to, _)| *to == peer.addr) {
+                        Some((_, group)) => group.push(envelope),
+                        None => groups.push((peer.addr, vec![envelope])),
                     }
                 }
             }
@@ -829,7 +795,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
         let req_id = self.fresh_req_id();
         self.pending_lookups.insert(req_id, LookupPurpose::Finger(slot));
         let body = RouteBody::FindSuccessor { req_id, origin: self.me.addr };
-        self.route(ctx, target, body, 0);
+        self.route_many(ctx, [RouteEnvelope { target, hops: 0, body }]);
     }
 
     fn probe_neighbors(&mut self, ctx: &mut Context<DhtMsg<P>>) {
@@ -1055,6 +1021,35 @@ mod tests {
         });
         let ups = n.take_upcalls();
         assert_eq!(ups, vec![Upcall::Delivered { key, payload: 77 }]);
+    }
+
+    #[test]
+    fn hop_limit_drops_at_the_limit_and_forwards_below_it() {
+        let mut n = make(1);
+        let succ = Peer::new(NodeAddr(2), n.id().wrapping_add(&Id::from_u64(1_000)));
+        n.successors = vec![succ];
+        // A key in (me, successor]: the successor owns it, so this node forwards.
+        let target = n.id().wrapping_add(&Id::from_u64(500));
+        let route = |hops| DhtMsg::Route {
+            target,
+            hops,
+            body: RouteBody::AppSend { key: ResourceKey::new("t", "k", 0), payload: 7 },
+        };
+        let mut tc: TestContext<DhtMsg<u64>> = TestContext::at(NodeAddr(1), SimTime::from_secs(1));
+
+        tc.run(|ctx| n.handle_message(ctx, NodeAddr(9), route(MAX_ROUTE_HOPS)));
+        assert!(tc.sent.is_empty(), "an envelope at the limit is not forwarded");
+        assert!(n.take_upcalls().is_empty(), "nor delivered here");
+        assert_eq!(n.stats().hop_limit_drops, 1);
+        assert_eq!(n.stats().forwards, 0);
+
+        tc.run(|ctx| n.handle_message(ctx, NodeAddr(9), route(MAX_ROUTE_HOPS - 1)));
+        assert_eq!(tc.sent.len(), 1);
+        assert_eq!(tc.sent[0].0, NodeAddr(2));
+        assert!(matches!(tc.sent[0].1, DhtMsg::Route { hops, .. } if hops == MAX_ROUTE_HOPS));
+        assert_eq!(n.stats().hop_limit_drops, 1);
+        assert_eq!(n.stats().forwards, 1);
+        assert_eq!(n.stats().app_msgs_sent, 1);
     }
 
     #[test]

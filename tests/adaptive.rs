@@ -11,8 +11,6 @@
 //!   observed statistics, and re-plans the continuous query onto a
 //!   trace-corrected order — with every epoch's results identical to a
 //!   static run of the same workload.
-//! * Per-item renewal re-publishes only the stale half of a node's
-//!   published working set.
 
 use pier::core::{same_rows, Catalog, MemoryDb, Planner, QueryKind, TableStats};
 use pier::prelude::*;
@@ -324,42 +322,4 @@ fn feedback_replans_onto_trace_corrected_order_with_identical_results() {
         pre >= 1 && post >= 2,
         "settled epochs on both sides of the flip must compare (pre {pre}, post {post})"
     );
-}
-
-// ---------------------------------------------------------------------
-// Batch-aware renewal
-// ---------------------------------------------------------------------
-
-#[test]
-fn renewal_republishes_only_the_stale_half() {
-    let mut pier = PierConfig::fast_test();
-    pier.renewal = true;
-    let mut bed =
-        PierTestbed::new(TestbedConfig { nodes: 6, seed: 0x7E41, pier, ..Default::default() });
-    bed.create_table_everywhere(&netstats_table()); // 30 s TTL
-    let publisher = bed.nodes()[2];
-    let mk = |tag: &str, n: usize| -> Vec<Tuple> {
-        (0..n)
-            .map(|i| {
-                Tuple::new(vec![
-                    Value::str(format!("{tag}-{i}")),
-                    Value::Float(1.0),
-                    Value::Float(2.0),
-                ])
-            })
-            .collect()
-    };
-    bed.publish_batch(publisher, "netstats", mk("old", 20));
-    bed.run_for(Duration::from_secs(16)); // past TTL/2 = 15 s
-    bed.publish_batch(publisher, "netstats", mk("new", 30));
-    bed.run_for(Duration::from_secs(1));
-
-    bed.sim().invoke(publisher, |node, ctx| {
-        node.renew_published(ctx, "netstats").unwrap();
-    });
-    bed.run_for(Duration::from_secs(2));
-
-    let stats = bed.node(publisher).unwrap().stats();
-    assert_eq!(stats.renewals_published, 20, "only the stale batch re-publishes");
-    assert_eq!(stats.renewal_tuples_skipped, 30, "the fresh batch is aged, not shipped");
 }
