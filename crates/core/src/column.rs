@@ -16,6 +16,7 @@
 
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
+use std::borrow::Borrow;
 
 /// A packed validity (non-NULL) bitmap.
 #[derive(Clone, Debug, PartialEq)]
@@ -483,13 +484,23 @@ impl ColumnarBatch {
     /// discriminant scan and then filled in one pass, cloning only what the
     /// typed storage must own (string bytes; `Mixed` columns).
     pub fn from_rows(rows: &[Tuple]) -> ColumnarBatch {
-        let width = rows.iter().map(|t| t.arity()).max().unwrap_or(0);
+        Self::pivot(rows)
+    }
+
+    /// [`from_rows`](Self::from_rows) over borrowed rows: a scan pivots the
+    /// tuples the local store holds in place, copying none of them first.
+    pub fn from_row_refs(rows: &[&Tuple]) -> ColumnarBatch {
+        Self::pivot(rows)
+    }
+
+    fn pivot<T: Borrow<Tuple>>(rows: &[T]) -> ColumnarBatch {
+        let width = rows.iter().map(|t| t.borrow().arity()).max().unwrap_or(0);
         let n = rows.len();
         let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new(n)).collect();
         // One pass over the row data: every tuple's cell vector is touched
         // exactly once, with each cell dispatched to its column's builder.
         for (i, t) in rows.iter().enumerate() {
-            let vals = t.values();
+            let vals = t.borrow().values();
             for (c, b) in builders.iter_mut().enumerate() {
                 b.push(i, vals.get(c));
             }
@@ -590,6 +601,8 @@ mod tests {
         // The ragged third row widens with NULL, as Tuple::get would read it.
         assert_eq!(batch.row(2).get(2), &Value::Null);
         assert_eq!(batch.full_selection(), vec![0, 1, 2]);
+        let refs: Vec<&Tuple> = rows.iter().collect();
+        assert_eq!(ColumnarBatch::from_row_refs(&refs), batch, "borrowed rows pivot alike");
 
         let empty = ColumnarBatch::from_rows(&[]);
         assert_eq!(empty.num_rows(), 0);

@@ -103,6 +103,35 @@ struct RootEpoch {
     extensions: u32,
 }
 
+/// What the root recorded for an epoch it finalized, late arrivals
+/// included: the contributors, or for a credit-tracked query the credit
+/// returned.  The next epoch's completion rule expects its count, so what
+/// arrives after the close raises what the next epoch waits for.
+#[derive(Clone, Copy)]
+enum Finalized {
+    Contributors(u64),
+    Credit(Credit),
+}
+
+impl Finalized {
+    /// The count the next epoch expects: contributors, or the nodes that
+    /// ran the epoch (returned credit in units, a fraction rounded up).
+    fn expected(self) -> u64 {
+        match self {
+            Finalized::Contributors(n) => n,
+            Finalized::Credit(c) => c.units_ceil(),
+        }
+    }
+
+    /// A partial reached the root after the epoch closed.
+    fn add_late(&mut self, contributors: u64, credit: Credit) {
+        match self {
+            Finalized::Contributors(n) => *n += contributors,
+            Finalized::Credit(c) => *c += credit,
+        }
+    }
+}
+
 /// One query's aggregation state at one node.
 #[derive(Default)]
 pub(super) struct AggQuery {
@@ -117,11 +146,10 @@ pub(super) struct AggQuery {
     /// completion rule finalizes first, the deadline later fires on nothing.
     root: HashMap<u64, RootEpoch>,
     /// Epochs this node has already finalized as the aggregation root, with
-    /// the count the next epoch's completion rule expects: contributors, or
-    /// for a credit-tracked query the nodes that ran the epoch (returned
-    /// credit in units, a fraction rounded up).  Late partials for these
-    /// epochs are discarded rather than double-reported.
-    finalized: HashMap<u64, u64>,
+    /// what they recorded for the next epoch's completion rule.  Late
+    /// partials for these epochs add to that record; their groups are
+    /// discarded rather than double-reported.
+    finalized: HashMap<u64, Finalized>,
     /// The first epoch whose count the completion rule trusts.  Nodes apply
     /// a re-planned spec up to an epoch apart, so the epochs around a swap
     /// mix plans and their counts mean nothing for the next.
@@ -153,7 +181,7 @@ impl AggQuery {
     /// last epoch.
     fn root_expected(&self, epoch: u64) -> Option<u64> {
         let last = epoch.checked_sub(1).filter(|&e| e >= self.expect_from)?;
-        self.finalized.get(&last).copied()
+        self.finalized.get(&last).map(|f| f.expected())
     }
 
     /// This node applied a re-planned spec at `epoch`: only counts from
@@ -320,7 +348,8 @@ impl PierNode {
             return;
         }
         let Some(parts) = q.spec.kind.partial_agg_parts() else { return };
-        if q.agg.finalized.contains_key(&epoch) {
+        if let Some(finalized) = q.agg.finalized.get_mut(&epoch) {
+            finalized.add_late(contributors, credit);
             self.absorb_late(ctx, id, epoch, groups, contributors);
             return;
         }
@@ -437,9 +466,9 @@ impl PierNode {
     }
 
     /// A partial for an epoch the root already finalized.  Plain continuous
-    /// queries drop it (best-effort soft state, as in PIER); windowed
-    /// queries judge lateness per covering window, and the configured
-    /// policy decides what happens to already-closed ones.
+    /// queries drop its groups (best-effort soft state, as in PIER) and
+    /// count it; windowed queries judge lateness per covering window, and
+    /// the configured policy decides what happens to already-closed ones.
     fn absorb_late(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -450,7 +479,11 @@ impl PierNode {
     ) {
         let policy = self.config.window_late_policy;
         let Some(q) = self.queries.get_mut(&id) else { return };
-        let Some(wspec) = q.spec.kind.window_spec() else { return };
+        let Some(wspec) = q.spec.kind.window_spec() else {
+            self.stats.late_partials_dropped += 1;
+            q.trace.late_partials_dropped += 1;
+            return;
+        };
         let Some(parts) = q.spec.kind.partial_agg_parts() else { return };
         let mut dropped = false;
         let mut reemit: Vec<u64> = Vec::new();
@@ -585,12 +618,12 @@ impl PierNode {
     fn finalize_epoch(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64, complete: bool) {
         let Some(q) = self.queries.get_mut(&id) else { return };
         let Some(root) = q.agg.root.remove(&epoch) else { return };
-        let count = if tracks_credit(&q.spec) {
-            root.credit.units_ceil()
+        let record = if tracks_credit(&q.spec) {
+            Finalized::Credit(root.credit)
         } else {
-            root.merged.contributors
+            Finalized::Contributors(root.merged.contributors)
         };
-        q.agg.finalized.insert(epoch, count);
+        q.agg.finalized.insert(epoch, record);
         if complete {
             self.stats.finalized_on_completion += 1;
             q.trace.finalized_on_completion += 1;

@@ -63,7 +63,8 @@ pub struct PierConfig {
     /// last epoch, then one quiet hold-down; over symmetric-hash joins, the
     /// moment the root has recovered as much credit as nodes ran last epoch.
     /// One-shot aggregates, joins with Fetch-Matches or Bloom-gated stages,
-    /// and epochs with no previous count always wait for it.
+    /// and epochs with no previous count always wait for it.  It is also how
+    /// long a node keeps a stopped query's tombstone.
     pub collect_delay: Duration,
     /// How long the origin collects per-node Bloom filters before
     /// broadcasting the combined filter.
@@ -222,6 +223,11 @@ pub struct EngineStats {
     /// Already-closed windows re-opened, corrected, and re-emitted because
     /// a late partial arrived under [`WindowLatePolicy::Patch`].
     pub window_late_patched: u64,
+    /// Late partial-aggregate payloads whose groups a non-windowed query's
+    /// root discarded because their epoch had already been finalized.
+    /// Their contributors or credit still raise the count the next epoch
+    /// expects.
+    pub late_partials_dropped: u64,
     /// Alert tuples published into a query's `pier:alert:<id>` namespace
     /// (windowed aggregates with a `HAVING` trigger).
     pub alerts_emitted: u64,
@@ -267,6 +273,7 @@ impl EngineStats {
         self.windows_closed += other.windows_closed;
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;
+        self.late_partials_dropped += other.late_partials_dropped;
         self.alerts_emitted += other.alerts_emitted;
         self.finalized_on_completion += other.finalized_on_completion;
         self.finalized_on_timer += other.finalized_on_timer;

@@ -531,12 +531,15 @@ impl PierNode {
         if !q.join.visited.insert(vertex.partition_string()) {
             return;
         }
-        let edges = self.scan_traced(id, edges_table, ctx.now(), SimTime::ZERO);
+        // Only the edges leaving `vertex` are copied out of the store; every
+        // stored edge counts as scanned.
+        let rows = self.stored_rows(edges_table, ctx.now(), SimTime::ZERO);
+        let scanned = rows.len();
+        let edges: Vec<Tuple> =
+            rows.into_iter().filter(|e| e.get(*src_col).sql_eq(&vertex)).cloned().collect();
+        self.count_scanned(id, scanned);
         let mut to_expand = Vec::new();
         for edge in edges {
-            if !edge.get(*src_col).sql_eq(&vertex) {
-                continue;
-            }
             let dst = edge.get(*dst_col).clone();
             let row = Tuple::new(vec![vertex.clone(), dst.clone(), Value::Int(depth as i64 + 1)]);
             self.send_result(ctx, &spec, 0, row);

@@ -139,9 +139,10 @@ enum TimerPurpose {
 }
 
 /// Execution state of one query at one node: the live spec and its trace,
-/// plus one state struct per engine layer.
+/// plus one state struct per engine layer.  The spec is shared: handlers
+/// that need it past a mutable borrow of the node clone the pointer.
 struct RunningQuery {
-    spec: QuerySpec,
+    spec: Rc<QuerySpec>,
     /// Epoch evaluations this node has run (the origin re-disseminates the
     /// plan every third, and starts trace feedback after the second).
     epoch: u64,
@@ -151,7 +152,7 @@ struct RunningQuery {
     /// evaluation.  Deferring the swap to an epoch boundary keeps every
     /// node's per-epoch evaluation on a single strategy, so a flip never
     /// mixes strategies *within* one node-epoch.
-    pending_spec: Option<QuerySpec>,
+    pending_spec: Option<Rc<QuerySpec>>,
     /// Kernels compiled once from the live spec and reused every epoch.
     /// Cleared when a re-planned spec is applied.
     kernels: Option<Rc<CompiledKernels>>,
@@ -165,7 +166,7 @@ struct RunningQuery {
 impl RunningQuery {
     fn new(spec: QuerySpec) -> Self {
         RunningQuery {
-            spec,
+            spec: Rc::new(spec),
             epoch: 0,
             trace: OpTrace::default(),
             pending_spec: None,
@@ -267,6 +268,13 @@ pub struct PierNode {
     /// tuples as soft state in the DHT; we buffer them and replay them when
     /// the plan arrives.
     early_arrivals: HashMap<QueryId, Vec<PierPayload>>,
+    /// Queries a `StopQuery` reached here, with when each tombstone lapses.
+    /// While it lives, a late plan broadcast does not reinstall the query
+    /// and its operator input is dropped rather than buffered.  Tombstones
+    /// last one `collect_delay`, long enough to outlive the stop's in-flight
+    /// traffic: a restarted origin numbers its queries from 1 again, so a
+    /// permanent one would swallow its next query.
+    stopped: HashMap<QueryId, SimTime>,
     timer_purposes: HashMap<u64, TimerPurpose>,
     /// Result rows produced during the current engine tick, coalesced per
     /// (query, epoch) and flushed as one `ResultBatch` per destination when
@@ -319,6 +327,7 @@ impl PierNode {
             results: HashMap::new(),
             pending_fetch: HashMap::new(),
             early_arrivals: HashMap::new(),
+            stopped: HashMap::new(),
             timer_purposes: HashMap::new(),
             pending_results: Vec::new(),
             pending_direct: Vec::new(),
@@ -358,6 +367,14 @@ impl PierNode {
     /// Number of queries currently installed at this node.
     pub fn active_queries(&self) -> usize {
         self.queries.len()
+    }
+
+    /// Operator input this node holds for query `id` without having run
+    /// it: payloads buffered until the plan arrives, and Fetch-Matches
+    /// probes waiting for their answer.
+    pub fn buffered_input(&self, id: QueryId) -> usize {
+        let early = self.early_arrivals.get(&id).map_or(0, Vec::len);
+        early + self.pending_fetch.values().filter(|(q, ..)| *q == id).count()
     }
 
     /// Register a table definition in the local catalog.  Every node that
@@ -532,18 +549,7 @@ impl PierNode {
     fn on_broadcast(&mut self, ctx: &mut Ctx<'_>, payload: PierPayload) {
         match payload {
             PierPayload::Query(spec) => self.install_query(ctx, spec),
-            PierPayload::StopQuery(id) => {
-                // Ship this query's buffered result rows while the trace can
-                // still account for them — a buffer shipped after the query
-                // is removed would count bytes/messages the (frozen) trace
-                // can no longer mirror — then keep the trace so a later
-                // `EXPLAIN ANALYZE` trace request can still be answered.
-                self.flush_query(ctx, id);
-                if let Some(q) = self.queries.remove(&id) {
-                    self.retire_trace(id, q.trace);
-                }
-                self.origin_sql.remove(&id);
-            }
+            PierPayload::StopQuery(id) => self.on_stop(ctx, id),
             PierPayload::TraceRequest { query } => self.answer_trace_request(ctx, query),
             PierPayload::Bloom { query, stage, epoch, bits, k, combined: true } => {
                 let filter = BloomFilter::from_words(bits, k);
@@ -551,6 +557,30 @@ impl PierNode {
             }
             _ => {}
         }
+    }
+
+    /// A `StopQuery` reached this node, whether or not it runs the query.
+    fn on_stop(&mut self, ctx: &mut Ctx<'_>, id: QueryId) {
+        // Ship this query's buffered result rows while the trace can still
+        // account for them — a buffer shipped after the query is removed
+        // would count bytes/messages the (frozen) trace can no longer
+        // mirror — then keep the trace so a later `EXPLAIN ANALYZE` trace
+        // request can still be answered.
+        self.flush_query(ctx, id);
+        if let Some(q) = self.queries.remove(&id) {
+            self.retire_trace(id, q.trace);
+        }
+        self.origin_sql.remove(&id);
+        self.early_arrivals.remove(&id);
+        self.pending_fetch.retain(|_, (query, ..)| *query != id);
+        let now = ctx.now();
+        self.stopped.retain(|_, until| *until > now);
+        self.stopped.insert(id, now + self.config.collect_delay);
+    }
+
+    /// Was query `id` stopped here within the tombstone's lifetime?
+    fn is_stopped(&self, id: QueryId, now: SimTime) -> bool {
+        self.stopped.get(&id).is_some_and(|&until| until > now)
     }
 
     fn on_delivered(&mut self, ctx: &mut Ctx<'_>, payload: PierPayload) {
@@ -565,6 +595,9 @@ impl PierNode {
         };
         if let Some(id) = query_of {
             if !self.queries.contains_key(&id) {
+                if self.is_stopped(id, ctx.now()) {
+                    return;
+                }
                 let buf = self.early_arrivals.entry(id).or_default();
                 if buf.len() < 100_000 {
                     buf.push(payload);
@@ -652,13 +685,17 @@ impl PierNode {
 
     fn install_query(&mut self, ctx: &mut Ctx<'_>, spec: QuerySpec) {
         let id = spec.id;
+        if self.is_stopped(id, ctx.now()) {
+            // A plan broadcast the stop overtook.
+            return;
+        }
         if let Some(q) = self.queries.get_mut(&id) {
             // Re-dissemination of a known query.  If the origin re-planned it
             // (mid-flight adaptivity), stage the new spec; it takes effect at
             // this node's next epoch evaluation so no single node-epoch mixes
             // strategies.  A matching spec clears any staged one — the origin
             // may have reverted a re-plan before this node ever applied it.
-            q.pending_spec = (q.spec.kind != spec.kind).then_some(spec);
+            q.pending_spec = (q.spec.kind != spec.kind).then(|| Rc::new(spec));
             return;
         }
         let continuous = spec.continuous;
@@ -725,7 +762,7 @@ impl PierNode {
         // plan every few epochs so nodes that joined (or rejoined after a
         // failure) start participating.
         if spec.origin() == self.addr && evaluations % 3 == 0 {
-            self.dht.broadcast(ctx, PierPayload::Query(spec));
+            self.dht.broadcast(ctx, PierPayload::Query((*spec).clone()));
         }
         self.run_epoch(ctx, id);
         let delay = epoch_align_delay(ctx.now(), &c);

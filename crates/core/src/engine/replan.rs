@@ -12,6 +12,7 @@ use crate::sql::parse_select;
 use crate::stats::{apply_totals, NodeStatsEntry, TableSummary};
 use crate::trace::OpTrace;
 use pier_simnet::{NodeAddr, SimTime};
+use std::rc::Rc;
 
 /// Origin-side progress of one query's trace-fed correction.
 #[derive(Default)]
@@ -166,7 +167,11 @@ impl PierNode {
     /// (deferring the swap to a boundary keeps every node-epoch on a single
     /// strategy) and count the evaluation.  Returns the live spec and the
     /// absolute epoch to evaluate.
-    pub(super) fn begin_epoch(&mut self, id: QueryId, now: SimTime) -> Option<(QuerySpec, u64)> {
+    pub(super) fn begin_epoch(
+        &mut self,
+        id: QueryId,
+        now: SimTime,
+    ) -> Option<(Rc<QuerySpec>, u64)> {
         let q = self.queries.get_mut(&id)?;
         let epoch = q.spec.continuous.map_or(0, |c| continuous_epoch(now, &c));
         let mut replanned = false;
@@ -190,7 +195,7 @@ impl PierNode {
             self.stats.replans += 1;
             // The origin's result bookkeeping mirrors the live spec.
             if let Some(res) = self.results.get_mut(&id) {
-                res.spec = spec.clone();
+                res.spec = (*spec).clone();
             }
         }
         self.stats.epochs_run += 1;
@@ -225,7 +230,7 @@ impl PierNode {
             output_names: planned.output_names,
             continuous: q.spec.continuous,
         };
-        q.pending_spec = Some(spec.clone());
+        q.pending_spec = Some(Rc::new(spec.clone()));
         self.dht.broadcast(ctx, PierPayload::Query(spec));
         self.process_upcalls(ctx);
         true

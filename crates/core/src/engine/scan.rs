@@ -164,18 +164,22 @@ impl PierNode {
     // Scans
     // ------------------------------------------------------------------
 
+    /// The tuples of `table` this node stores that are live at `now` and
+    /// were stored at or after `since`, borrowed in place.  A stored item
+    /// carries one tuple or a same-key batch; scans read through the
+    /// difference.
+    pub(super) fn stored_rows(&self, table: &str, now: SimTime, since: SimTime) -> Vec<&Tuple> {
+        let items = self.dht.store().lscan_since(table, now, since);
+        items.into_iter().flat_map(|item| item.value.tuples()).collect()
+    }
+
     /// The columnar form of a scan delta, shared across every query that
     /// scans the same `(table, now, since)` window while the local store is
     /// unchanged — with many concurrent monitoring queries over one table
     /// (PIER's target workload), the row-to-column pivot happens once and
-    /// the per-query cost is just the kernels.
-    pub(super) fn batch_for_scan(
-        &mut self,
-        table: &str,
-        now: SimTime,
-        since: SimTime,
-        rows: &[Tuple],
-    ) -> Rc<ColumnarBatch> {
+    /// the per-query cost is just the kernels.  The memo is consulted before
+    /// the store is read; a miss pivots the stored tuples in place.
+    fn batch_for_scan(&mut self, table: &str, now: SimTime, since: SimTime) -> Rc<ColumnarBatch> {
         const MAX_SCAN_BATCHES: usize = 8;
         let muts = self.dht.store_mutations();
         if let Some((_, batch)) = self
@@ -185,7 +189,7 @@ impl PierNode {
         {
             return batch.clone();
         }
-        let batch = Rc::new(ColumnarBatch::from_rows(rows));
+        let batch = Rc::new(ColumnarBatch::from_row_refs(&self.stored_rows(table, now, since)));
         if self.scan_batches.len() >= MAX_SCAN_BATCHES {
             self.scan_batches.remove(0);
         }
@@ -193,31 +197,21 @@ impl PierNode {
         batch
     }
 
-    /// Scan on behalf of a query, counting the scanned tuples in the node's
-    /// counters and the query's execution trace.  A stored item carries one
-    /// tuple or a same-key batch; scans read through the difference.
-    pub(super) fn scan_traced(
-        &mut self,
-        id: QueryId,
-        table: &str,
-        now: SimTime,
-        since: SimTime,
-    ) -> Vec<Tuple> {
-        let items = self.dht.lscan_since(table, now, since);
-        let rows: Vec<Tuple> =
-            items.into_iter().flat_map(|(_, payload)| payload.tuples().to_vec()).collect();
-        self.stats.tuples_scanned += rows.len() as u64;
+    /// Count `rows` tuples scanned on behalf of a query, in the node's
+    /// counters and the query's execution trace.
+    pub(super) fn count_scanned(&mut self, id: QueryId, rows: usize) {
+        self.stats.tuples_scanned += rows as u64;
         if let Some(q) = self.queries.get_mut(&id) {
-            q.trace.tuples_scanned += rows.len() as u64;
+            q.trace.tuples_scanned += rows as u64;
         }
-        rows
     }
 
-    /// Scan a table and apply a pushed-down predicate, compiled to `kernel`,
-    /// before any tuple is shipped (the optimizer places per-side join
-    /// filters here).  The filter runs as a selection-vector kernel over a
-    /// columnar batch.  The trace counts the tuples *scanned*, before the
-    /// filter drops any.
+    /// Scan a table on behalf of a query and apply a pushed-down predicate,
+    /// compiled to `kernel`, before any tuple is shipped (the optimizer
+    /// places per-side join filters here).  The filter runs as a
+    /// selection-vector kernel over the memoized columnar batch, and only
+    /// the rows it keeps are copied out of the store, in store order.  The
+    /// trace counts the tuples *scanned*, before the filter drops any.
     pub(super) fn scan_filtered_traced(
         &mut self,
         id: QueryId,
@@ -226,18 +220,20 @@ impl PierNode {
         since: SimTime,
         kernel: Option<&Kernel>,
     ) -> Vec<Tuple> {
-        let rows = self.scan_traced(id, table, now, since);
-        let Some(k) = kernel else { return rows };
-        if rows.is_empty() {
+        let Some(k) = kernel else {
+            let rows: Vec<Tuple> =
+                self.stored_rows(table, now, since).into_iter().cloned().collect();
+            self.count_scanned(id, rows.len());
             return rows;
-        }
-        let batch = self.batch_for_scan(table, now, since, &rows);
+        };
+        let batch = self.batch_for_scan(table, now, since);
+        self.count_scanned(id, batch.num_rows());
         let sel = k.filter(&batch, &batch.full_selection());
-        let mut keep = vec![false; rows.len()];
-        for &j in &sel {
-            keep[j as usize] = true;
+        if sel.is_empty() {
+            return Vec::new();
         }
-        rows.into_iter().zip(keep).filter_map(|(r, keep)| keep.then_some(r)).collect()
+        let rows = self.stored_rows(table, now, since);
+        sel.iter().map(|&j| rows[j as usize].clone()).collect()
     }
 
     /// Scan `table` into a columnar batch and run the query's scan filter
@@ -250,9 +246,9 @@ impl PierNode {
         now: SimTime,
         since: SimTime,
     ) -> Option<(Rc<CompiledKernels>, Rc<ColumnarBatch>, Vec<u32>)> {
-        let rows = self.scan_traced(id, table, now, since);
+        let batch = self.batch_for_scan(table, now, since);
+        self.count_scanned(id, batch.num_rows());
         let kern = self.query_kernels(id)?;
-        let batch = self.batch_for_scan(table, now, since, &rows);
         let sel = match &kern.filter {
             Some(k) => k.filter(&batch, &batch.full_selection()),
             None => batch.full_selection(),

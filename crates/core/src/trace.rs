@@ -114,6 +114,9 @@ pub struct OpTrace {
     /// Already-closed windows this root re-opened and re-emitted for late
     /// data (patch policy).
     pub window_late_patched: u64,
+    /// Late partial payloads this root discarded because their epoch was
+    /// already finalized (non-windowed queries).
+    pub late_partials_dropped: u64,
     /// Alert tuples this root published into the query's alert namespace
     /// (`HAVING` trigger on a windowed aggregate).
     pub alerts_emitted: u64,
@@ -179,6 +182,7 @@ impl OpTrace {
         self.windows_closed += other.windows_closed;
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;
+        self.late_partials_dropped += other.late_partials_dropped;
         self.alerts_emitted += other.alerts_emitted;
         self.finalized_on_completion += other.finalized_on_completion;
         self.finalized_on_timer += other.finalized_on_timer;
@@ -192,9 +196,9 @@ impl OpTrace {
 
 impl WireSize for OpTrace {
     fn wire_size(&self) -> usize {
-        // 20 fixed u64 counters + per-switch strings + per-epoch and
+        // 21 fixed u64 counters + per-switch strings + per-epoch and
         // per-stage pairs.
-        20 * 8
+        21 * 8
             + self.switches.iter().map(|s| s.len() + 2).sum::<usize>()
             + self.epoch_rows.len() * 16
             + (self.stage_shipped.len()

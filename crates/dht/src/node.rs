@@ -377,21 +377,6 @@ impl<P: Clone + WireSize> DhtNode<P> {
             .collect()
     }
 
-    /// Locally stored items of `namespace` that are live at `now` and were
-    /// stored at or after `since` (continuous-query windows).
-    pub fn lscan_since(
-        &self,
-        namespace: &str,
-        now: SimTime,
-        since: SimTime,
-    ) -> Vec<(ResourceKey, P)> {
-        self.store
-            .lscan_since(namespace, now, since)
-            .into_iter()
-            .map(|item| (item.key.clone(), item.value.clone()))
-            .collect()
-    }
-
     /// Summarize the live local contents of one namespace: total item weight
     /// (per the caller's `weight` measure, e.g. tuples per stored batch) and
     /// distinct live resources.  See
@@ -579,8 +564,11 @@ impl<P: Clone + WireSize> DhtNode<P> {
         // pair.  Groups are kept in first-occurrence order so runs stay
         // deterministic.  Next hops are drawn from the fingers and the
         // successor list, so there are few groups and a linear search finds
-        // one without hashing.
-        let mut groups: Vec<(NodeAddr, Vec<RouteEnvelope<P>>)> = Vec::new();
+        // one without hashing.  The first group, and each group's first
+        // envelope, sit outside any `Vec`: forwarding one envelope, the
+        // common case, allocates nothing.
+        let mut first: Option<HopGroup<P>> = None;
+        let mut more: Vec<HopGroup<P>> = Vec::new();
         for envelope in envelopes {
             match self.next_hop(&envelope.target) {
                 None => {
@@ -593,31 +581,37 @@ impl<P: Clone + WireSize> DhtNode<P> {
                         continue;
                     }
                     self.stats.forwards += 1;
-                    match groups.iter_mut().find(|(to, _)| *to == peer.addr) {
-                        Some((_, group)) => group.push(envelope),
-                        None => groups.push((peer.addr, vec![envelope])),
+                    let to = peer.addr;
+                    let group = first.iter_mut().chain(more.iter_mut()).find(|g| g.to == to);
+                    if let Some(group) = group {
+                        group.rest.push(envelope);
+                    } else if first.is_none() {
+                        first = Some(HopGroup::new(to, envelope));
+                    } else {
+                        more.push(HopGroup::new(to, envelope));
                     }
                 }
             }
         }
         let mut sent = 0;
-        for (peer, mut group) in groups {
-            for envelope in &mut group {
-                envelope.hops += 1;
-            }
+        for HopGroup { to, first, mut rest } in first.into_iter().chain(more) {
             sent += 1;
-            if group
-                .iter()
-                .any(|e| matches!(e.body, RouteBody::Put { .. } | RouteBody::AppSend { .. }))
-            {
+            let is_app = |e: &RouteEnvelope<P>| {
+                matches!(e.body, RouteBody::Put { .. } | RouteBody::AppSend { .. })
+            };
+            if is_app(&first) || rest.iter().any(is_app) {
                 self.stats.app_msgs_sent += 1;
             }
-            if group.len() == 1 {
+            let RouteEnvelope { target, hops, body } = first;
+            if rest.is_empty() {
                 // No sense paying the batch framing for a single op.
-                let RouteEnvelope { target, hops, body } = group.pop().expect("len checked");
-                ctx.send(peer, DhtMsg::Route { target, hops, body });
+                ctx.send(to, DhtMsg::Route { target, hops: hops + 1, body });
             } else {
-                ctx.send(peer, DhtMsg::RouteBatch { routes: group });
+                for envelope in &mut rest {
+                    envelope.hops += 1;
+                }
+                rest.insert(0, RouteEnvelope { target, hops: hops + 1, body });
+                ctx.send(to, DhtMsg::RouteBatch { routes: rest });
             }
         }
         sent
@@ -893,6 +887,20 @@ impl<P: Clone + WireSize> DhtNode<P> {
                 },
             );
         }
+    }
+}
+
+/// The envelopes [`DhtNode::route_many`] sends to one next hop, in arrival
+/// order: `first`, then `rest`.
+struct HopGroup<P> {
+    to: NodeAddr,
+    first: RouteEnvelope<P>,
+    rest: Vec<RouteEnvelope<P>>,
+}
+
+impl<P> HopGroup<P> {
+    fn new(to: NodeAddr, first: RouteEnvelope<P>) -> Self {
+        HopGroup { to, first, rest: Vec::new() }
     }
 }
 

@@ -47,6 +47,9 @@ pub struct SoftStateStore<V> {
     /// Running counters for diagnostics.
     total_puts: u64,
     total_expired: u64,
+    /// Items removed by [`remove`](Self::remove) and
+    /// [`clear_namespace`](Self::clear_namespace) (hand-off, not expiry).
+    removals: u64,
 }
 
 impl<V> Default for SoftStateStore<V> {
@@ -56,6 +59,7 @@ impl<V> Default for SoftStateStore<V> {
             item_count: 0,
             total_puts: 0,
             total_expired: 0,
+            removals: 0,
         }
     }
 }
@@ -89,12 +93,12 @@ impl<V: Clone> SoftStateStore<V> {
         !existed
     }
 
-    /// Count of store mutations so far (every insert and renewal).  Two reads
-    /// at the same `now`/`since` with the same mutation count see identical
-    /// contents — expiry is a pure function of `now` — so this stamps
-    /// scan-result caches.
+    /// Count of store mutations so far (every insert, renewal and
+    /// removal).  Two reads at the same `now`/`since` with the same mutation
+    /// count see identical contents — expiry is a pure function of `now` —
+    /// so this stamps scan-result caches.
     pub fn mutation_count(&self) -> u64 {
-        self.total_puts
+        self.total_puts + self.removals
     }
 
     /// Live items for a `(namespace, resource)` pair (any instance) stored
@@ -185,6 +189,7 @@ impl<V: Clone> SoftStateStore<V> {
         if let Some(ns) = self.namespaces.get_mut(&key.namespace) {
             if ns.remove(&(key.resource.clone(), key.instance)).is_some() {
                 self.item_count -= 1;
+                self.removals += 1;
                 if ns.is_empty() {
                     self.namespaces.remove(&key.namespace);
                 }
@@ -198,6 +203,7 @@ impl<V: Clone> SoftStateStore<V> {
     pub fn clear_namespace(&mut self, namespace: &str) -> usize {
         if let Some(ns) = self.namespaces.remove(namespace) {
             self.item_count -= ns.len();
+            self.removals += ns.len() as u64;
             ns.len()
         } else {
             0
@@ -273,6 +279,23 @@ mod tests {
         assert_eq!(store.all_items(now).len(), 4);
         assert_eq!(store.namespaces(), vec!["t", "u"]);
         assert_eq!(store.total_puts(), 5);
+    }
+
+    #[test]
+    fn removals_count_as_mutations() {
+        // Hand-off removes items at any instant; a scan cache stamped with
+        // the mutation count must not outlive them.
+        let mut store: SoftStateStore<u64> = SoftStateStore::new();
+        let (now, ttl) = (SimTime::ZERO, Duration::from_secs(60));
+        store.put(key("t", "a", 0), 1, now, ttl);
+        store.put(key("u", "a", 0), 2, now, ttl);
+        let before = store.mutation_count();
+        assert!(store.remove(&key("t", "a", 0)));
+        assert!(store.mutation_count() > before);
+        let before = store.mutation_count();
+        assert_eq!(store.clear_namespace("u"), 1);
+        assert!(store.mutation_count() > before);
+        assert_eq!(store.total_puts(), 2);
     }
 
     #[test]

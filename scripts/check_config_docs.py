@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Configuration documentation gate.
+"""Configuration and counter documentation gate.
 
 Every public field of ``PierConfig`` (crates/core/src/engine/config.rs) must
 have a matching ``### `field_name` `` heading in ``docs/OPERATIONS.md`` —
-operators read that file, not the source — and every public field of
+operators read that file, not the source — every public field of
 ``DhtConfig`` (crates/dht/src/config.rs) must appear as a ``* `field_name` ``
-bullet in that file's ``### `dht` `` section.  The field lists are parsed
-from the struct definitions themselves, so a newly added knob fails CI until
-it is documented; a documented-but-removed knob fails too, so the docs
-cannot go stale.
+bullet in that file's ``### `dht` `` section, and every public field of
+``EngineStats`` (crates/core/src/engine/config.rs) must name a row of its
+``## Counters`` table (a row may name several, as ``| `a` / `b` | ... |``).
+The field lists are parsed from the struct definitions themselves, so a
+newly added knob or counter fails CI until it is documented; a
+documented-but-removed one fails too, so the docs cannot go stale.
 
 Usage:
     python3 scripts/check_config_docs.py [--repo .]
@@ -47,6 +49,17 @@ def dht_section_fields(docs: str) -> list[str]:
     return re.findall(r"^\* `(\w+)`", m.group(1), re.MULTILINE)
 
 
+def counter_rows(docs: str) -> list[str]:
+    m = re.search(r"^## Counters\n(.*?)(?=^## |\Z)", docs, re.MULTILINE | re.DOTALL)
+    if not m:
+        sys.exit(f"check_config_docs: no '## Counters' section in {DOCS}")
+    names = []
+    for cell in re.findall(r"^\| (.+?) \| .* \|$", m.group(1), re.MULTILINE):
+        parts = [re.fullmatch(r"`(\w+)`", part.strip()) for part in cell.split(" / ")]
+        names += [p.group(1) for p in parts if p]
+    return names
+
+
 def compare(struct: str, fields: list[str], documented: list[str], fix: str) -> bool:
     """Report fields missing from the docs and documented names that are no
     longer fields; return whether both lists agree."""
@@ -79,11 +92,18 @@ def main() -> int:
                  f"must be documented there")
     docs = docs_path.read_text()
 
+    pier_source = (repo / PIER_SOURCE).read_text()
     pier_ok = compare(
         "PierConfig",
-        struct_fields((repo / PIER_SOURCE).read_text(), "PierConfig", PIER_SOURCE),
+        struct_fields(pier_source, "PierConfig", PIER_SOURCE),
         documented_knobs(docs),
         "its '### `{}`' section",
+    )
+    stats_ok = compare(
+        "EngineStats",
+        struct_fields(pier_source, "EngineStats", PIER_SOURCE),
+        counter_rows(docs),
+        "its '| `{}` |' row in the '## Counters' table",
     )
     dht_ok = compare(
         "DhtConfig",
@@ -91,9 +111,9 @@ def main() -> int:
         dht_section_fields(docs),
         "its '* `{}`' bullet in the '### `dht`' section",
     )
-    if not (pier_ok and dht_ok):
+    if not (pier_ok and dht_ok and stats_ok):
         return 1
-    print("check_config_docs: every configuration knob is documented")
+    print("check_config_docs: every configuration knob and counter is documented")
     return 0
 
 

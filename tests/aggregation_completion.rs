@@ -526,6 +526,67 @@ fn a_node_lost_mid_epoch_loses_credit_so_the_timer_closes_it() {
 }
 
 #[test]
+fn a_restarted_node_counts_again_from_the_epoch_after_it_rejoins() {
+    // A node is killed 150 ms into an epoch and restarted two epochs later
+    // with its rows re-published.  Once it runs the query again, 40 nodes
+    // inject credit while the root expects the 39 of the last epoch, so the
+    // rejoin epoch may close with a join site's groups still in flight.
+    // Their credit arrives late, and must raise the count the next epoch
+    // expects: from the epoch after the rejoin on, every epoch equals the
+    // reference again, and still closes on completion.
+    let sql = colocated_sql();
+    let planned = plan(&sql);
+    let (mut bed, rows) = join_deployment(false);
+    let origin = bed.nodes()[1];
+    let victim = 13;
+    let victim_addr = bed.nodes()[victim];
+    advance_into_next_epoch(&mut bed, 2_500);
+    let q = bed.submit_sql(origin, &sql).unwrap();
+    let first = now_ms(&bed) / PERIOD_MS;
+    let all = join_reference(&planned, &rows);
+    let at = |e: u64, ms: u64| SimTime::from_micros((e * PERIOD_MS + ms) * 1_000);
+
+    let lost = first + 4;
+    bed.run_until(at(lost, 150));
+    bed.kill_node(victim_addr);
+    bed.run_until(at(lost + 2, 0));
+    bed.restart_node(victim_addr);
+    for (table, row) in &rows[victim].1 {
+        bed.publish_local(victim_addr, table, row.clone());
+    }
+    // The restarted node runs the query again once the origin's periodic
+    // re-dissemination reaches it.
+    let mut rejoined = None;
+    for e in lost + 2..lost + 8 {
+        bed.run_until(at(e + 1, 0));
+        if bed.node(victim_addr).unwrap().active_queries() > 0 {
+            rejoined = Some(e);
+            break;
+        }
+    }
+    let rejoined = rejoined.expect("the restarted node must get the plan again");
+    let end = rejoined + 7;
+    bed.run_until(at(rejoined + 2, 0));
+    let stats = |bed: &PierTestbed| bed.node(origin).unwrap().stats();
+    let before = stats(&bed);
+    bed.run_until(at(end, 0));
+    let after = stats(&bed);
+
+    for e in rejoined + 1..end - 1 {
+        let got = bed.results(origin, q, e);
+        assert!(
+            same_rows(&got, &all),
+            "epoch {e} (rejoined in {rejoined}): {} of {} groups",
+            got.len(),
+            all.len()
+        );
+    }
+    assert!(after.late_partials_dropped > 0, "the rejoin epoch closed before its last partial");
+    assert_eq!(after.finalized_on_timer, before.finalized_on_timer, "{after:?}");
+    assert!(after.finalized_on_completion >= before.finalized_on_completion + 4, "{after:?}");
+}
+
+#[test]
 fn one_shot_and_fetch_matches_join_aggregates_wait_for_the_timer() {
     // One-shot: no previous epoch, so no count to expect.
     let sql = colocated_sql();

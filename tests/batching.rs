@@ -2,8 +2,9 @@
 //! answers must be identical to the centralized reference, publishing must
 //! coalesce same-key tuples into batch messages of at most 512 rows, result
 //! buffers must ship early at that cap, a mid-query stop must keep traces
-//! and engine totals reconciled, the per-node plan cache must serve repeat
-//! submissions, and join-side projection pushdown must narrow what ships.
+//! and engine totals reconciled, a stopped continuous query must stay
+//! stopped, the per-node plan cache must serve repeat submissions, and
+//! join-side projection pushdown must narrow what ships.
 
 use pier::apps::filesharing::{files_table, keywords_table, FileCorpus};
 use pier::core::{same_rows, Catalog, JoinStrategy, MemoryDb, Planner, QueryKind};
@@ -276,6 +277,75 @@ fn stop_mid_query_keeps_counters_reconciled() {
         assert_eq!(trace.tuples_shipped, totals.join_tuples_sent, "{strategy:?}");
         assert_eq!(trace.results_sent, totals.results_sent, "{strategy:?}");
         assert!(totals.messages_sent > 0, "{strategy:?}: the query must have produced traffic");
+    }
+}
+
+#[test]
+fn a_stopped_continuous_query_stays_stopped() {
+    // The origin re-disseminates a continuous query's plan every third
+    // epoch.  A StopQuery sent 1 ms later can overtake that broadcast on its
+    // way down the dissemination tree; the late plan must not reinstall the
+    // query, and the query's rehashes and probe answers still in flight must
+    // not be buffered for a plan that will never come.
+    use pier::apps::netmon::netstats_table;
+    use pier::apps::snort::intrusions_table;
+    use pier::apps::topology::links_table;
+
+    let three_way = "SELECT i.host, COUNT(*) AS n, SUM(n.out_rate) AS total \
+         FROM netstats n JOIN links l ON n.host = l.src JOIN intrusions i ON l.dst = i.host \
+         GROUP BY i.host";
+    let nodes = 40;
+    let period_ms = 2_000;
+
+    for strategy in [JoinStrategy::SymmetricHash, JoinStrategy::FetchMatches] {
+        let mut bed = PierTestbed::new(TestbedConfig {
+            nodes,
+            seed: 0xF1A7,
+            pier: PierConfig::fast_test(),
+            ..Default::default()
+        });
+        let mut catalog = Catalog::new();
+        for def in [netstats_table(), links_table(), intrusions_table()] {
+            bed.create_table_everywhere(&def);
+            catalog.register(def);
+        }
+        for (i, &addr) in bed.nodes().to_vec().iter().enumerate() {
+            let host = |k: usize| Value::str(format!("host-{}", k % nodes));
+            let netstats = vec![host(i), Value::Float(4.0), Value::Float(1.0)];
+            let link = vec![host(i), host(i + 1), Value::str("successor")];
+            let intrusion = vec![host(i), Value::Int(1400), Value::str("rule"), Value::Int(2)];
+            bed.publish_local(addr, "netstats", Tuple::new(netstats));
+            bed.publish_local(addr, "links", Tuple::new(link));
+            bed.publish_local(addr, "intrusions", Tuple::new(intrusion));
+        }
+        bed.run_for(Duration::from_secs(2));
+
+        let stmt = pier::core::sql::parse_select(three_way).unwrap();
+        let mut planned =
+            Planner::with_join_strategy(&catalog, strategy).plan_select(&stmt).unwrap();
+        if let QueryKind::Join { aggregate: Some(agg), .. } = &mut planned.kind {
+            agg.hierarchical = false;
+        }
+        let continuous = ContinuousSpec {
+            period: Duration::from_millis(period_ms),
+            window: Duration::from_secs(600),
+        };
+        let origin = bed.nodes()[1];
+        let q = bed.submit_query(origin, planned.kind, planned.output_names, Some(continuous));
+        let q = q.unwrap();
+        // The origin's epoch timer fires 1 ms after each boundary and
+        // re-disseminates the plan on its third firing.  Stop 1 ms later.
+        let first_boundary = (bed.now().as_micros() / 1_000 / period_ms + 1) * period_ms;
+        let redisseminated = first_boundary + 2 * period_ms + 1;
+        bed.run_until(SimTime::from_micros((redisseminated + 1) * 1_000));
+        bed.stop_query(origin, q);
+        bed.run_for(Duration::from_secs(10));
+
+        for &addr in bed.nodes() {
+            let node = bed.node(addr).unwrap();
+            assert_eq!(node.active_queries(), 0, "{strategy:?}: {addr:?} still runs the query");
+            assert_eq!(node.buffered_input(q), 0, "{strategy:?}: {addr:?} buffers its input");
+        }
     }
 }
 

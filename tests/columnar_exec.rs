@@ -7,6 +7,8 @@
 //!   per-row updates across multiple batches and every aggregate function.
 //! * Grouping by a non-key column keeps the partial climb alive — colocated
 //!   aggregation only fires when the grouping column *is* the stage key.
+//! * Concurrent scans of one table read the store in place and count
+//!   exactly its live rows, and a join's filtered scan keeps store order.
 
 use pier::apps::netmon::netstats_table;
 use pier::apps::snort::intrusions_table;
@@ -339,4 +341,136 @@ fn grouping_off_the_stage_key_still_climbs_the_aggregation_tree() {
     assert!(same_rows(&out, &db.execute(&planned.logical)));
     let partials = bed.engine_totals().partials_sent - before.partials_sent;
     assert!(partials > 0, "non-colocated grouping must ship partial states");
+}
+
+// ---------------------------------------------------------------------
+// Scans read the store in place
+// ---------------------------------------------------------------------
+
+#[test]
+fn concurrent_scans_share_one_borrowed_pivot_and_count_live_rows() {
+    // One node stores table `r` as single tuples and as same-key batches,
+    // one batch of which is past its TTL.  Sixteen one-shot queries —
+    // aggregates, selects and symmetric-hash joins whose pushed-down filter
+    // runs on the left scan — scan it at the same instant, so the first
+    // pivots the store's rows and the other fifteen reuse that batch.
+    let r = TableDef::new(
+        "r",
+        Schema::of(&[
+            ("host", DataType::Str),
+            ("v", DataType::Int),
+            ("x", DataType::Float),
+            ("site", DataType::Str),
+        ]),
+        "host",
+        Duration::from_secs(60),
+    );
+    let sites = TableDef::new(
+        "sites",
+        Schema::of(&[("site", DataType::Str), ("zone", DataType::Int)]),
+        "site",
+        Duration::from_secs(3_600),
+    );
+    let row = |host: &str, v: Value, x: f64| {
+        Tuple::new(vec![Value::str(host), v, Value::Float(x), Value::str("dc-1")])
+    };
+    let mut bed = PierTestbed::quick(1, 0x5CA7);
+    let node = bed.nodes()[0];
+    bed.create_table_everywhere(&r);
+    bed.create_table_everywhere(&sites);
+    let site = Tuple::new(vec![Value::str("dc-1"), Value::Int(7)]);
+    bed.publish(node, "sites", site.clone());
+    let expired = vec![row("host-9", Value::Int(7), 0.5), row("host-9", Value::Int(8), 0.5)];
+    bed.publish_batch(node, "r", expired);
+    bed.run_for(Duration::from_secs(60));
+
+    let mut live = Vec::new();
+    for (i, v) in [(0, 4), (1, 1), (2, 6)] {
+        live.push(row(&format!("host-{i}"), Value::Int(v), 1.5 * v as f64));
+        bed.publish(node, "r", live.last().unwrap().clone());
+    }
+    let batch = vec![
+        row("host-3", Value::Int(3), 2.0),
+        row("host-3", Value::Null, 9.0),
+        row("host-3", Value::Int(5), 0.25),
+    ];
+    bed.publish_batch(node, "r", batch.clone());
+    live.extend(batch);
+    let batch = vec![row("host-4", Value::Int(2), 4.0), row("host-4", Value::Int(9), 7.5)];
+    bed.publish_batch(node, "r", batch.clone());
+    live.extend(batch);
+    live.push(row("host-4", Value::Int(0), 3.0));
+    bed.publish(node, "r", live.last().unwrap().clone());
+
+    let now = bed.now();
+    let store = bed.node(node).unwrap().dht.store();
+    let stored: Vec<Tuple> =
+        store.lscan("r", now).iter().flat_map(|item| item.value.tuples()).cloned().collect();
+    assert_eq!(stored.len(), live.len(), "the expired batch is not live");
+    assert!(same_rows(&stored, &live));
+
+    let mut catalog = Catalog::new();
+    catalog.register(r.clone());
+    catalog.register(sites.clone());
+    let planner = Planner::with_join_strategy(&catalog, JoinStrategy::SymmetricHash);
+    let mut db = MemoryDb::new();
+    db.insert("r", live.clone());
+    db.insert("sites", [site.clone()]);
+    let mut sqls: Vec<String> = vec![
+        "SELECT host, COUNT(*) AS n, SUM(v) AS s FROM r GROUP BY host".into(),
+        "SELECT COUNT(*) AS n FROM r WHERE v > 2".into(),
+        "SELECT host, MAX(x) AS m FROM r WHERE x < 5.0 GROUP BY host".into(),
+        "SELECT COUNT(v) AS n, MIN(x) AS m FROM r".into(),
+        "SELECT host, AVG(x) AS a FROM r WHERE v IS NOT NULL GROUP BY host".into(),
+        "SELECT SUM(x) AS s FROM r WHERE host = 'host-3'".into(),
+        "SELECT host, v FROM r WHERE v >= 3".into(),
+        "SELECT host, x FROM r".into(),
+        "SELECT v, x FROM r WHERE x > 2.0".into(),
+        "SELECT host FROM r WHERE v IS NULL".into(),
+        "SELECT host, v, x FROM r WHERE v < 5 AND x < 8.0".into(),
+    ];
+    // Every row of `r` joins the one row of `sites`, so each join's left
+    // scan travels as one batch and its output keeps the scan's order.
+    let joins: Vec<i64> = (0..5).collect();
+    for k in &joins {
+        sqls.push(format!(
+            "SELECT r.host, r.v, s.zone FROM r JOIN sites s ON r.site = s.site WHERE r.v > {k}"
+        ));
+    }
+    assert_eq!(sqls.len(), 16);
+
+    let before = bed.engine_totals();
+    let mut queries = Vec::new();
+    for sql in &sqls {
+        let planned = planner.plan_select(&pier::core::sql::parse_select(sql).unwrap()).unwrap();
+        assert_eq!(planned.kind.primary_table(), "r", "{sql}");
+        let q = bed
+            .submit_query(node, planned.kind.clone(), planned.output_names.clone(), None)
+            .unwrap();
+        queries.push((sql, planned, q));
+    }
+    assert_eq!(bed.now(), now, "every query scans at the same instant");
+    bed.run_for(Duration::from_secs(10));
+
+    let per_query = |sql: &str| live.len() + usize::from(sql.contains("JOIN"));
+    let scanned: usize = sqls.iter().map(|sql| per_query(sql)).sum();
+    let totals = bed.engine_totals();
+    assert_eq!(totals.tuples_scanned - before.tuples_scanned, scanned as u64);
+    let pier = bed.node(node).unwrap();
+    for (sql, planned, q) in &queries {
+        let trace = pier.query_trace(*q).unwrap();
+        assert_eq!(trace.tuples_scanned, per_query(sql) as u64, "{sql}");
+        let got = bed.results(node, *q, 0);
+        assert!(same_rows(&got, &db.execute(&planned.logical)), "{sql}: {got:?}");
+    }
+    // A join's left scan ships exactly the rows its filter keeps, in the
+    // order the store holds them.
+    for (k, (_, _, q)) in joins.iter().zip(&queries[11..]) {
+        let want: Vec<Tuple> = stored
+            .iter()
+            .filter(|t| matches!(t.get(1), Value::Int(v) if v > k))
+            .map(|t| Tuple::new(vec![t.get(0).clone(), t.get(1).clone(), Value::Int(7)]))
+            .collect();
+        assert_eq!(pier.results(*q).unwrap().raw_rows(0), want.as_slice(), "r.v > {k}");
+    }
 }
