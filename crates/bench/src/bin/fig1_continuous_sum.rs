@@ -8,7 +8,8 @@
 //! sum and the number of responding nodes — dip and recover.  Exits
 //! non-zero unless the responding-nodes series dips below its peak, and
 //! unless it returns to that peak, and stays there, after the failed nodes
-//! recover.
+//! recover; and when an epoch between the first and the last one reported
+//! is missing.
 //!
 //! Output: one row per epoch, `epoch  time  sum_kbps  responding_nodes`
 //! (a CSV copy is written to stdout after the table for plotting).
@@ -104,6 +105,11 @@ fn main() {
     }
     if back.is_none() {
         eprintln!("[fig1] FAILED: the responding-nodes series must return to its peak and stay");
+        std::process::exit(1);
+    }
+    let missing: Vec<u64> = series.windows(2).flat_map(|w| w[0].0 + 1..w[1].0).collect();
+    if !missing.is_empty() {
+        eprintln!("[fig1] FAILED: epochs {missing:?} reported nothing");
         std::process::exit(1);
     }
 }

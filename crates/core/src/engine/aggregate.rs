@@ -1,6 +1,7 @@
 //! Aggregation layer: local folds, the in-network partial climb toward the
-//! aggregation root, root finalization, epoch-count windows with their
-//! late-data policy, and `HAVING`-triggered alerts.
+//! query origin, which is every aggregate's root, finalization there,
+//! epoch-count windows with their late-data policy, and `HAVING`-triggered
+//! alerts.
 //!
 //! Completion, not a timer, closes the epochs of continuous aggregates.
 //!
@@ -19,8 +20,11 @@
 //!   with its groups — once the pool has not grown for one hold-down.  A
 //!   node holding groups keeps a share back, so groups never travel without
 //!   credit.  The root finalizes the moment it holds as many units as nodes
-//!   ran the last epoch.  Colocated plans ship each site's groups one direct
-//!   hop to the origin, which is their root.
+//!   ran the last epoch.
+//!
+//! Partials climb the DHT routing tree toward the origin's own ring id,
+//! combining at every hop; colocated plans ship each join site's groups one
+//! direct hop to the origin instead.
 //!
 //! The timers stay as the fallback and the upper bound: a hop's hold-down
 //! from its first arrival, and the root's `collect_delay` from its first
@@ -38,7 +42,7 @@ use crate::plan::{AggExpr, SortKey};
 use crate::query::{AggFinish, JoinStrategy, QueryId, QueryKind, QuerySpec, WindowSpec};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use pier_dht::ResourceKey;
+use pier_dht::{hash_node_addr, ResourceKey};
 use pier_simnet::{Duration, NodeAddr, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -246,10 +250,6 @@ pub(super) fn sort_limit(rows: &mut Vec<Tuple>, order_by: &[SortKey], limit: Opt
     }
 }
 
-fn agg_root_id(query: QueryId) -> pier_dht::Id {
-    ResourceKey::singleton("pier:agg", format!("{query}")).routing_id()
-}
-
 impl PierNode {
     /// One aggregate epoch: fold the filtered local scan into partial
     /// states and hand them to the aggregation plane as one contributor.
@@ -290,26 +290,29 @@ impl PierNode {
         self.absorb_partials(ctx, id, epoch, partials, contributors, Credit::NONE, false);
     }
 
-    /// Where this node's partials for `spec` go next: the origin for a
-    /// credit-tracked colocated aggregate (each group is whole at one join
-    /// site, so one direct hop reaches its root), the next hop toward the
-    /// aggregation key otherwise.  `None` when this node is the root; every
-    /// join site is the root of its own groups in a colocated aggregate that
-    /// closes on the timer.
+    /// Where this node's partials for `spec` go next; `None` only at the
+    /// origin, every aggregate's root.  A colocated aggregate's groups are
+    /// each whole at one join site, so they take one direct hop there; other
+    /// partials climb toward the origin's ring id.
     fn next_agg_hop(&self, spec: &QuerySpec) -> Option<NodeAddr> {
-        match spec.kind.join_aggregate() {
-            Some(agg) if agg.hierarchical && agg.colocated => {
-                let origin = spec.origin();
-                (tracks_credit(spec) && origin != self.addr).then_some(origin)
-            }
-            _ => self.dht.route_next_hop(&agg_root_id(spec.id)).map(|p| p.addr),
+        let origin = spec.origin();
+        if origin == self.addr {
+            return None;
         }
+        let colocated = spec.kind.join_aggregate().is_some_and(|a| a.colocated);
+        Some(if colocated { origin } else { self.toward_origin(origin) })
+    }
+
+    /// The next hop up the DHT routing tree toward `origin`'s ring id: the
+    /// origin itself at a node that believes it owns that id.
+    fn toward_origin(&self, origin: NodeAddr) -> NodeAddr {
+        self.dht.route_next_hop(&hash_node_addr(origin.0)).map_or(origin, |p| p.addr)
     }
 
     /// Fold partial states into this node's role for the query: root
-    /// accumulator if we are the aggregation root, otherwise the pending
-    /// buffer that the completion rule or the hold-down timer will forward.
-    /// `credit` is what the sender returned with them.
+    /// accumulator at the origin, otherwise the pending buffer that the
+    /// completion rule or the hold-down timer will forward.  `credit` is
+    /// what the sender returned with them.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn absorb_partials(
         &mut self,
@@ -321,29 +324,33 @@ impl PierNode {
         credit: Credit,
         from_network: bool,
     ) {
-        let Some(q) = self.queries.get(&id) else {
-            // This node never received the query plan (e.g. it joined after
-            // dissemination).  It cannot combine — it lacks the aggregate
-            // specs — but it can still relay the partials toward the root so
-            // the data is not lost.
-            if from_network {
-                if let Some(next) = self.dht.route_next_hop(&agg_root_id(id)) {
-                    self.stats.partials_sent += 1;
-                    let payload =
-                        PierPayload::Partial { query: id, epoch, groups, contributors, credit };
-                    self.note_payload(&payload);
-                    self.pending_direct.push((next.addr, super::DirectStream::Engine, payload));
-                }
+        let origin = id.origin();
+        let Some(q) = self.queries.get_mut(&id) else {
+            // This node has not received the query plan (it joined after
+            // dissemination, or the plan is still on its way).  It cannot
+            // combine — it lacks the aggregate specs — but it relays the
+            // partials one hop toward the origin so the data is not lost,
+            // and charges them to the query's trace once the plan arrives.
+            // A stopped query's partials are dropped.
+            if from_network && origin != self.addr && !self.is_stopped(id, ctx.now()) {
+                let next = self.toward_origin(origin);
+                let payload =
+                    PierPayload::Partial { query: id, epoch, groups, contributors, credit };
+                let (bytes, _) = self.note_payload(&payload);
+                self.stats.partials_sent += 1;
+                let relayed = self.relayed.entry(id).or_default();
+                relayed.partials_sent += 1;
+                relayed.messages_sent += 1;
+                relayed.bytes_shipped += bytes;
+                self.pending_direct.push((next, super::DirectStream::Engine, payload));
             }
             return;
         };
-        let is_root = self.next_agg_hop(&q.spec).is_none();
-        let Some(q) = self.queries.get_mut(&id) else { return };
         if from_network {
             self.stats.partials_merged += 1;
             q.trace.partials_merged += 1;
         }
-        if !is_root {
+        if origin != self.addr {
             self.hold(ctx, id, epoch, groups, contributors, credit);
             return;
         }
@@ -524,11 +531,11 @@ impl PierNode {
     }
 
     /// Ship the buffered partials and credit for (query, epoch) one hop
-    /// closer to the root, disarming their hold-down if the completion rule
-    /// got there first.
+    /// closer to the origin, disarming their hold-down if the completion
+    /// rule got there first.
     pub(super) fn forward_partials(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
         let Some(q) = self.queries.get(&id) else { return };
-        let next = self.next_agg_hop(&q.spec).filter(|&next| next != self.addr);
+        let next = self.next_agg_hop(&q.spec);
         let Some(q) = self.queries.get_mut(&id) else { return };
         let Some(Pending { merged: mut buf, credit, holddown, .. }) = q.agg.pending.remove(&epoch)
         else {
@@ -555,7 +562,7 @@ impl PierNode {
                 self.stage_query_direct(id, next, payload);
             }
             None => {
-                // We are (or became) the root: absorb locally.
+                // The origin's own partials: absorb them as the root.
                 self.absorb_partials(ctx, id, epoch, groups, contributors, credit, false);
             }
         }
@@ -613,7 +620,7 @@ impl PierNode {
         }
     }
 
-    /// Finalize an epoch at the aggregation root and ship the result rows.
+    /// Finalize an epoch at the origin and store its result rows.
     /// `complete` records which rule closed it.
     fn finalize_epoch(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64, complete: bool) {
         let Some(q) = self.queries.get_mut(&id) else { return };
@@ -646,46 +653,38 @@ impl PierNode {
         // aggregate, and the hierarchical aggregate terminating a join.
         let Some(finish) = spec.kind.agg_finish() else { return };
         let (rows, _) = having_top_k(&finish, acc.finalize(), false);
-        self.report(ctx, &spec, epoch, rows, contributors, false);
-        self.process_upcalls(ctx);
+        self.report(id, epoch, rows, contributors, false);
     }
 
-    /// Hand one finalized epoch's (or closed window's) rows and its
-    /// `EpochDone` to the origin, after a `WindowRetract` when `retract`
-    /// re-emits a patched window.  Rows ship pre-projection (hidden
-    /// aggregates included) so the origin can re-sort on any ORDER BY key;
-    /// it projects afterwards.  An origin that is the root of a
-    /// credit-tracked query keeps them instead of sending them to itself.
+    /// Store one finalized epoch's (or closed window's) rows and
+    /// contributor count in the origin's results, replacing the window's
+    /// earlier report when `retract` re-emits a patched one.  Rows are kept
+    /// pre-projection (hidden aggregates included) so the results can
+    /// re-sort on any ORDER BY key; they are projected when read.
     fn report(
         &mut self,
-        ctx: &mut Ctx<'_>,
-        spec: &QuerySpec,
+        id: QueryId,
         epoch: u64,
         rows: Vec<Tuple>,
         contributors: u64,
         retract: bool,
     ) {
-        let id = spec.id;
-        if spec.origin() == self.addr && tracks_credit(spec) {
-            if let Some(q) = self.queries.get_mut(&id).filter(|_| !rows.is_empty()) {
-                *q.trace.epoch_rows.entry(epoch).or_insert(0) += rows.len() as u64;
+        let n = rows.len() as u64;
+        self.stats.results_sent += n;
+        if let Some(q) = self.queries.get_mut(&id) {
+            q.trace.results_sent += n;
+            if n > 0 {
+                *q.trace.epoch_rows.entry(epoch).or_insert(0) += n;
             }
+        }
+        if let Some(res) = self.results.get_mut(&id) {
+            let stored = res.rows.entry(epoch).or_default();
             if retract {
-                self.receive_retract(id, epoch);
+                stored.clear();
             }
-            self.receive_rows(id, epoch, rows);
-            self.receive_epoch_done(id, epoch, contributors);
-            return;
+            stored.extend(rows);
+            res.contributors.insert(epoch, contributors);
         }
-        if retract {
-            let retract = PierPayload::WindowRetract { query: id, window: epoch };
-            self.send_query_direct(ctx, id, spec.origin(), retract);
-        }
-        for row in rows {
-            self.send_result(ctx, spec, epoch, row);
-        }
-        let done = PierPayload::EpochDone { query: id, epoch, contributors };
-        self.send_query_direct(ctx, id, spec.origin(), done);
     }
 
     /// Fold one finalized epoch's root accumulator into every window
@@ -734,13 +733,11 @@ impl PierNode {
         }
     }
 
-    /// Close one window at the aggregation root: finalize its merged state,
-    /// apply HAVING / ORDER BY / LIMIT, ship the rows (tagged with the
-    /// window id in the `epoch` slot of every result payload) plus an
-    /// `EpochDone`, and publish alert tuples if the query has a `HAVING`
-    /// trigger.  `reemit` marks a late-data correction under
-    /// [`WindowLatePolicy::Patch`]: a [`PierPayload::WindowRetract`]
-    /// precedes the corrected rows so the origin replaces, not appends.
+    /// Close one window at the origin: finalize its merged state, apply
+    /// HAVING / ORDER BY / LIMIT, store the rows under the window id, and
+    /// publish alert tuples if the query has a `HAVING` trigger.  `reemit`
+    /// marks a late-data correction under [`WindowLatePolicy::Patch`]: the
+    /// corrected rows replace the window's earlier ones.
     fn emit_window(&mut self, ctx: &mut Ctx<'_>, id: QueryId, window: u64, reemit: bool) {
         let retain = self.config.window_late_policy == WindowLatePolicy::Patch;
         let Some(q) = self.queries.get_mut(&id) else { return };
@@ -767,11 +764,10 @@ impl PierNode {
         // Trigger form: every row surviving HAVING is an alert for this
         // window, captured before ORDER BY / LIMIT trim the report.
         let (rows, alert_rows) = having_top_k(&finish, rows, true);
-        self.report(ctx, &spec, window, rows, contributors, reemit);
+        self.report(id, window, rows, contributors, reemit);
         if !alert_rows.is_empty() {
             self.publish_alerts(ctx, &spec, &finish, window, alert_rows);
         }
-        self.process_upcalls(ctx);
     }
 
     /// Publish one closed window's qualifying rows as alert tuples into the
@@ -807,9 +803,9 @@ impl PierNode {
             values.extend(row.project(finish.final_project).values().iter().cloned());
             let key = ResourceKey::new(namespace.clone(), resource.clone(), stable_hash(&resource));
             let payload = PierPayload::Tuple(Tuple::new(values));
-            self.note_payload(&payload);
-            let sent = self.dht.put(ctx, key, payload, Some(ttl));
-            self.stats.messages_sent += sent as u64;
+            self.note_query_payload(spec.id, &payload);
+            let sent = self.dht.put(ctx, key, payload, ttl);
+            self.add_query_msgs(spec.id, sent as u64);
             self.stats.alerts_emitted += 1;
             if let Some(q) = self.queries.get_mut(&spec.id) {
                 q.trace.alerts_emitted += 1;

@@ -4,9 +4,9 @@
 use pier_dht::DhtConfig;
 use pier_simnet::Duration;
 
-/// What the aggregation root of a windowed continuous query does with
-/// partials that arrive for an epoch whose window(s) it has already closed
-/// and reported (see [`crate::query::WindowSpec`]).
+/// What the origin of a windowed continuous query, its aggregation root,
+/// does with partials that arrive for an epoch whose window(s) it has
+/// already closed and reported (see [`crate::query::WindowSpec`]).
 ///
 /// Windows close when the root's *watermark* — the highest epoch it has
 /// finalized — passes the window's last epoch.  A partial that reaches the
@@ -20,10 +20,10 @@ pub enum WindowLatePolicy {
     /// and their state is freed at close — the cheap, at-most-once default.
     Drop,
     /// Merge late partials into the retained window state and re-emit the
-    /// corrected window: the origin receives a retraction for the window's
-    /// previous rows, then the updated rows.  Closed-window state is kept
-    /// for a bounded number of slides, so very late data (beyond the
-    /// retention horizon) is still dropped.
+    /// corrected window: its updated rows replace the previous ones in the
+    /// origin's results.  Closed-window state is kept for a bounded number
+    /// of slides, so very late data (beyond the retention horizon) is still
+    /// dropped.
     Patch,
 }
 
@@ -44,27 +44,29 @@ pub enum WindowLatePolicy {
 pub struct PierConfig {
     /// DHT / overlay parameters.
     pub dht: DhtConfig,
-    /// Hold-down of the partial climb.  A hop forwards combined partials
-    /// once as many contributors as last epoch have passed through it
-    /// (continuous single-table aggregates), or this long after the epoch's
-    /// first arrival, whichever comes first.  It is also the root's quiet
-    /// period: a complete single-table epoch finalizes once no partial has
-    /// arrived for one hold-down.  For a continuous aggregate over
-    /// symmetric-hash joins it is the quiet period of a node's credit pool:
-    /// the pool, with the node's groups, returns toward the root once it has
-    /// not grown for one hold-down.
+    /// Hold-down of the partial climb toward the origin, every aggregate's
+    /// root.  A hop forwards combined partials once as many contributors as
+    /// last epoch have passed through it (continuous single-table
+    /// aggregates), or this long after the epoch's first arrival, whichever
+    /// comes first; a colocated aggregate's join site ships its groups to
+    /// the origin the same way.  It is also the origin's quiet period: a
+    /// complete single-table epoch finalizes once no partial has arrived for
+    /// one hold-down.  For a continuous aggregate over symmetric-hash joins
+    /// it is the quiet period of a node's credit pool: the pool, with the
+    /// node's groups, returns toward the origin once it has not grown for
+    /// one hold-down.
     pub holddown: Duration,
-    /// How long the aggregation root waits after an epoch's first partial
-    /// before finalizing it (must exceed typical tree depth × hold-down +
-    /// latency), postponed up to four times by 3 × `holddown` while
-    /// partials still arrive.  For continuous aggregates this is only the
-    /// upper bound: completion usually closes the epoch first — for a
-    /// single-table aggregate, as many contributors as the root finalized
+    /// How long the origin, every aggregate's root, waits after an epoch's
+    /// first partial before finalizing it (must exceed typical tree depth ×
+    /// hold-down + latency), postponed up to four times by 3 × `holddown`
+    /// while partials still arrive.  For continuous aggregates this is only
+    /// the upper bound: completion usually closes the epoch first — for a
+    /// single-table aggregate, as many contributors as the origin finalized
     /// last epoch, then one quiet hold-down; over symmetric-hash joins, the
-    /// moment the root has recovered as much credit as nodes ran last epoch.
-    /// One-shot aggregates, joins with Fetch-Matches or Bloom-gated stages,
-    /// and epochs with no previous count always wait for it.  It is also how
-    /// long a node keeps a stopped query's tombstone.
+    /// moment the origin has recovered as much credit as nodes ran last
+    /// epoch.  One-shot aggregates, joins with Fetch-Matches or Bloom-gated
+    /// stages, and epochs with no previous count always wait for it.  It is
+    /// also how long a node keeps a stopped query's tombstone.
     pub collect_delay: Duration,
     /// How long the origin collects per-node Bloom filters before
     /// broadcasting the combined filter.
@@ -107,9 +109,9 @@ pub struct PierConfig {
     /// next epoch boundary.  Off by default: plans then come from catalog
     /// statistics only.
     pub feedback: bool,
-    /// What the aggregation root does with partials that arrive after the
-    /// windows covering their epoch have closed (windowed continuous
-    /// aggregates only; see [`WindowLatePolicy`]).  Interacts with
+    /// What the origin does with partials that arrive after the windows
+    /// covering their epoch have closed (windowed continuous aggregates
+    /// only; see [`WindowLatePolicy`]).  Interacts with
     /// `collect_delay` and `holddown`: the shorter those grace periods are
     /// relative to network latency, the more data arrives late and the more
     /// this policy matters.  Completion closes an epoch once last epoch's
@@ -161,7 +163,8 @@ pub struct EngineStats {
     pub tuples_published: u64,
     /// Tuples read by local scans.
     pub tuples_scanned: u64,
-    /// Result rows sent toward query origins.
+    /// Result rows shipped to query origins, or finalized there: a
+    /// finalized aggregate epoch's or window's rows count at the origin.
     pub results_sent: u64,
     /// Partial-aggregate messages sent.
     pub partials_sent: u64,
@@ -231,13 +234,13 @@ pub struct EngineStats {
     /// Alert tuples published into a query's `pier:alert:<id>` namespace
     /// (windowed aggregates with a `HAVING` trigger).
     pub alerts_emitted: u64,
-    /// Epochs this node finalized as an aggregation root on completion: as
-    /// many contributors as last epoch had reported and partials went quiet
-    /// for one hold-down (continuous single-table aggregates), or the root
-    /// recovered as much credit as nodes ran last epoch (continuous
-    /// aggregates over symmetric-hash joins).
+    /// Epochs this node finalized, as the origin of an aggregate, on
+    /// completion: as many contributors as last epoch had reported and
+    /// partials went quiet for one hold-down (continuous single-table
+    /// aggregates), or it recovered as much credit as nodes ran last epoch
+    /// (continuous aggregates over symmetric-hash joins).
     pub finalized_on_completion: u64,
-    /// Epochs this node finalized as an aggregation root on the
+    /// Epochs this node finalized, as the origin of an aggregate, on the
     /// `collect_delay` timer and its quiet extensions: every one-shot
     /// aggregate, every aggregate over a join with a Fetch-Matches or
     /// Bloom-gated stage, and continuous epochs that had no count to expect

@@ -17,9 +17,10 @@ use pier_simnet::{NodeAddr, WireSize};
 /// Accounting stream of a staged point-to-point payload: which counters pay
 /// for its wire message.  `Query` traffic bills the per-query message
 /// counters (and the producer-side trace), `Engine` bills only the
-/// node-level counters (e.g. partial relays for queries this node never
-/// installed), and `Gossip` is observability traffic kept out of the query
-/// counters entirely.
+/// node-level counters (partial relays for queries whose plan this node
+/// has not received: their trace takes them over when the plan arrives),
+/// and `Gossip` is observability traffic kept out of the query counters
+/// entirely.
 #[derive(Clone, Copy, Debug)]
 pub(super) enum DirectStream {
     Query(QueryId),

@@ -104,12 +104,11 @@ impl PierNode {
         if let Some(words) = summary {
             self.send_summary(ctx, id, 0, epoch, words);
         }
-        // Hierarchical aggregate over the join: the origin seeds an empty
-        // partial for the epoch so the aggregation root always finalizes it
-        // — a global aggregate over a matchless epoch still reports its one
-        // "empty" row (COUNT = 0), and the epoch's contributor summary
-        // reaches the origin.  Nodes with actual matches contribute through
-        // the final stage.
+        // Hierarchical aggregate over the join: the origin, its root, seeds
+        // an empty partial for the epoch so it always finalizes it — a
+        // global aggregate over a matchless epoch still reports its one
+        // "empty" row (COUNT = 0) and the epoch's contributor count.  Nodes
+        // with actual matches contribute through the final stage.
         if spec.origin() == self.addr && spec.kind.join_aggregate().is_some_and(|a| a.hierarchical)
         {
             self.absorb_join_partials(ctx, id, epoch, Vec::new());
@@ -330,8 +329,8 @@ impl PierNode {
                 // An aggregate terminating the chain: fold this node's
                 // matched rows into a per-(query, epoch) partial state and
                 // hand it to the hierarchical aggregation plane — partials
-                // climb toward the aggregation root, combining at every
-                // hop, instead of raw rows streaming to the origin.
+                // climb toward the origin, combining at every hop, instead
+                // of raw rows streaming to it.
                 Some(agg) if agg.hierarchical => {
                     if rows.is_empty() {
                         return;

@@ -8,15 +8,14 @@
 //! * `scan` — publishing into the DHT, local scans, and the compiled
 //!   kernels every per-epoch hot loop runs.
 //! * `aggregate` — **hierarchical aggregation**: each node folds its local
-//!   tuples into mergeable partial states and forwards them hop-by-hop
-//!   toward the node responsible for the query's aggregation key,
-//!   combining at every hop (the classic in-network aggregation of
-//!   PIER/TAG).  The root finalizes each epoch (or window) and streams
-//!   result rows to the query origin.  A continuous aggregate's epoch
-//!   closes on completion — as many contributors as last epoch for a
-//!   single table, all of last epoch's credit back at the root over
-//!   symmetric-hash joins — with the hold-down and collect timers as the
-//!   fallback.
+//!   tuples into mergeable partial states and forwards them hop-by-hop up
+//!   the DHT routing tree toward the query origin's ring id, combining at
+//!   every hop (the classic in-network aggregation of PIER/TAG).  The
+//!   origin is the root: it finalizes each epoch (or window) into its own
+//!   results.  A continuous aggregate's epoch closes on completion — as
+//!   many contributors as last epoch for a single table, all of last
+//!   epoch's credit back at the origin over symmetric-hash joins — with
+//!   the hold-down and collect timers as the fallback.
 //! * `join` — **distributed joins** as a stage DAG: symmetric rehash joins
 //!   (both relations rehashed on the join key into a query-scoped
 //!   namespace) and Fetch-Matches joins (DHT `get` probes against the inner
@@ -120,11 +119,12 @@ enum TimerPurpose {
     /// the completion rule has not already shipped, with the epoch's credit
     /// pool once it has stopped growing.
     Holddown(QueryId, u64),
-    /// The aggregation root's timer rule for (query, epoch): `collect_delay`
-    /// after the first partial, postponed while partials still arrive.
+    /// The root's (the origin's) timer rule for (query, epoch):
+    /// `collect_delay` after the first partial, postponed while partials
+    /// still arrive.
     RootFinalize(QueryId, u64),
-    /// The aggregation root's completion rule for (query, epoch): finalize
-    /// if no partial has arrived for one hold-down.
+    /// The root's (the origin's) completion rule for (query, epoch):
+    /// finalize if no partial has arrived for one hold-down.
     RootQuiet(QueryId, u64),
     /// Combine and broadcast Bloom filters for (query, stage, epoch).
     BloomCombine(QueryId, u8, u64),
@@ -193,7 +193,8 @@ impl QueryResults {
         QueryResults { spec, rows: BTreeMap::new(), contributors: BTreeMap::new() }
     }
 
-    /// Epochs for which at least one row or an epoch summary arrived.
+    /// Epochs for which at least one row arrived or an aggregate epoch (or
+    /// window) was finalized.
     pub fn epochs(&self) -> Vec<u64> {
         let mut e: Vec<u64> = self.rows.keys().chain(self.contributors.keys()).copied().collect();
         e.sort_unstable();
@@ -221,12 +222,12 @@ impl QueryResults {
                 }
                 rows = acc.finalize();
             }
-            // Otherwise the root shipped finalized aggregate-output rows
-            // (pre-projection, hidden aggregates included), in network
-            // arrival order.  Both shapes converge here: HAVING (idempotent
-            // where the root already applied it), re-sort, limit, then the
-            // final projection to the client's column order — so ORDER BY
-            // an aggregate that is not in the select list still works.
+            // Otherwise the origin stored the finalized aggregate-output
+            // rows (pre-projection, hidden aggregates included).  Both
+            // shapes converge here: HAVING (idempotent where finalizing
+            // already applied it), re-sort, limit, then the final
+            // projection to the client's column order — so ORDER BY an
+            // aggregate that is not in the select list still works.
             let (rows, _) = aggregate::having_top_k(&finish, rows, false);
             return rows.iter().map(|r| r.project(finish.final_project)).collect();
         }
@@ -275,6 +276,10 @@ pub struct PierNode {
     /// traffic: a restarted origin numbers its queries from 1 again, so a
     /// permanent one would swallow its next query.
     stopped: HashMap<QueryId, SimTime>,
+    /// What this node relayed toward the origin for queries whose plan it
+    /// has not received: partials, their messages and bytes.  The query's
+    /// trace starts from it when the plan arrives.
+    relayed: HashMap<QueryId, OpTrace>,
     timer_purposes: HashMap<u64, TimerPurpose>,
     /// Result rows produced during the current engine tick, coalesced per
     /// (query, epoch) and flushed as one `ResultBatch` per destination when
@@ -328,6 +333,7 @@ impl PierNode {
             pending_fetch: HashMap::new(),
             early_arrivals: HashMap::new(),
             stopped: HashMap::new(),
+            relayed: HashMap::new(),
             timer_purposes: HashMap::new(),
             pending_results: Vec::new(),
             pending_direct: Vec::new(),
@@ -572,6 +578,7 @@ impl PierNode {
         }
         self.origin_sql.remove(&id);
         self.early_arrivals.remove(&id);
+        self.relayed.remove(&id);
         self.pending_fetch.retain(|_, (query, ..)| *query != id);
         let now = ctx.now();
         self.stopped.retain(|_, until| *until > now);
@@ -629,10 +636,6 @@ impl PierNode {
             PierPayload::ResultBatch { query, epoch, rows } => {
                 self.receive_rows(query, epoch, rows.into_rows())
             }
-            PierPayload::EpochDone { query, epoch, contributors } => {
-                self.receive_epoch_done(query, epoch, contributors)
-            }
-            PierPayload::WindowRetract { query, window } => self.receive_retract(query, window),
             PierPayload::Bloom { query, stage, epoch, bits, k, combined: false } => {
                 self.on_bloom_summary(ctx, query, stage, epoch, bits, k);
             }
@@ -647,35 +650,6 @@ impl PierNode {
     fn receive_rows(&mut self, query: QueryId, epoch: u64, rows: impl IntoIterator<Item = Tuple>) {
         if let Some(res) = self.results.get_mut(&query) {
             res.rows.entry(epoch).or_default().extend(rows);
-        }
-    }
-
-    /// Origin side: an aggregation root finalized an epoch (or window).
-    fn receive_epoch_done(&mut self, query: QueryId, epoch: u64, contributors: u64) {
-        if let Some(res) = self.results.get_mut(&query) {
-            // One root per query normally (take the max over its
-            // possibly-postponed reports); a colocated aggregate that closes
-            // on the timer has one root per join site, each reporting
-            // disjoint contributors, so they sum.  One that closes on credit
-            // reports once, from the origin.
-            let colocated =
-                res.spec.kind.join_aggregate().is_some_and(|a| a.hierarchical && a.colocated);
-            let e = res.contributors.entry(epoch).or_insert(0);
-            if colocated {
-                *e += contributors;
-            } else {
-                *e = (*e).max(contributors);
-            }
-            res.rows.entry(epoch).or_default();
-        }
-    }
-
-    /// Origin side: a late-data patch is coming, so forget the window's
-    /// previous rows; the corrected rows and a fresh `EpochDone` follow.
-    fn receive_retract(&mut self, query: QueryId, window: u64) {
-        if let Some(res) = self.results.get_mut(&query) {
-            res.rows.insert(window, Vec::new());
-            res.contributors.remove(&window);
         }
     }
 
@@ -701,7 +675,9 @@ impl PierNode {
         let continuous = spec.continuous;
         let is_recursive_origin =
             matches!(spec.kind, QueryKind::Recursive { .. }) && spec.origin() == self.addr;
-        self.queries.insert(id, RunningQuery::new(spec));
+        let mut q = RunningQuery::new(spec);
+        q.trace = self.relayed.remove(&id).unwrap_or_default();
+        self.queries.insert(id, q);
 
         // Replay operator input that arrived before the plan did.
         if let Some(buffered) = self.early_arrivals.remove(&id) {
@@ -771,7 +747,7 @@ impl PierNode {
 }
 
 /// How far back this epoch's local scans reach.  Windowed queries merge
-/// per-epoch deltas into window state at the aggregation root, so each epoch
+/// per-epoch deltas into window state at the origin, so each epoch
 /// scans only what arrived since the previous one; plain continuous queries
 /// rescan the whole trailing time window every epoch; one-shot queries scan
 /// everything stored.

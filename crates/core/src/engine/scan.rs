@@ -135,7 +135,7 @@ impl PierNode {
                 };
                 self.stats.tuples_published += chunk.len() as u64;
                 self.note_payload(&payload);
-                items.push((key, payload, Some(def.ttl)));
+                items.push((key, payload, def.ttl));
             }
         }
         let sent = self.dht.put_batch(ctx, items);
@@ -155,7 +155,7 @@ impl PierNode {
     ) -> Result<(), PierError> {
         let def = self.table_def(table)?;
         let key = ResourceKey::new(def.name.clone(), def.resource_of(&tuple), self.next_instance());
-        self.dht.local_put(now, key, PierPayload::Tuple(tuple), Some(def.ttl));
+        self.dht.local_put(now, key, PierPayload::Tuple(tuple), def.ttl);
         self.stats.tuples_published += 1;
         Ok(())
     }

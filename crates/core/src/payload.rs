@@ -37,7 +37,8 @@ pub enum PierPayload {
     Query(QuerySpec),
     /// Tear down a (continuous) query everywhere.
     StopQuery(QueryId),
-    /// Partial aggregation state flowing toward the aggregation root.
+    /// Partial aggregation state climbing toward the query origin, every
+    /// aggregate's root.
     Partial {
         /// Which query.
         query: QueryId,
@@ -53,26 +54,6 @@ pub enum PierPayload {
     },
     /// One result row, streamed to the query origin.
     Result(ResultRow),
-    /// Sent by the aggregation root to the origin when an epoch is finalized.
-    EpochDone {
-        /// Which query.
-        query: QueryId,
-        /// Which epoch.
-        epoch: u64,
-        /// Number of distinct nodes whose data contributed ("responding
-        /// nodes", the lower series of the paper's Figure 1).
-        contributors: u64,
-    },
-    /// Sent by the aggregation root to the origin when late partials patched
-    /// an already-reported window (`WindowLatePolicy::Patch`): the origin
-    /// discards the window's previously received rows, then the corrected
-    /// rows and a fresh [`PierPayload::EpochDone`] follow.
-    WindowRetract {
-        /// Which query.
-        query: QueryId,
-        /// Which window (the `epoch` field of the re-sent result rows).
-        window: u64,
-    },
     /// A tuple rehashed to its join site (symmetric-hash and Bloom joins,
     /// plus intermediate tuples flowing between the stages of a multi-way
     /// join chain).
@@ -196,8 +177,6 @@ impl WireSize for PierPayload {
                         .sum::<usize>()
             }
             PierPayload::Result(r) => r.wire_size(),
-            PierPayload::EpochDone { .. } => 24,
-            PierPayload::WindowRetract { .. } => 16,
             PierPayload::JoinTuple { key, tuple, credit, .. } => {
                 19 + key.wire_size() + tuple.wire_size() + credit.wire_size()
             }
@@ -221,7 +200,7 @@ impl WireSize for PierPayload {
 /// symmetric-hash joins.  Every node that runs the epoch injects one
 /// [`Credit::UNIT`] and splits it over its rehash payloads; a join site
 /// passes the credit it receives on to its outputs for the next stage and
-/// returns what it cannot pass on to the aggregation root with its groups.
+/// returns what it cannot pass on toward the origin with its groups.
 /// Credit is conserved, so the root holds `n` units only once every payload
 /// the epoch's `n` nodes produced has been processed and every group has
 /// arrived.

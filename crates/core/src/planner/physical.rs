@@ -341,9 +341,8 @@ fn plan_join(planner: &Planner<'_>, bound: &BoundSelect, optimized: &LogicalPlan
             // *is* the terminal stage's join key — either endpoint, they are
             // equal on every match — the symmetric rehash has already
             // partitioned each group wholly onto one join site, so the
-            // partial climb up the aggregation tree is skipped: sites
-            // finalize their groups in place, or — when credit closes the
-            // epochs — ship them one direct hop to the origin.
+            // partial climb up the aggregation tree is skipped: sites ship
+            // their groups one direct hop to the origin.
             let last = stages.last().expect("at least one stage");
             let key_pos = |key: &Expr, ship: &[usize], base: usize| -> Option<usize> {
                 match key {

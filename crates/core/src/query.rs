@@ -283,15 +283,15 @@ pub struct JoinAggregate {
     /// hidden ones appended for `HAVING` / `ORDER BY`).
     pub aggs: Vec<AggExpr>,
     /// `HAVING` predicate over the aggregate output, applied where the
-    /// groups are finalized (the aggregation root, or the origin when
-    /// `hierarchical` is off).
+    /// groups are finalized: the origin, which is the root of a
+    /// hierarchical aggregate and aggregates raw rows otherwise.
     pub having: Option<Expr>,
     /// Final projection over the aggregate output, mapping to the client's
     /// column order.
     pub final_project: Vec<usize>,
     /// `true`: every node partially aggregates its final-stage matches per
     /// (query, epoch) and the partials combine in-network over the DHT
-    /// toward the aggregation root (PIER's in-network aggregation composed
+    /// toward the origin (PIER's in-network aggregation composed
     /// over the join).  `false`: the final stage streams its raw matched
     /// rows to the origin, which performs the whole GROUP BY — the baseline
     /// the optimizer costs against (and benchmarks measure).
@@ -303,9 +303,8 @@ pub struct JoinAggregate {
     /// Aggregate-aware stage keys: `true` when the grouping column *is* the
     /// final stage's join key, so every row of a group already lives at one
     /// join site (the DHT partitioned matches by that very value), and the
-    /// climb up the aggregation tree is skipped.  Join sites finalize their
-    /// own groups in place, or, when credit closes the query's epochs, ship
-    /// them one direct hop to the origin, which is their root.
+    /// climb up the aggregation tree is skipped: each join site ships its
+    /// groups one direct hop to the origin, every aggregate's root.
     pub colocated: bool,
 }
 

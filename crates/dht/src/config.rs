@@ -25,8 +25,6 @@ pub struct DhtConfig {
     pub failure_timeout: Duration,
     /// Period between soft-state expiry sweeps.
     pub storage_sweep_interval: Duration,
-    /// Default time-to-live of stored items when the caller does not specify.
-    pub default_ttl: Duration,
 }
 
 impl Default for DhtConfig {
@@ -39,7 +37,6 @@ impl Default for DhtConfig {
             ping_interval: Duration::from_millis(1_000),
             failure_timeout: Duration::from_millis(3_000),
             storage_sweep_interval: Duration::from_secs(5),
-            default_ttl: Duration::from_secs(120),
         }
     }
 }
@@ -56,7 +53,6 @@ impl DhtConfig {
             ping_interval: Duration::from_millis(200),
             failure_timeout: Duration::from_millis(800),
             storage_sweep_interval: Duration::from_millis(500),
-            default_ttl: Duration::from_secs(60),
         }
     }
 }

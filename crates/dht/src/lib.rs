@@ -34,7 +34,7 @@
 //! sim.run_for(Duration::from_secs(30));
 //!
 //! // Store an item from node 5 and broadcast a value from node 2.
-//! sim.invoke(NodeAddr(5), |n, ctx| n.dht.put(ctx, ResourceKey::new("t", "k", 0), 7u64, None));
+//! sim.invoke(NodeAddr(5), |n, ctx| n.dht.put(ctx, ResourceKey::new("t", "k", 0), 7u64, Duration::from_secs(60)));
 //! sim.invoke(NodeAddr(2), |n, ctx| n.dht.broadcast(ctx, 99u64));
 //! sim.run_for(Duration::from_secs(5));
 //!

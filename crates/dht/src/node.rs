@@ -253,15 +253,15 @@ impl<P: Clone + WireSize> DhtNode<P> {
     // Public DHT API (PIER's put / get / send / lscan / broadcast)
     // ------------------------------------------------------------------
 
-    /// Store `value` under `key` in the DHT (routed to the responsible node).
-    /// `ttl` defaults to [`DhtConfig::default_ttl`].  Returns the number of
-    /// wire messages sent (0 when this node is itself responsible).
+    /// Store `value` under `key` in the DHT (routed to the responsible node)
+    /// for `ttl`.  Returns the number of wire messages sent (0 when this node
+    /// is itself responsible).
     pub fn put(
         &mut self,
         ctx: &mut Context<DhtMsg<P>>,
         key: ResourceKey,
         value: P,
-        ttl: Option<Duration>,
+        ttl: Duration,
     ) -> usize {
         self.put_batch(ctx, vec![(key, value, ttl)])
     }
@@ -275,12 +275,11 @@ impl<P: Clone + WireSize> DhtNode<P> {
     pub fn put_batch(
         &mut self,
         ctx: &mut Context<DhtMsg<P>>,
-        items: Vec<(ResourceKey, P, Option<Duration>)>,
+        items: Vec<(ResourceKey, P, Duration)>,
     ) -> usize {
         let envelopes: Vec<RouteEnvelope<P>> = items
             .into_iter()
             .map(|(key, value, ttl)| {
-                let ttl = ttl.unwrap_or(self.config.default_ttl);
                 let item = WireItem { key, value, ttl_us: ttl.as_micros() };
                 let target = item.key.routing_id();
                 RouteEnvelope { target, hops: 0, body: RouteBody::Put { item } }
@@ -393,8 +392,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
     /// readings) when partitioning by publisher is desired.  The item
     /// belongs to this node, not to its key's owner, so hand-off leaves it
     /// here.
-    pub fn local_put(&mut self, now: SimTime, key: ResourceKey, value: P, ttl: Option<Duration>) {
-        let ttl = ttl.unwrap_or(self.config.default_ttl);
+    pub fn local_put(&mut self, now: SimTime, key: ResourceKey, value: P, ttl: Duration) {
         let is_new = self.store.put_local(key.clone(), value.clone(), now, ttl);
         if is_new {
             self.upcalls.push(Upcall::NewItem { key, value });
@@ -973,14 +971,15 @@ mod tests {
     #[test]
     fn local_put_and_lscan() {
         let mut n = make(1);
-        n.local_put(SimTime::ZERO, ResourceKey::new("t", "a", 0), 42, None);
-        n.local_put(SimTime::ZERO, ResourceKey::new("t", "b", 0), 43, None);
+        let ttl = Duration::from_secs(60);
+        n.local_put(SimTime::ZERO, ResourceKey::new("t", "a", 0), 42, ttl);
+        n.local_put(SimTime::ZERO, ResourceKey::new("t", "b", 0), 43, ttl);
         let items = n.lscan("t", SimTime::from_secs(1));
         assert_eq!(items.len(), 2);
         let ups = n.take_upcalls();
         assert_eq!(ups.iter().filter(|u| matches!(u, Upcall::NewItem { .. })).count(), 2);
         // Renewal does not produce a second NewItem upcall.
-        n.local_put(SimTime::from_secs(1), ResourceKey::new("t", "a", 0), 42, None);
+        n.local_put(SimTime::from_secs(1), ResourceKey::new("t", "a", 0), 42, ttl);
         assert!(n.take_upcalls().is_empty());
     }
 

@@ -97,7 +97,7 @@ mod tests {
         for i in 0..50u64 {
             sim.invoke(NodeAddr(0), |node, ctx| {
                 let key = ResourceKey::new("t", format!("item-{i}"), 0);
-                node.dht.put(ctx, key, i, None);
+                node.dht.put(ctx, key, i, Duration::from_secs(60));
             });
         }
         sim.run_for(Duration::from_secs(5));

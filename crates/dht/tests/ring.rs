@@ -117,7 +117,12 @@ fn put_places_items_at_responsible_nodes() {
     for i in 0..n_items {
         let origin = NodeAddr((i % 16) as u32);
         sim.invoke(origin, |node, ctx| {
-            node.dht.put(ctx, ResourceKey::new("table", format!("row-{i}"), i), i, None);
+            node.dht.put(
+                ctx,
+                ResourceKey::new("table", format!("row-{i}"), i),
+                i,
+                Duration::from_secs(60),
+            );
         });
     }
     sim.run_for(Duration::from_secs(10));
@@ -148,8 +153,8 @@ fn get_returns_previously_put_items() {
     sim.run_for(Duration::from_secs(25));
 
     sim.invoke(NodeAddr(2), |node, ctx| {
-        node.dht.put(ctx, ResourceKey::new("inventory", "widget", 1), 111, None);
-        node.dht.put(ctx, ResourceKey::new("inventory", "widget", 2), 222, None);
+        node.dht.put(ctx, ResourceKey::new("inventory", "widget", 1), 111, Duration::from_secs(60));
+        node.dht.put(ctx, ResourceKey::new("inventory", "widget", 2), 222, Duration::from_secs(60));
     });
     sim.run_for(Duration::from_secs(5));
 
@@ -252,7 +257,7 @@ fn soft_state_expires_without_renewal() {
     sim.run_for(Duration::from_secs(20));
 
     sim.invoke(NodeAddr(1), |node, ctx| {
-        node.dht.put(ctx, ResourceKey::new("ephemeral", "x", 0), 1, Some(Duration::from_secs(5)));
+        node.dht.put(ctx, ResourceKey::new("ephemeral", "x", 0), 1, Duration::from_secs(5));
     });
     sim.run_for(Duration::from_secs(3));
     let visible: usize = sim
@@ -281,7 +286,12 @@ fn average_route_hops_scale_logarithmically() {
     for i in 0..100u64 {
         let origin = NodeAddr((i % 64) as u32);
         sim.invoke(origin, |node, ctx| {
-            node.dht.put(ctx, ResourceKey::new("spread", format!("k{i}"), 0), i, None);
+            node.dht.put(
+                ctx,
+                ResourceKey::new("spread", format!("k{i}"), 0),
+                i,
+                Duration::from_secs(60),
+            );
         });
     }
     sim.run_for(Duration::from_secs(10));

@@ -6,10 +6,10 @@
 //!   reference under **every** join-strategy mix, in both aggregation
 //!   placements (hierarchical partials and the raw-row streaming baseline).
 //! * The workload groups by the final stage's join key, so the aggregate is
-//!   *colocated*: no partial states climb the tree.  One-shot, join sites
-//!   finalize their own groups in place, and the result path still ships
-//!   measurably fewer rows than the raw-row baseline at identical answers;
-//!   continuous, they ship their groups one direct hop to the origin.
+//!   *colocated*: no partial states climb the tree.  Each join site ships
+//!   its groups one direct hop to the origin, and the result path still
+//!   ships measurably fewer messages than the raw-row baseline at identical
+//!   answers.
 //! * `EXPLAIN ANALYZE` renders the per-stage *and* aggregation trace
 //!   sections, and the totals reconcile field-for-field with
 //!   `engine_totals()`.
@@ -177,6 +177,7 @@ fn hierarchical_partials_ship_fewer_result_rows_than_raw_streaming() {
         let mut stats = bed.engine_totals();
         stats.results_sent -= before.results_sent;
         stats.partials_sent -= before.partials_sent;
+        stats.partials_merged -= before.partials_merged;
         (stats, rows)
     };
 
@@ -185,13 +186,20 @@ fn hierarchical_partials_ship_fewer_result_rows_than_raw_streaming() {
     assert!(same_rows(&hier_rows, &raw_rows), "placement must not change the answer");
     // This workload groups by the final stage's join key, so the planner
     // marks the aggregate *colocated*: every group's rows already live at
-    // one join site and the sites finalize in place — the hierarchical mode
-    // ships NO partial states at all, not merely fewer.
-    assert_eq!(hier.partials_sent, 0, "colocated aggregation must skip the partial climb");
+    // one join site, and each site ships its groups to the origin in one
+    // direct partial.  The origin merges every partial sent: none is relayed
+    // or combined on the way.
+    assert!(hier.partials_sent > 0, "join sites must ship their groups");
+    assert_eq!(
+        hier.partials_sent, hier.partials_merged,
+        "colocated partials must reach the origin in one direct hop"
+    );
     assert_eq!(raw.partials_sent, 0, "raw streaming must not produce partials");
     assert!(
-        hier.results_sent < raw.results_sent,
-        "partials must compress the result path: {} result rows (hier) vs {} (raw)",
+        hier.partials_sent + hier.results_sent < raw.results_sent,
+        "partials must compress the result path: {} partials + {} result rows (hier) vs {} \
+         result rows (raw)",
+        hier.partials_sent,
         hier.results_sent,
         raw.results_sent
     );

@@ -12,13 +12,14 @@
 //!
 //! Latency is read the way a client sees it: the simulator steps 1 ms at a
 //! time and the origin's rows are compared with the reference evaluator
-//! after every step.  An epoch's `EpochDone` and its rows are separate
-//! direct messages under latency jitter, so the rows are what is polled.
+//! after every step.  The origin is every aggregate's root: it finalizes
+//! each epoch itself and stores the epoch's rows with its contributor count.
 
 use pier::core::{
     same_rows, sql::parse_select, Catalog, Credit, JoinStrategy, MemoryDb, Planner, QueryKind,
     TableStats,
 };
+use pier::dht::{hash_node_addr, ResourceKey};
 use pier::prelude::*;
 use pier::simnet::WireSize;
 use std::collections::BTreeMap;
@@ -208,6 +209,66 @@ fn a_lost_contributor_falls_back_to_the_timer_then_completes_again() {
 }
 
 #[test]
+fn killing_the_former_root_keys_owner_loses_no_epoch() {
+    // Aggregates used to root at the owner of a per-query DHT key, a third
+    // node that could fail while the origin lived: the epoch it failed in,
+    // and those after its restart until the plan reached it again, reported
+    // nothing.  The origin is every aggregate's root now, so that node's
+    // failure only removes its own contribution.
+    let (mut bed, rows) = deployment();
+    let origin = bed.nodes()[1];
+    advance_into_next_epoch(&mut bed, 2_500);
+    let q = bed.submit_sql(origin, CONTINUOUS).unwrap();
+    let first = now_ms(&bed) / PERIOD_MS;
+    let former_root = ResourceKey::singleton("pier:agg", format!("{q}")).routing_id();
+    let victim = (0..NODES)
+        .min_by_key(|&i| former_root.distance_to(&hash_node_addr(bed.nodes()[i].0)))
+        .expect("nodes");
+    let victim_addr = bed.nodes()[victim];
+    assert_ne!(victim_addr, origin);
+    let all = reference(CONTINUOUS, rows.iter().map(|(_, r)| r.clone()));
+    let survivors = reference(
+        CONTINUOUS,
+        rows.iter().filter(|(a, _)| *a != victim_addr).map(|(_, r)| r.clone()),
+    );
+    let at = |e: u64, ms: u64| SimTime::from_micros((e * PERIOD_MS + ms) * 1_000);
+
+    // Killed 150 ms into epoch `lost`, restarted two epochs later with its
+    // row re-published; it runs the query again once the origin's periodic
+    // re-dissemination reaches it.
+    let lost = first + 4;
+    bed.run_until(at(lost, 150));
+    bed.kill_node(victim_addr);
+    bed.run_until(at(lost + 2, 0));
+    bed.restart_node(victim_addr);
+    bed.publish_local(victim_addr, "m", rows[victim].1.clone());
+    let mut rejoined = None;
+    for e in lost + 2..lost + 8 {
+        bed.run_until(at(e + 1, 0));
+        if bed.node(victim_addr).unwrap().active_queries() > 0 {
+            rejoined = Some(e);
+            break;
+        }
+    }
+    let rejoined = rejoined.expect("the restarted node must get the plan again");
+    let end = rejoined + 5;
+    bed.run_until(at(end, 0));
+    let turnout: Vec<(u64, u64)> =
+        (first..end).map(|e| (e, bed.contributors(origin, q, e))).collect();
+    eprintln!("victim index {victim}, lost in {lost}, rejoined in {rejoined}: {turnout:?}");
+
+    // Every epoch reports the nodes that ran it: all of them in the epoch
+    // the victim died in (its partial had left), the survivors until the
+    // plan reached it again, then all of them.
+    for e in first..end {
+        let running = if (lost + 1..rejoined).contains(&e) { NODES - 1 } else { NODES };
+        assert_eq!(bed.contributors(origin, q, e), running as u64, "epoch {e}: {turnout:?}");
+        let want = if running == NODES { &all } else { &survivors };
+        assert!(same_rows(&bed.results(origin, q, e), want), "epoch {e}: {turnout:?}");
+    }
+}
+
+#[test]
 fn tumbling_window_closes_on_completion() {
     const SQL: &str = "SELECT COUNT(*) AS c, SUM(v) AS s FROM m \
                        WINDOW TUMBLING 3 EPOCHS CONTINUOUS EVERY 5 SECONDS";
@@ -283,7 +344,7 @@ fn one_shot_aggregate_still_waits_for_collect_delay() {
 /// Every join-aggregate epoch from the third on answers within these bounds
 /// of its start.  On the timers alone the same epochs answer after about
 /// 3,700 ms.  Colocated: each join site ships its groups one hop to the
-/// origin.  Tree: partials climb toward the aggregation root.
+/// origin.  Tree: partials climb toward the origin's ring id.
 const JOIN_COLOCATED_WITHIN_MS: u64 = 1_500;
 const JOIN_TREE_WITHIN_MS: u64 = 2_500;
 

@@ -5,6 +5,7 @@
 //! (`PierTestbed::engine_totals`), because the trace increments at exactly the
 //! same points, scoped per query.
 
+use pier::core::{EngineStats, OpTrace};
 use pier::prelude::*;
 
 fn monitoring_tables() -> (TableDef, TableDef) {
@@ -63,6 +64,19 @@ fn monitoring_bed(nodes: usize, seed: u64) -> PierTestbed {
     bed
 }
 
+/// Run `sql` under `EXPLAIN ANALYZE` from node 1, stopping a continuous
+/// query after `settle`; returns the report, the network-wide trace every
+/// node reported, and the engine totals.
+fn analyze(bed: &mut PierTestbed, sql: &str, settle: Duration) -> (String, OpTrace, EngineStats) {
+    let origin = bed.nodes()[1];
+    let report = bed.explain_analyze(origin, sql, settle).unwrap();
+    let node = bed.node(origin).unwrap();
+    let (reporters, trace) = node.collected_trace(node.originated_queries()[0]).unwrap();
+    assert_eq!(reporters, bed.nodes().len() as u64, "every node must report its trace");
+    let trace = trace.clone();
+    (report, trace, bed.engine_totals())
+}
+
 const FIG1_JOIN: &str = "EXPLAIN ANALYZE SELECT n.host, h.site, n.out_rate \
      FROM netstats n JOIN hostinfo h ON n.host = h.host \
      CONTINUOUS EVERY 5 SECONDS WINDOW 600 SECONDS";
@@ -71,9 +85,7 @@ const FIG1_JOIN: &str = "EXPLAIN ANALYZE SELECT n.host, h.site, n.out_rate \
 fn explain_analyze_totals_reconcile_with_engine_totals() {
     let nodes = 12;
     let mut bed = monitoring_bed(nodes, 2004);
-    let origin = bed.nodes()[1];
-
-    let report = bed.explain_analyze(origin, FIG1_JOIN, Duration::from_secs(18)).unwrap();
+    let (report, trace, totals) = analyze(&mut bed, FIG1_JOIN, Duration::from_secs(18));
 
     // The static four-stage plan is rendered first, then the trace.
     assert!(report.contains("== binder =="), "{report}");
@@ -82,17 +94,9 @@ fn explain_analyze_totals_reconcile_with_engine_totals() {
     assert!(report.contains("tuples scanned"), "{report}");
     assert!(report.contains("rows per epoch"), "{report}");
 
-    let node = bed.node(origin).unwrap();
-    let (reporters, trace) = {
-        let (r, t) = node.collected_trace(node.originated_queries()[0]).unwrap();
-        (r, t.clone())
-    };
-    assert_eq!(reporters, nodes as u64, "every node must report its trace");
-
     // Reconciliation: the only query-path traffic in this deployment is the
     // analyzed query's, so its network-wide trace must equal the network-wide
     // engine counters, field for field.
-    let totals = bed.engine_totals();
     assert!(trace.epochs_run >= nodes as u64, "several epochs ran on every node");
     assert_eq!(trace.epochs_run, totals.epochs_run);
     assert_eq!(trace.tuples_scanned, totals.tuples_scanned);
@@ -113,41 +117,59 @@ fn explain_analyze_totals_reconcile_with_engine_totals() {
 
     // A continuous aggregate's trace reconciles too, including why each of
     // its root epochs finalized: the first on the collect timer, the rest on
-    // completion once the previous epoch's contributors had reported.  The
-    // 25.5 s settle stops the query mid-epoch, with no partial in flight: a
-    // partial reaching a node that already dropped the query is relayed
-    // without a trace to count it.
-    let mut bed = monitoring_bed(nodes, 2004);
-    let report = bed
-        .explain_analyze(
-            origin,
+    // completion once the previous epoch's contributors had reported.  It
+    // does wherever the stop falls in an epoch's climb: the query starts
+    // 32 s into the run, so these stops fall 0–500 ms into an epoch, and a
+    // partial that reaches a node which already dropped the query is dropped
+    // there too.  Forty nodes make the tree deep enough for that to happen.
+    for settle_ms in (23_000..=23_500).step_by(50) {
+        let mut bed = monitoring_bed(40, 2004);
+        let (report, trace, totals) = analyze(
+            &mut bed,
             "EXPLAIN ANALYZE SELECT COUNT(*) AS n, SUM(out_rate) AS total FROM netstats \
              CONTINUOUS EVERY 5 SECONDS WINDOW 600 SECONDS",
-            Duration::from_millis(25_500),
-        )
-        .unwrap();
-    let node = bed.node(origin).unwrap();
-    let (reporters, trace) = {
-        let (r, t) = node.collected_trace(node.originated_queries()[0]).unwrap();
-        (r, t.clone())
-    };
-    assert_eq!(reporters, nodes as u64, "every node must report its trace");
-    let totals = bed.engine_totals();
-    assert_eq!(trace.partials_sent, totals.partials_sent);
-    assert_eq!(trace.partials_merged, totals.partials_merged);
-    assert_eq!(trace.results_sent, totals.results_sent);
-    assert_eq!(trace.messages_sent, totals.messages_sent);
-    assert_eq!(trace.finalized_on_completion, totals.finalized_on_completion);
-    assert_eq!(trace.finalized_on_timer, totals.finalized_on_timer);
-    assert!(trace.finalized_on_completion >= 2, "{report}");
-    assert!(trace.finalized_on_timer >= 1, "{report}");
-    assert!(
-        report.contains(&format!(
-            "{} epochs finalized on completion, {} on the timer",
-            trace.finalized_on_completion, trace.finalized_on_timer
-        )),
-        "{report}"
+            Duration::from_millis(settle_ms),
+        );
+        assert_eq!(trace.partials_sent, totals.partials_sent, "stopped at {settle_ms} ms");
+        assert_eq!(trace.partials_merged, totals.partials_merged, "stopped at {settle_ms} ms");
+        assert_eq!(trace.results_sent, totals.results_sent, "stopped at {settle_ms} ms");
+        assert_eq!(trace.messages_sent, totals.messages_sent, "stopped at {settle_ms} ms");
+        assert_eq!(trace.bytes_shipped, totals.bytes_shipped, "stopped at {settle_ms} ms");
+        assert_eq!(trace.finalized_on_completion, totals.finalized_on_completion);
+        assert_eq!(trace.finalized_on_timer, totals.finalized_on_timer);
+        assert!(trace.finalized_on_completion >= 2, "{report}");
+        assert!(trace.finalized_on_timer >= 1, "{report}");
+        assert!(
+            report.contains(&format!(
+                "{} epochs finalized on completion, {} on the timer",
+                trace.finalized_on_completion, trace.finalized_on_timer
+            )),
+            "{report}"
+        );
+    }
+
+    // A windowed HAVING trigger's alert puts are the query's traffic too.
+    let mut bed = PierTestbed::new(TestbedConfig { nodes, seed: 2004, ..Default::default() });
+    bed.create_table_everywhere(&monitoring_tables().0);
+    for (i, &addr) in bed.nodes().to_vec().iter().enumerate() {
+        let reading = vec![
+            Value::str(format!("host-{}", i % 3)),
+            Value::Float(8.0 * (i as f64 + 1.0)),
+            Value::Float(1.0),
+        ];
+        bed.publish_local(addr, "netstats", Tuple::new(reading));
+    }
+    bed.run_for(Duration::from_secs(2));
+    let (report, trace, totals) = analyze(
+        &mut bed,
+        "EXPLAIN ANALYZE SELECT host, SUM(out_rate) AS total FROM netstats GROUP BY host \
+         WINDOW TUMBLING 2 EPOCHS HAVING SUM(out_rate) > 10 CONTINUOUS EVERY 5 SECONDS",
+        Duration::from_secs(25),
     );
+    assert!(trace.alerts_emitted > 0, "{report}");
+    assert_eq!(trace.alerts_emitted, totals.alerts_emitted);
+    assert_eq!(trace.messages_sent, totals.messages_sent);
+    assert_eq!(trace.bytes_shipped, totals.bytes_shipped);
 }
 
 #[test]

@@ -102,7 +102,7 @@ fn continuous_query_survives_origin_isolation_and_heals() {
 fn mid_query_crash_of_data_holders_degrades_gracefully() {
     // Crash three nodes while a continuous aggregate is running.  The epoch in
     // flight when the crash happens may be truncated (the aggregation tree can
-    // lose a subtree, or even its root), but subsequent epochs must recover to
+    // lose a subtree), but subsequent epochs must recover to
     // "everyone who is still alive" — that is PIER's graceful-degradation claim.
     let nodes = 24;
     let mut bed = PierTestbed::new(TestbedConfig {

@@ -163,8 +163,8 @@ fn optimized_plans_agree_with_unoptimized_plans() {
 }
 
 /// ORDER BY an aggregate that is not in the select list ("hidden" aggregate):
-/// the root ships pre-projection rows, so the origin can re-sort on the
-/// hidden column before projecting to the client's columns.
+/// the origin keeps the finalized rows pre-projection, so it can re-sort on
+/// the hidden column before projecting to the client's columns.
 #[test]
 fn hidden_aggregate_order_by_is_respected_at_the_origin() {
     use pier::apps::snort::{intrusions_table, SnortSimulator};
