@@ -58,7 +58,7 @@ pub use config::DhtConfig;
 pub use hash::{hash_bytes, hash_fields, hash_node_addr, hash_str, sha1};
 pub use id::{Id, ID_BITS, ID_BYTES};
 pub use key::ResourceKey;
-pub use messages::{DhtMsg, Peer, RouteBody, Upcall, WireItem};
+pub use messages::{DhtMsg, NeighborView, Peer, RouteBody, Upcall, WireItem};
 pub use node::{timers, DhtNode, DhtStats};
 pub use standalone::StandaloneDht;
 pub use storage::{Item, SoftStateStore};

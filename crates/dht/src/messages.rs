@@ -3,7 +3,7 @@
 //! The message set covers the three roles the DHT plays for PIER:
 //!
 //! 1. **Overlay maintenance** — Chord's join, stabilization, finger repair and
-//!    liveness probing (`FindSuccessor`, `Notify`, `GetNeighbors`, `Ping`, …);
+//!    liveness probing (`FindSuccessor`, `Stabilize`, `Neighbors`, `Ping`, …);
 //! 2. **Key-based routing** — the [`DhtMsg::Route`] envelope carries a
 //!    [`RouteBody`] (a `put`, a `get`, or an application payload) hop by hop
 //!    toward the node responsible for the target identifier;
@@ -58,6 +58,42 @@ pub struct WireItem<P> {
 impl<P: WireSize> WireSize for WireItem<P> {
     fn wire_size(&self) -> usize {
         self.key.wire_size() + self.value.wire_size() + 8
+    }
+}
+
+/// A node's neighbourhood as stabilization ships it: its predecessor and its
+/// successor list, nearest first.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NeighborView {
+    /// The node's predecessor, if known.
+    pub predecessor: Option<Peer>,
+    /// The node's successor list (nearest first).
+    pub successors: Vec<Peer>,
+}
+
+impl NeighborView {
+    /// A 64-bit FNV-1a digest of a view (every peer's address and id, in
+    /// order).  Never 0, which a [`DhtMsg::Stabilize`] uses to say that it
+    /// holds no view.
+    pub fn digest(predecessor: Option<Peer>, successors: &[Peer]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        eat(&[predecessor.is_some() as u8]);
+        for p in predecessor.iter().chain(successors) {
+            eat(&p.addr.0.to_be_bytes());
+            eat(&p.id.0);
+        }
+        h.max(1)
+    }
+}
+
+impl WireSize for NeighborView {
+    fn wire_size(&self) -> usize {
+        self.predecessor.map_or(0, |_| PEER_WIRE) + 1 + self.successors.len() * PEER_WIRE
     }
 }
 
@@ -164,19 +200,25 @@ pub enum DhtMsg<P> {
         /// Hops the request took (reported for the routing benchmarks).
         hops: u8,
     },
-    /// Ask a node for its predecessor and successor list (stabilization).
-    GetNeighbors,
-    /// Answer to [`DhtMsg::GetNeighbors`].
-    Neighbors {
-        /// The responder's predecessor, if known.
-        predecessor: Option<Peer>,
-        /// The responder's successor list (nearest first).
-        successors: Vec<Peer>,
+    /// Stabilization request, sent to the successor every round and to a
+    /// newly adopted one at once.  `digest` is the [`NeighborView::digest`]
+    /// of the receiver's view as the sender last received it (0 when it holds
+    /// none); `candidate` is Chord's `notify`, the sender offering itself as
+    /// the receiver's predecessor, carried only while that view does not
+    /// already name the sender.
+    Stabilize {
+        /// Digest of the receiver's view as last received.
+        digest: u64,
+        /// The sender, if it may be the receiver's predecessor.
+        candidate: Option<Peer>,
     },
-    /// Chord `notify`: the sender believes it may be the receiver's predecessor.
-    Notify {
-        /// The sender.
-        candidate: Peer,
+    /// Answer to [`DhtMsg::Stabilize`]: the responder's current digest, and
+    /// its view only when that digest differs from the request's.
+    Neighbors {
+        /// Digest of the responder's current view.
+        digest: u64,
+        /// The view, unless the asker already holds it.
+        view: Option<NeighborView>,
     },
     /// Liveness probe.
     Ping {
@@ -229,11 +271,11 @@ impl<P: WireSize> WireSize for DhtMsg<P> {
                     4 + routes.iter().map(|r| r.wire_size()).sum::<usize>()
                 }
                 DhtMsg::FoundSuccessor { .. } => 8 + PEER_WIRE + 1,
-                DhtMsg::GetNeighbors => 0,
-                DhtMsg::Neighbors { predecessor, successors } => {
-                    predecessor.map(|_| PEER_WIRE).unwrap_or(0) + 1 + successors.len() * PEER_WIRE
+                // Digest, then a presence flag for the optional part.
+                DhtMsg::Stabilize { candidate, .. } => 8 + 1 + candidate.map_or(0, |_| PEER_WIRE),
+                DhtMsg::Neighbors { view, .. } => {
+                    8 + 1 + view.as_ref().map_or(0, |v| v.wire_size())
                 }
-                DhtMsg::Notify { .. } => PEER_WIRE,
                 DhtMsg::Ping { .. } | DhtMsg::Pong { .. } => 8,
                 DhtMsg::Handoff { items } => 4 + items.iter().map(|i| i.wire_size()).sum::<usize>(),
                 DhtMsg::GetReply { key, items, .. } => {
@@ -328,15 +370,39 @@ mod tests {
 
     #[test]
     fn neighbors_size_scales_with_list() {
-        let short: DhtMsg<u64> = DhtMsg::Neighbors {
-            predecessor: None,
-            successors: vec![Peer::new(NodeAddr(1), Id::from_u64(1))],
+        let view = |predecessor, n| NeighborView {
+            predecessor,
+            successors: vec![Peer::new(NodeAddr(1), Id::from_u64(1)); n],
         };
-        let long: DhtMsg<u64> = DhtMsg::Neighbors {
-            predecessor: Some(Peer::new(NodeAddr(0), Id::from_u64(0))),
-            successors: vec![Peer::new(NodeAddr(1), Id::from_u64(1)); 8],
-        };
+        let short: DhtMsg<u64> = DhtMsg::Neighbors { digest: 1, view: Some(view(None, 1)) };
+        let full = view(Some(Peer::new(NodeAddr(0), Id::from_u64(0))), 8);
+        let long: DhtMsg<u64> = DhtMsg::Neighbors { digest: 1, view: Some(full) };
         assert!(long.wire_size() > short.wire_size());
+        // The full 8-peer view: header, digest, flag, predecessor, count, list.
+        assert_eq!(long.wire_size(), 2 + 8 + 1 + 24 + 1 + 8 * 24);
+    }
+
+    #[test]
+    fn unchanged_stabilization_round_costs_eleven_bytes_each_way() {
+        let request: DhtMsg<u64> = DhtMsg::Stabilize { digest: 7, candidate: None };
+        let reply: DhtMsg<u64> = DhtMsg::Neighbors { digest: 7, view: None };
+        assert_eq!(request.wire_size(), 11);
+        assert_eq!(reply.wire_size(), 11);
+        let notify: DhtMsg<u64> =
+            DhtMsg::Stabilize { digest: 0, candidate: Some(Peer::new(NodeAddr(1), Id::MAX)) };
+        assert_eq!(notify.wire_size(), 11 + 24);
+    }
+
+    #[test]
+    fn view_digest_tracks_every_peer_and_is_never_zero() {
+        let p = |a: u32| Peer::new(NodeAddr(a), Id::from_u64(a as u64));
+        let base = NeighborView::digest(Some(p(1)), &[p(2), p(3)]);
+        assert_eq!(base, NeighborView::digest(Some(p(1)), &[p(2), p(3)]));
+        assert_ne!(base, NeighborView::digest(None, &[p(2), p(3)]));
+        assert_ne!(base, NeighborView::digest(Some(p(1)), &[p(3), p(2)]));
+        assert_ne!(base, NeighborView::digest(Some(p(1)), &[p(2)]));
+        assert_ne!(NeighborView::digest(None, &[p(1)]), NeighborView::digest(Some(p(1)), &[]));
+        assert_ne!(NeighborView::digest(None, &[]), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::config::DhtConfig;
 use crate::hash::hash_node_addr;
 use crate::id::{Id, ID_BITS};
 use crate::key::ResourceKey;
-use crate::messages::{DhtMsg, Peer, RouteBody, RouteEnvelope, Upcall, WireItem};
+use crate::messages::{DhtMsg, NeighborView, Peer, RouteBody, RouteEnvelope, Upcall, WireItem};
 use crate::storage::SoftStateStore;
 use pier_simnet::{Context, Duration, NodeAddr, SimTime, WireSize};
 use std::collections::HashMap;
@@ -80,6 +80,9 @@ pub struct DhtStats {
     /// Routed operations dropped because they had taken the hop limit (64)
     /// and were still not at the responsible node.
     pub hop_limit_drops: u64,
+    /// Peers this node declared failed: a monitored peer (predecessor,
+    /// successor or finger) that stayed silent for `failure_timeout`.
+    pub peers_declared_failed: u64,
     /// Broadcast messages forwarded by this node.
     pub broadcast_forwards: u64,
     /// Wire messages this node sent carrying application traffic (`put` /
@@ -110,7 +113,15 @@ pub struct DhtNode<P> {
     store: SoftStateStore<P>,
     pending_lookups: HashMap<u64, LookupPurpose>,
     next_req_id: u64,
+    /// The monitored set (predecessor, successors, fingers) as of the last
+    /// ping round, each with when it was last heard from, or with the round
+    /// it entered the set if it has not been heard from since.
     last_heard: HashMap<NodeAddr, SimTime>,
+    /// Peers declared failed, each with the time until which no successor's
+    /// view may bring it back; a message from the peer itself lifts it.
+    quarantine: HashMap<NodeAddr, SimTime>,
+    /// The successor's view as last received from it.
+    succ_view: Option<HeldView>,
     upcalls: Vec<Upcall<P>>,
     stats: DhtStats,
 }
@@ -136,6 +147,8 @@ impl<P: Clone + WireSize> DhtNode<P> {
             pending_lookups: HashMap::new(),
             next_req_id: 1,
             last_heard: HashMap::new(),
+            quarantine: HashMap::new(),
+            succ_view: None,
             upcalls: Vec::new(),
             stats: DhtStats::default(),
         }
@@ -405,7 +418,10 @@ impl<P: Clone + WireSize> DhtNode<P> {
 
     /// Handle a DHT message delivered to the enclosing node.
     pub fn handle_message(&mut self, ctx: &mut Context<DhtMsg<P>>, from: NodeAddr, msg: DhtMsg<P>) {
-        self.last_heard.insert(from, ctx.now());
+        if let Some(heard) = self.last_heard.get_mut(&from) {
+            *heard = ctx.now();
+        }
+        self.quarantine.remove(&from);
         match msg {
             DhtMsg::Route { target, hops, body } => {
                 self.route_many(ctx, [RouteEnvelope { target, hops, body }]);
@@ -416,17 +432,18 @@ impl<P: Clone + WireSize> DhtNode<P> {
             DhtMsg::FoundSuccessor { req_id, successor, hops } => {
                 self.handle_found_successor(ctx, req_id, successor, hops)
             }
-            DhtMsg::GetNeighbors => {
-                let reply = DhtMsg::Neighbors {
+            DhtMsg::Stabilize { digest, candidate } => {
+                if let Some(candidate) = candidate {
+                    self.handle_notify(ctx, candidate);
+                }
+                let current = NeighborView::digest(self.predecessor, &self.successors);
+                let view = (digest != current).then(|| NeighborView {
                     predecessor: self.predecessor,
                     successors: self.successors.clone(),
-                };
-                ctx.send(from, reply);
+                });
+                ctx.send(from, DhtMsg::Neighbors { digest: current, view });
             }
-            DhtMsg::Neighbors { predecessor, successors } => {
-                self.handle_neighbors(ctx, from, predecessor, successors)
-            }
-            DhtMsg::Notify { candidate } => self.handle_notify(ctx, candidate),
+            DhtMsg::Neighbors { digest, view } => self.handle_neighbors(ctx, from, digest, view),
             DhtMsg::Ping { nonce } => ctx.send(from, DhtMsg::Pong { nonce }),
             DhtMsg::Pong { .. } => { /* liveness recorded above */ }
             DhtMsg::Handoff { items } => {
@@ -666,8 +683,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
                     self.joined = true;
                     if successor.addr != self.me.addr {
                         self.successors = vec![successor];
-                        ctx.send(successor.addr, DhtMsg::Notify { candidate: self.me });
-                        ctx.send(successor.addr, DhtMsg::GetNeighbors);
+                        self.send_stabilize(ctx, successor.addr);
                     }
                     self.upcalls.push(Upcall::Joined);
                 }
@@ -675,7 +691,6 @@ impl<P: Clone + WireSize> DhtNode<P> {
             LookupPurpose::Finger(slot) => {
                 if successor.addr != self.me.addr && slot < self.fingers.len() {
                     self.fingers[slot] = Some(successor);
-                    self.last_heard.entry(successor.addr).or_insert_with(|| ctx.now());
                 }
             }
             LookupPurpose::App => {
@@ -686,45 +701,66 @@ impl<P: Clone + WireSize> DhtNode<P> {
 
     fn stabilize(&mut self, ctx: &mut Context<DhtMsg<P>>) {
         let succ = self.successor();
-        if succ.addr == self.me.addr {
-            return;
+        if succ.addr != self.me.addr {
+            self.send_stabilize(ctx, succ.addr);
         }
-        ctx.send(succ.addr, DhtMsg::GetNeighbors);
-        ctx.send(succ.addr, DhtMsg::Notify { candidate: self.me });
     }
 
+    /// Ask `to`, our successor, for its view.  The request names the digest
+    /// of the view we hold from `to`, and offers us as its predecessor until
+    /// that view names us.
+    fn send_stabilize(&mut self, ctx: &mut Context<DhtMsg<P>>, to: NodeAddr) {
+        let held = self.succ_view.as_ref().filter(|h| h.owner == to);
+        let digest = held.map_or(0, |h| h.digest);
+        let named = held.and_then(|h| h.view.predecessor).map(|p| p.addr) == Some(self.me.addr);
+        let candidate = (!named).then_some(self.me);
+        ctx.send(to, DhtMsg::Stabilize { digest, candidate });
+    }
+
+    fn is_quarantined(&self, addr: NodeAddr, now: SimTime) -> bool {
+        self.quarantine.get(&addr).is_some_and(|until| *until > now)
+    }
+
+    /// Apply the successor's view: the one the reply carries, or, when it
+    /// carries none, the one we hold, so a list that local failure handling
+    /// shortened fills up again once the quarantine ends.
     fn handle_neighbors(
         &mut self,
         ctx: &mut Context<DhtMsg<P>>,
         from: NodeAddr,
-        predecessor: Option<Peer>,
-        mut successors: Vec<Peer>,
+        digest: u64,
+        view: Option<NeighborView>,
     ) {
         let succ = self.successor();
         if from != succ.addr {
             // Stale reply from a node that is no longer our successor.
             return;
         }
+        if let Some(view) = view {
+            self.succ_view = Some(HeldView { owner: from, digest, view });
+        }
+        let Some(held) = self.succ_view.as_ref().filter(|h| h.owner == from) else { return };
+        let now = ctx.now();
+        let usable = |p: &Peer| p.addr != self.me.addr && !self.is_quarantined(p.addr, now);
         // Chord stabilization: if our successor's predecessor sits between us
         // and our successor, it is a closer successor — adopt it.
-        if let Some(x) = predecessor {
-            if x.addr != self.me.addr
-                && x.addr != succ.addr
-                && x.id.in_open_interval(&self.me.id, &succ.id)
-            {
-                self.successors.insert(0, x);
-                self.last_heard.entry(x.addr).or_insert_with(|| ctx.now());
-                ctx.send(x.addr, DhtMsg::Notify { candidate: self.me });
+        let closer = held
+            .view
+            .predecessor
+            .filter(|x| usable(x) && x.id.in_open_interval(&self.me.id, &succ.id));
+        // Rebuild the successor list: the closer successor if any, our
+        // successor, then its list.
+        let mut list: Vec<Peer> = closer.into_iter().chain([succ]).collect();
+        for p in &held.view.successors {
+            if usable(p) && list.iter().all(|q| q.addr != p.addr) {
+                list.push(*p);
             }
         }
-        // Rebuild the successor list: our successor followed by its list.
-        let head = self.successor();
-        let mut list = vec![head];
-        successors.retain(|p| p.addr != self.me.addr && p.addr != head.addr);
-        list.extend(successors);
-        list.dedup_by_key(|p| p.addr);
         list.truncate(self.config.successor_list_len);
         self.successors = list;
+        if let Some(x) = closer {
+            self.send_stabilize(ctx, x.addr);
+        }
     }
 
     fn handle_notify(&mut self, ctx: &mut Context<DhtMsg<P>>, candidate: Peer) {
@@ -737,7 +773,6 @@ impl<P: Clone + WireSize> DhtNode<P> {
         };
         if adopt {
             self.predecessor = Some(candidate);
-            self.last_heard.entry(candidate.addr).or_insert_with(|| ctx.now());
             self.handoff_items(ctx, candidate);
         }
         // A lone root learns of a second node through notify: adopt it as
@@ -784,43 +819,60 @@ impl<P: Clone + WireSize> DhtNode<P> {
         self.next_finger = (self.next_finger + 1) % self.config.finger_count;
         let bit = ID_BITS - self.config.finger_count + slot;
         let target = self.me.id.finger_target(bit);
+        // A target inside the span the successor list covers is owned by the
+        // first successor at or past it: no lookup needed.
+        let me = self.me.id;
+        if let Some(owner) =
+            self.successors.iter().find(|s| target.in_half_open_interval(&me, &s.id))
+        {
+            self.fingers[slot] = Some(*owner);
+            return;
+        }
         let req_id = self.fresh_req_id();
         self.pending_lookups.insert(req_id, LookupPurpose::Finger(slot));
         let body = RouteBody::FindSuccessor { req_id, origin: self.me.addr };
         self.route_many(ctx, [RouteEnvelope { target, hops: 0, body }]);
     }
 
+    /// Ping every monitored peer — the predecessor, the successors and the
+    /// fingers — and declare failed the ones silent for `failure_timeout`.
+    /// A peer entering the set gets that long from this round to answer; a
+    /// peer leaving it is forgotten.
     fn probe_neighbors(&mut self, ctx: &mut Context<DhtMsg<P>>) {
         let now = ctx.now();
-        // Collect the peers whose liveness we care about.
-        let mut peers: Vec<Peer> = Vec::new();
-        if let Some(p) = self.predecessor {
-            peers.push(p);
-        }
-        peers.extend(self.successors.iter().copied());
-        peers.extend(self.fingers.iter().flatten().copied());
-        peers.sort_by_key(|p| p.addr.0);
-        peers.dedup_by_key(|p| p.addr);
-        peers.retain(|p| p.addr != self.me.addr);
+        let mut peers: Vec<NodeAddr> = self
+            .predecessor
+            .iter()
+            .chain(&self.successors)
+            .chain(self.fingers.iter().flatten())
+            .map(|p| p.addr)
+            .filter(|&addr| addr != self.me.addr)
+            .collect();
+        peers.sort_unstable();
+        peers.dedup();
+        self.last_heard.retain(|addr, _| peers.binary_search(addr).is_ok());
+        self.quarantine.retain(|_, until| *until > now);
 
         let mut failed: Vec<NodeAddr> = Vec::new();
-        for peer in &peers {
-            let last = self.last_heard.get(&peer.addr).copied().unwrap_or(SimTime::ZERO);
-            let silence = now.saturating_since(last);
-            if silence > self.config.failure_timeout {
-                failed.push(peer.addr);
+        for &addr in &peers {
+            let heard = *self.last_heard.entry(addr).or_insert(now);
+            if now.saturating_since(heard) > self.config.failure_timeout {
+                failed.push(addr);
             } else {
                 let nonce = self.fresh_req_id();
-                ctx.send(peer.addr, DhtMsg::Ping { nonce });
+                ctx.send(addr, DhtMsg::Ping { nonce });
             }
         }
         for addr in failed {
-            self.handle_peer_failure(addr);
+            self.handle_peer_failure(addr, now);
         }
     }
 
-    /// Remove every reference to a peer we believe has failed.
-    fn handle_peer_failure(&mut self, addr: NodeAddr) {
+    /// Remove every reference to a peer we believe has failed, and keep
+    /// successors' views from bringing it back for one `failure_timeout`.
+    fn handle_peer_failure(&mut self, addr: NodeAddr, now: SimTime) {
+        self.stats.peers_declared_failed += 1;
+        self.quarantine.insert(addr, now + self.config.failure_timeout);
         if self.predecessor.map(|p| p.addr) == Some(addr) {
             self.predecessor = None;
         }
@@ -886,6 +938,14 @@ impl<P: Clone + WireSize> DhtNode<P> {
             );
         }
     }
+}
+
+/// A successor's view as this node last received it, with the digest the
+/// successor sent along.  It stands only while `owner` is the successor.
+struct HeldView {
+    owner: NodeAddr,
+    digest: u64,
+    view: NeighborView,
 }
 
 /// The envelopes [`DhtNode::route_many`] sends to one next hop, in arrival
@@ -1067,12 +1127,17 @@ mod tests {
         assert_eq!(ups, vec![Upcall::Direct { payload: 5, from: NodeAddr(9) }]);
     }
 
+    /// A stabilization request carrying Chord's `notify`.
+    fn notify(candidate: Peer) -> DhtMsg<u64> {
+        DhtMsg::Stabilize { digest: 0, candidate: Some(candidate) }
+    }
+
     #[test]
     fn notify_adopts_predecessor_and_closes_two_node_ring() {
         let mut n = DhtNode::<u64>::new(NodeAddr(0), DhtConfig::fast_test(), None);
         with_ctx(0, |ctx| n.start(ctx));
         let other = Peer::new(NodeAddr(1), hash_node_addr(1));
-        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(1), DhtMsg::Notify { candidate: other }));
+        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(1), notify(other)));
         assert_eq!(n.predecessor().map(|p| p.addr), Some(NodeAddr(1)));
         assert_eq!(n.successor().addr, NodeAddr(1));
     }
@@ -1084,11 +1149,11 @@ mod tests {
         let my_id = n.id();
         let far = Peer::new(NodeAddr(1), my_id.wrapping_sub(&Id::from_u64(1_000_000)));
         let near = Peer::new(NodeAddr(2), my_id.wrapping_sub(&Id::from_u64(10)));
-        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(1), DhtMsg::Notify { candidate: far }));
-        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(2), DhtMsg::Notify { candidate: near }));
+        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(1), notify(far)));
+        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(2), notify(near)));
         assert_eq!(n.predecessor().map(|p| p.addr), Some(NodeAddr(2)));
         // A farther candidate does not displace a nearer predecessor.
-        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(1), DhtMsg::Notify { candidate: far }));
+        with_ctx(0, |ctx| n.handle_message(ctx, NodeAddr(1), notify(far)));
         assert_eq!(n.predecessor().map(|p| p.addr), Some(NodeAddr(2)));
     }
 
@@ -1099,7 +1164,7 @@ mod tests {
         n.predecessor = Some(dead);
         n.successors = vec![dead, Peer::new(NodeAddr(8), Id::from_u64(8))];
         n.fingers[0] = Some(dead);
-        n.handle_peer_failure(NodeAddr(7));
+        n.handle_peer_failure(NodeAddr(7), SimTime::ZERO);
         assert!(n.predecessor().is_none());
         assert_eq!(n.successor().addr, NodeAddr(8));
         assert!(n.fingers[0].is_none());
@@ -1111,12 +1176,12 @@ mod tests {
         let dead = Peer::new(NodeAddr(7), Id::from_u64(7));
         n.successors = vec![dead];
         n.fingers[3] = Some(Peer::new(NodeAddr(9), Id::from_u64(9)));
-        n.handle_peer_failure(NodeAddr(7));
+        n.handle_peer_failure(NodeAddr(7), SimTime::ZERO);
         assert_eq!(n.successor().addr, NodeAddr(9));
         // With no fingers either, the node falls back to itself.
         let mut lonely = make(2);
         lonely.successors = vec![dead];
-        lonely.handle_peer_failure(NodeAddr(7));
+        lonely.handle_peer_failure(NodeAddr(7), SimTime::ZERO);
         assert_eq!(lonely.successor().addr, NodeAddr(2));
     }
 
@@ -1179,5 +1244,207 @@ mod tests {
         let ib = b.fresh_req_id();
         assert_ne!(ia, ib);
         assert_ne!(a.fresh_req_id(), ia);
+    }
+
+    /// A peer at `n.id() + offset`.
+    fn at_offset(n: &TestNode, addr: u32, offset: &Id) -> Peer {
+        Peer::new(NodeAddr(addr), n.id().wrapping_add(offset))
+    }
+
+    fn addrs(peers: &[Peer]) -> Vec<u32> {
+        peers.iter().map(|p| p.addr.0).collect()
+    }
+
+    /// A successor's reply carrying `view`.
+    fn reply(view: &NeighborView) -> DhtMsg<u64> {
+        let digest = NeighborView::digest(view.predecessor, &view.successors);
+        DhtMsg::Neighbors { digest, view: Some(view.clone()) }
+    }
+
+    #[test]
+    fn finger_slots_inside_the_successor_span_cost_no_message() {
+        let mut n = make(1);
+        n.joined = true;
+        // fast_test slot j targets `me + 2^(128 + j)`: these successors sit
+        // just past the targets of slots 2 and 5.
+        let one = Id::from_u64(1);
+        let s1 = at_offset(&n, 2, &Id::power_of_two(130).wrapping_add(&one));
+        let s2 = at_offset(&n, 3, &Id::power_of_two(133).wrapping_add(&one));
+        n.successors = vec![s1, s2];
+        let mut tc: TestContext<DhtMsg<u64>> = TestContext::at(NodeAddr(1), SimTime::from_secs(1));
+        for _ in 0..6 {
+            tc.run(|ctx| n.fix_next_finger(ctx));
+        }
+        assert!(tc.sent.is_empty(), "slots 0-5 lie inside the list's span: {:?}", tc.sent);
+        let filled: Vec<Option<u32>> = n.fingers[..6].iter().map(|f| f.map(|p| p.addr.0)).collect();
+        assert_eq!(filled, [Some(2), Some(2), Some(2), Some(3), Some(3), Some(3)]);
+
+        // Slot 6 targets past the last successor: it still routes a lookup.
+        tc.run(|ctx| n.fix_next_finger(ctx));
+        assert!(n.fingers[6].is_none());
+        assert!(
+            matches!(
+                tc.sent.as_slice(),
+                [(NodeAddr(3), DhtMsg::Route { body: RouteBody::FindSuccessor { .. }, .. })]
+            ),
+            "{:?}",
+            tc.sent
+        );
+    }
+
+    #[test]
+    fn a_stabilize_reply_carries_the_view_only_when_the_digest_differs() {
+        let mut n = make(1);
+        let pred = Peer::new(NodeAddr(7), n.id().wrapping_sub(&Id::from_u64(5)));
+        let succ = at_offset(&n, 2, &Id::from_u64(5));
+        n.predecessor = Some(pred);
+        n.successors = vec![succ];
+        let view = NeighborView { predecessor: Some(pred), successors: vec![succ] };
+        let current = NeighborView::digest(Some(pred), &[succ]);
+        let mut tc: TestContext<DhtMsg<u64>> = TestContext::at(NodeAddr(1), SimTime::from_secs(1));
+        for digest in [current, 0, current ^ 1] {
+            let request = DhtMsg::Stabilize { digest, candidate: None };
+            tc.run(|ctx| n.handle_message(ctx, NodeAddr(7), request));
+        }
+        let replies: Vec<(NodeAddr, u64, Option<NeighborView>)> = tc
+            .sent
+            .iter()
+            .map(|(to, msg)| match msg {
+                DhtMsg::Neighbors { digest, view } => (*to, *digest, view.clone()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let to = NodeAddr(7);
+        let want =
+            [(to, current, None), (to, current, Some(view.clone())), (to, current, Some(view))];
+        assert_eq!(replies, want);
+        assert_eq!(tc.sent[0].1.wire_size(), 11);
+    }
+
+    #[test]
+    fn the_request_offers_the_candidate_until_the_held_view_names_the_asker() {
+        let mut n = make(1);
+        let me = n.peer();
+        let succ = at_offset(&n, 2, &Id::from_u64(1_000));
+        let next = at_offset(&n, 4, &Id::from_u64(2_000));
+        // Precedes the asker, so it is no closer successor.
+        let other = Peer::new(NodeAddr(3), n.id().wrapping_sub(&Id::from_u64(1_000)));
+        n.successors = vec![succ];
+        let mut tc: TestContext<DhtMsg<u64>> = TestContext::at(NodeAddr(1), SimTime::from_secs(1));
+        let mut request = |n: &mut TestNode| {
+            tc.sent.clear();
+            tc.run(|ctx| n.stabilize(ctx));
+            match tc.sent.as_slice() {
+                [(NodeAddr(2), DhtMsg::Stabilize { digest, candidate })] => (*digest, *candidate),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        // No view held: digest 0, and the asker offers itself.
+        assert_eq!(request(&mut n), (0, Some(me)));
+
+        let named = NeighborView { predecessor: Some(me), successors: vec![next] };
+        with_ctx(1, |ctx| n.handle_message(ctx, NodeAddr(2), reply(&named)));
+        assert_eq!(addrs(n.successor_list()), [2, 4]);
+        let digest = NeighborView::digest(Some(me), &[next]);
+        assert_eq!(request(&mut n), (digest, None), "the view names the asker");
+
+        let moved = NeighborView { predecessor: Some(other), successors: vec![next] };
+        with_ctx(1, |ctx| n.handle_message(ctx, NodeAddr(2), reply(&moved)));
+        let digest = NeighborView::digest(Some(other), &[next]);
+        assert_eq!(request(&mut n), (digest, Some(me)), "the successor named another");
+    }
+
+    #[test]
+    fn adopting_a_closer_successor_sends_it_the_stabilization_request() {
+        let mut n = make(1);
+        let succ = at_offset(&n, 2, &Id::from_u64(1_000));
+        let closer = at_offset(&n, 3, &Id::from_u64(500));
+        let next = at_offset(&n, 4, &Id::from_u64(2_000));
+        n.successors = vec![succ];
+        let view = NeighborView { predecessor: Some(closer), successors: vec![next] };
+        let mut tc: TestContext<DhtMsg<u64>> = TestContext::at(NodeAddr(1), SimTime::from_secs(1));
+        tc.run(|ctx| n.handle_message(ctx, NodeAddr(2), reply(&view)));
+        assert_eq!(addrs(n.successor_list()), [3, 2, 4]);
+        assert!(
+            matches!(
+                tc.sent.as_slice(),
+                [(NodeAddr(3), DhtMsg::Stabilize { digest: 0, candidate: Some(c) })]
+                    if c.addr == NodeAddr(1)
+            ),
+            "{:?}",
+            tc.sent
+        );
+    }
+
+    #[test]
+    fn a_quarantined_peer_returns_once_it_speaks_or_its_quarantine_ends() {
+        let mut n = make(1);
+        let succ = at_offset(&n, 2, &Id::from_u64(1_000));
+        let dead = at_offset(&n, 3, &Id::from_u64(2_000));
+        let next = at_offset(&n, 4, &Id::from_u64(3_000));
+        let closer = at_offset(&n, 5, &Id::from_u64(500));
+        n.successors = vec![succ, dead, next];
+        let t0 = SimTime::from_secs(1);
+        n.handle_peer_failure(dead.addr, t0);
+        n.handle_peer_failure(closer.addr, t0);
+        assert_eq!(n.stats().peers_declared_failed, 2);
+        assert_eq!(addrs(n.successor_list()), [2, 4]);
+
+        // The successor still lists both: neither comes back.
+        let view = NeighborView { predecessor: Some(closer), successors: vec![dead, next] };
+        let mut tc: TestContext<DhtMsg<u64>> = TestContext::at(NodeAddr(1), t0);
+        tc.run(|ctx| n.handle_message(ctx, NodeAddr(2), reply(&view)));
+        assert_eq!(addrs(n.successor_list()), [2, 4]);
+        assert!(tc.sent.is_empty(), "no closer successor adopted: {:?}", tc.sent);
+
+        // A message from the peer itself lifts its quarantine, and the held
+        // view brings it back with the next reply, even one without a view.
+        let unchanged = DhtMsg::Neighbors {
+            digest: NeighborView::digest(view.predecessor, &view.successors),
+            view: None,
+        };
+        tc.run(|ctx| n.handle_message(ctx, dead.addr, DhtMsg::Pong { nonce: 1 }));
+        tc.run(|ctx| n.handle_message(ctx, NodeAddr(2), unchanged.clone()));
+        assert_eq!(addrs(n.successor_list()), [2, 3, 4]);
+
+        // The silent one returns once one failure_timeout has passed.
+        tc.set_now(t0 + DhtConfig::fast_test().failure_timeout + Duration::from_millis(1));
+        tc.run(|ctx| n.handle_message(ctx, NodeAddr(2), unchanged));
+        assert_eq!(addrs(n.successor_list()), [5, 2, 3, 4]);
+        assert!(matches!(tc.sent.as_slice(), [(NodeAddr(5), DhtMsg::Stabilize { .. })]));
+    }
+
+    #[test]
+    fn a_newly_monitored_peer_gets_the_full_timeout_and_a_dropped_one_is_forgotten() {
+        let mut n = make(1);
+        let succ = at_offset(&n, 2, &Id::from_u64(1_000));
+        let finger = at_offset(&n, 3, &Id::power_of_two(150));
+        n.successors = vec![succ];
+        n.fingers[0] = Some(finger);
+        let timeout = DhtConfig::fast_test().failure_timeout;
+        let t0 = SimTime::from_secs(10);
+        let mut tc: TestContext<DhtMsg<u64>> = TestContext::at(NodeAddr(1), t0);
+        // A message from outside the monitored set leaves no entry behind.
+        tc.run(|ctx| n.handle_message(ctx, NodeAddr(9), DhtMsg::Pong { nonce: 1 }));
+        assert!(n.last_heard.is_empty());
+
+        // Never heard from, both are pinged rather than declared failed.
+        tc.run(|ctx| n.probe_neighbors(ctx));
+        let pinged: Vec<u32> = tc.sent.iter().map(|(to, _)| to.0).collect();
+        assert_eq!(pinged, [2, 3]);
+
+        // The finger leaves the set and is forgotten; the successor stays
+        // silent for exactly the timeout, which it is still allowed.
+        n.fingers[0] = None;
+        tc.set_now(t0 + timeout);
+        tc.run(|ctx| n.probe_neighbors(ctx));
+        assert_eq!(n.last_heard.keys().map(|a| a.0).collect::<Vec<_>>(), [2]);
+        assert_eq!(n.stats().peers_declared_failed, 0);
+
+        tc.set_now(t0 + timeout + Duration::from_millis(1));
+        tc.run(|ctx| n.probe_neighbors(ctx));
+        assert_eq!(n.stats().peers_declared_failed, 1);
+        assert_eq!(n.successor().addr, NodeAddr(1));
+        assert!(n.last_heard.is_empty());
     }
 }

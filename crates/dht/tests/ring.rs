@@ -230,25 +230,39 @@ fn ring_recovers_from_churn() {
     }
 }
 
-#[test]
-fn broadcast_covers_ring_despite_message_loss() {
-    let mut sim = build_ring(20, 8, DhtConfig::fast_test(), LossModel::Bernoulli(0.02));
+/// Nodes of a 20-node ring under 2 % loss that a broadcast from node 5
+/// reaches.
+fn broadcast_reach(seed: u64) -> usize {
+    let mut sim = build_ring(20, seed, DhtConfig::fast_test(), LossModel::Bernoulli(0.02));
     sim.run_for(Duration::from_secs(30));
 
     sim.invoke(NodeAddr(5), |node, ctx| node.dht.broadcast(ctx, 4242));
     sim.run_for(Duration::from_secs(5));
 
-    let reached = sim
-        .alive_nodes()
+    sim.alive_nodes()
         .into_iter()
         .filter(|&a| {
             sim.node(a).unwrap().count_upcalls(|u| matches!(u, Upcall::Broadcast { payload: 4242 }))
                 > 0
         })
-        .count();
+        .count()
+}
+
+#[test]
+fn broadcast_covers_ring_despite_message_loss() {
     // With 2% loss a handful of subtrees may be pruned, but the vast majority
-    // of nodes must still receive the broadcast.
-    assert!(reached >= 17, "broadcast reached only {reached}/20 nodes");
+    // of nodes must still receive the broadcast.  Every message's loss is
+    // drawn from one simulator stream, so which ones are lost depends on all
+    // the traffic before them: judge a sweep of seeds, not one draw.  Over
+    // seeds 1..=300, 93–94 % of seeds reach at least 17 nodes and the mean
+    // reach is 19.1–19.3; both bounds sit about 2.5 standard errors below
+    // that for 20 seeds.
+    let reached: Vec<usize> = (1..=20).map(broadcast_reach).collect();
+    let covered = reached.iter().filter(|&&r| r >= 17).count();
+    let mean = reached.iter().sum::<usize>() as f64 / reached.len() as f64;
+    eprintln!("broadcast reach per seed 1..=20: {reached:?}");
+    assert!(covered >= 16, "only {covered}/20 seeds reached 17 nodes: {reached:?}");
+    assert!(mean >= 18.0, "mean reach {mean:.2} of 20: {reached:?}");
 }
 
 #[test]
@@ -307,4 +321,44 @@ fn average_route_hops_scale_logarithmically() {
     assert!(deliveries >= 100);
     let avg = hops as f64 / deliveries as f64;
     assert!(avg <= 8.0, "average hops {avg:.2} too high for a 64-node ring");
+}
+
+/// Sum of `peers_declared_failed` over the live nodes.
+fn peers_declared_failed(sim: &Ring) -> u64 {
+    sim.alive_nodes().iter().map(|&a| sim.node(a).unwrap().dht.stats().peers_declared_failed).sum()
+}
+
+#[test]
+fn a_converged_lossless_ring_declares_no_live_peer_failed() {
+    let config = DhtConfig::fast_test();
+    let full = config.successor_list_len;
+    let mut sim = build_ring(32, 1, config, LossModel::None);
+    sim.run_for(Duration::from_secs(30));
+    assert!(ring_is_consistent(&sim));
+
+    let before = peers_declared_failed(&sim);
+    for _ in 0..20 {
+        sim.run_for(Duration::from_millis(500));
+        for addr in sim.alive_nodes() {
+            let len = sim.node(addr).unwrap().dht.successor_list().len();
+            assert_eq!(len, full, "{addr} holds {len} of {full} successors at {:?}", sim.now());
+        }
+    }
+    let declared = peers_declared_failed(&sim) - before;
+    assert_eq!(declared, 0, "{declared} live peers declared failed in 10 s");
+}
+
+#[test]
+fn idle_maintenance_stays_within_its_byte_budget() {
+    for seed in 1..=3 {
+        let mut sim = build_ring(32, seed, DhtConfig::fast_test(), LossModel::None);
+        sim.run_for(Duration::from_secs(30));
+        let before = sim.metrics().snapshot();
+        sim.run_for(Duration::from_secs(10));
+        let spent = sim.metrics().snapshot().delta(&before);
+        let bytes = spent.bytes_sent as f64 / 32.0 / 10.0;
+        let msgs = spent.messages_sent as f64 / 32.0 / 10.0;
+        eprintln!("seed {seed}: {bytes:.0} B and {msgs:.1} msgs per node per second");
+        assert!(bytes <= 2_000.0, "seed {seed}: {bytes:.0} B per node per second");
+    }
 }
