@@ -33,6 +33,7 @@
 //! joins whose Fetch-Matches probes or Bloom-gated scans send after the
 //! scan — the timer decides.
 
+use super::flush::charge;
 use super::{Ctx, PierNode, TimerPurpose, WindowLatePolicy};
 use crate::aggregate::AggState;
 use crate::dataflow::ops::{sort_tuples, GroupAggregator, GroupKey};
@@ -336,18 +337,14 @@ impl PierNode {
                 let next = self.toward_origin(origin);
                 let payload =
                     PierPayload::Partial { query: id, epoch, groups, contributors, credit };
-                let (bytes, _) = self.note_payload(&payload);
-                self.stats.partials_sent += 1;
                 let relayed = self.relayed.entry(id).or_default();
+                charge(relayed, &payload, 1);
                 relayed.partials_sent += 1;
-                relayed.messages_sent += 1;
-                relayed.bytes_shipped += bytes;
-                self.pending_direct.push((next, super::DirectStream::Engine, payload));
+                self.pending_direct.push((next, payload));
             }
             return;
         };
         if from_network {
-            self.stats.partials_merged += 1;
             q.trace.partials_merged += 1;
         }
         if origin != self.addr {
@@ -487,7 +484,6 @@ impl PierNode {
         let policy = self.config.window_late_policy;
         let Some(q) = self.queries.get_mut(&id) else { return };
         let Some(wspec) = q.spec.kind.window_spec() else {
-            self.stats.late_partials_dropped += 1;
             q.trace.late_partials_dropped += 1;
             return;
         };
@@ -519,12 +515,9 @@ impl PierNode {
             }
         }
         if dropped {
-            self.stats.window_late_dropped += 1;
             q.trace.window_late_dropped += 1;
         }
-        let patched = reemit.len() as u64;
-        self.stats.window_late_patched += patched;
-        q.trace.window_late_patched += patched;
+        q.trace.window_late_patched += reemit.len() as u64;
         for w in reemit {
             self.emit_window(ctx, id, w, true);
         }
@@ -551,7 +544,6 @@ impl PierNode {
         }
         match next {
             Some(next) => {
-                self.stats.partials_sent += 1;
                 q.trace.partials_sent += 1;
                 *q.agg.forwarded.entry(epoch).or_insert(0) += contributors;
                 while q.agg.forwarded.len() > FORWARDED_RETAIN {
@@ -632,10 +624,8 @@ impl PierNode {
         };
         q.agg.finalized.insert(epoch, record);
         if complete {
-            self.stats.finalized_on_completion += 1;
             q.trace.finalized_on_completion += 1;
         } else {
-            self.stats.finalized_on_timer += 1;
             q.trace.finalized_on_timer += 1;
         }
         let spec = q.spec.clone();
@@ -670,7 +660,6 @@ impl PierNode {
         retract: bool,
     ) {
         let n = rows.len() as u64;
-        self.stats.results_sent += n;
         if let Some(q) = self.queries.get_mut(&id) {
             q.trace.results_sent += n;
             if n > 0 {
@@ -757,7 +746,6 @@ impl PierNode {
         }
         if !reemit {
             q.trace.windows_closed += 1;
-            self.stats.windows_closed += 1;
         }
         let spec = q.spec.clone();
         let Some(finish) = spec.kind.agg_finish() else { return };
@@ -803,11 +791,10 @@ impl PierNode {
             values.extend(row.project(finish.final_project).values().iter().cloned());
             let key = ResourceKey::new(namespace.clone(), resource.clone(), stable_hash(&resource));
             let payload = PierPayload::Tuple(Tuple::new(values));
-            self.note_query_payload(spec.id, &payload);
+            self.charge_query(spec.id, &payload, 0);
             let sent = self.dht.put(ctx, key, payload, ttl);
-            self.add_query_msgs(spec.id, sent as u64);
-            self.stats.alerts_emitted += 1;
             if let Some(q) = self.queries.get_mut(&spec.id) {
+                q.trace.messages_sent += sent as u64;
                 q.trace.alerts_emitted += 1;
             }
         }

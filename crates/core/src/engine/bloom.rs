@@ -95,7 +95,8 @@ impl PierNode {
         bloom.to_words()
     }
 
-    /// Ship one summary to the query origin on the query-path counters.
+    /// Ship one summary straight to the query origin now, charged to the
+    /// query.
     pub(super) fn send_summary(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -105,7 +106,8 @@ impl PierNode {
         (bits, k): (Vec<u64>, u8),
     ) {
         let payload = PierPayload::Bloom { query: id, stage, epoch, bits, k, combined: false };
-        self.send_query_direct(ctx, id, id.origin(), payload);
+        self.charge_query(id, &payload, 1);
+        self.dht.send_direct(ctx, id.origin(), payload);
     }
 
     /// Fold one intermediate key into this join site's inner-stage Bloom
@@ -306,13 +308,10 @@ impl PierNode {
                         held.push(r);
                     }
                 }
-                let tested = (pass.len() + held.len()) as u64;
-                let passed = pass.len() as u64;
-                self.stats.bloom_tested += tested;
-                self.stats.bloom_passed += passed;
                 if let Some(q) = self.queries.get_mut(&id) {
-                    *q.trace.stage_bloom_tested.entry(stage).or_insert(0) += tested;
-                    *q.trace.stage_bloom_passed.entry(stage).or_insert(0) += passed;
+                    *q.trace.stage_bloom_tested.entry(stage).or_insert(0) +=
+                        (pass.len() + held.len()) as u64;
+                    *q.trace.stage_bloom_passed.entry(stage).or_insert(0) += pass.len() as u64;
                     if !held.is_empty() {
                         q.bloom.phase2.insert(key, held);
                     }
@@ -322,7 +321,6 @@ impl PierNode {
             None => {
                 // Hold-down fallback: the combined filter never arrived in
                 // time.  Ship unfiltered — more traffic, identical results.
-                self.stats.bloom_fallbacks += 1;
                 if let Some(q) = self.queries.get_mut(&id) {
                     q.trace.bloom_fallbacks += 1;
                 }

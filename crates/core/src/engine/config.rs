@@ -1,6 +1,7 @@
 //! Engine configuration ([`PierConfig`] and its presets), the windowed
 //! late-data policy, and the per-node activity counters ([`EngineStats`]).
 
+use crate::trace::OpTrace;
 use pier_dht::DhtConfig;
 use pier_simnet::Duration;
 
@@ -92,13 +93,6 @@ pub struct PierConfig {
     /// How often a node re-summarizes and pushes its statistics view to its
     /// predecessor and first three successors.
     pub stats_interval: Duration,
-    /// Gossip entry expiry: a node's statistics entry is evicted from the
-    /// local view after this many gossip intervals without a fresher
-    /// sequence number, so a permanently departed node stops inflating the
-    /// network-wide cardinality totals.  Restarted nodes re-enter
-    /// immediately (their sequence numbers are time-seeded).  `0` disables
-    /// expiry.
-    pub stats_ttl_intervals: u32,
     /// Trace-fed costing: after a continuous multi-way join has run a few
     /// epochs, its origin collects the network-wide execution trace
     /// (per-stage input and match counters), folds it into per-query
@@ -132,7 +126,6 @@ impl Default for PierConfig {
             bloom_fallback_delay: Duration::from_millis(8_000),
             auto_stats: false,
             stats_interval: Duration::from_millis(5_000),
-            stats_ttl_intervals: 8,
             feedback: false,
             window_late_policy: WindowLatePolicy::Drop,
         }
@@ -157,6 +150,11 @@ impl PierConfig {
 }
 
 /// Per-node counters describing the engine's own activity (read by benches).
+///
+/// Computed, not kept beside the traces: each query event is counted once,
+/// in its query's [`OpTrace`], and [`PierNode::stats`](super::PierNode::stats)
+/// adds the traces of the queries the node runs, relays for, or has stopped
+/// to its own events (publishes, statistics gossip, trace-fed re-plans).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// Tuples published into the DHT from this node.
@@ -280,5 +278,32 @@ impl EngineStats {
         self.alerts_emitted += other.alerts_emitted;
         self.finalized_on_completion += other.finalized_on_completion;
         self.finalized_on_timer += other.finalized_on_timer;
+    }
+
+    /// Add one query's execution trace at this node: every query-path
+    /// counter is the sum of the like-named trace counters.
+    pub(super) fn add_trace(&mut self, t: &OpTrace) {
+        self.tuples_scanned += t.tuples_scanned;
+        self.results_sent += t.results_sent;
+        self.partials_sent += t.partials_sent;
+        self.partials_merged += t.partials_merged;
+        self.join_tuples_sent += t.tuples_shipped;
+        self.join_matches += t.join_matches;
+        self.expands_sent += t.expands_sent;
+        self.epochs_run += t.epochs_run;
+        self.messages_sent += t.messages_sent;
+        self.bytes_shipped += t.bytes_shipped;
+        self.batches_sent += t.batches_sent;
+        self.replans += t.replans;
+        self.bloom_tested += t.stage_bloom_tested.values().sum::<u64>();
+        self.bloom_passed += t.stage_bloom_passed.values().sum::<u64>();
+        self.bloom_fallbacks += t.bloom_fallbacks;
+        self.windows_closed += t.windows_closed;
+        self.window_late_dropped += t.window_late_dropped;
+        self.window_late_patched += t.window_late_patched;
+        self.late_partials_dropped += t.late_partials_dropped;
+        self.alerts_emitted += t.alerts_emitted;
+        self.finalized_on_completion += t.finalized_on_completion;
+        self.finalized_on_timer += t.finalized_on_timer;
     }
 }

@@ -191,7 +191,6 @@ impl PierNode {
         for (key, group) in group_by_key(pairs) {
             let resource = ResourceKey::singleton(namespace.clone(), key.partition_string());
             for chunk in group.chunks(BATCH_MAX) {
-                self.stats.join_tuples_sent += chunk.len() as u64;
                 out.shipped += chunk.len() as u64;
                 let key = key.clone();
                 let credit = Credit::NONE;
@@ -213,11 +212,11 @@ impl PierNode {
     pub(super) fn send_rehash(&mut self, ctx: &mut Ctx<'_>, id: QueryId, out: Rehash) {
         let Rehash { stage, side, shipped, items } = out;
         for (_, payload) in &items {
-            self.note_query_payload(id, payload);
+            self.charge_query(id, payload, 0);
         }
         let sent = self.dht.send_to_key_batch(ctx, items) as u64;
-        self.add_query_msgs(id, sent);
         if let Some(q) = self.queries.get_mut(&id) {
+            q.trace.messages_sent += sent;
             q.trace.tuples_shipped += shipped;
             *q.trace.stage_shipped.entry(stage).or_insert(0) += shipped;
             if side == 1 {
@@ -294,13 +293,12 @@ impl PierNode {
             *q.trace.stage_probes.entry(stage).or_insert(0) += probes;
             // Each probe carries one probing-side row into this stage.
             *q.trace.stage_left_in.entry(stage).or_insert(0) += probes;
-        }
-        // A probe is a routed request plus its response: two wire messages
-        // the engine initiates.  Counting them keeps Fetch-Matches honest in
-        // the message counters the cost model optimizes (a probe's
-        // FETCH_PROBE_COST is priced against exactly this traffic).
-        if probes > 0 {
-            self.add_query_msgs(id, probes * 2);
+            // A probe is a routed request plus its response: two wire
+            // messages the engine initiates.  Counting them keeps
+            // Fetch-Matches honest in the message counters the cost model
+            // optimizes (a probe's FETCH_PROBE_COST is priced against
+            // exactly this traffic).
+            q.trace.messages_sent += probes * 2;
         }
     }
 
@@ -318,7 +316,6 @@ impl PierNode {
         rows: Vec<Tuple>,
     ) {
         let QueryKind::Join { stages, project, aggregate, .. } = &spec.kind else { return };
-        self.stats.join_matches += rows.len() as u64;
         if let Some(q) = self.queries.get_mut(&spec.id) {
             q.trace.join_matches += rows.len() as u64;
             *q.trace.stage_matches.entry(stage).or_insert(0) += rows.len() as u64;
@@ -501,15 +498,14 @@ impl PierNode {
         vertex: Value,
         depth: u32,
     ) {
-        self.stats.expands_sent += 1;
-        if let Some(q) = self.queries.get_mut(&id) {
-            q.trace.expands_sent += 1;
-        }
         let resource = ResourceKey::singleton(table.to_string(), vertex.partition_string());
         let payload = PierPayload::Expand { query: id, vertex, depth };
-        self.note_query_payload(id, &payload);
+        self.charge_query(id, &payload, 0);
         let sent = self.dht.send_to_key(ctx, resource, payload);
-        self.add_query_msgs(id, sent as u64);
+        if let Some(q) = self.queries.get_mut(&id) {
+            q.trace.expands_sent += 1;
+            q.trace.messages_sent += sent as u64;
+        }
     }
 
     pub(super) fn seed_recursive(&mut self, ctx: &mut Ctx<'_>, id: QueryId) {

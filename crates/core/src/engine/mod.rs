@@ -24,8 +24,8 @@
 //!   suppression (distributed semi-naïve evaluation).
 //! * `bloom` — the one **Bloom semi-join** handshake, for stage-0 Bloom
 //!   joins and inner stages alike.
-//! * `flush` — result buffering, staged direct sends and the payload and
-//!   message accounting.
+//! * `flush` — result buffering, staged direct sends and the one charge
+//!   path every wire payload pays through.
 //! * `replan` — statistics gossip, trace collection, and mid-flight
 //!   re-planning.
 //!
@@ -59,7 +59,6 @@ use crate::trace::OpTrace;
 use crate::tuple::Tuple;
 use aggregate::AggQuery;
 use bloom::BloomQuery;
-use flush::DirectStream;
 use join::JoinQuery;
 use pier_dht::{timers as dht_timers, DhtMsg, DhtNode, Upcall};
 use pier_simnet::{Context, Duration, Node, NodeAddr, SimTime};
@@ -86,6 +85,11 @@ const BATCH_MAX: usize = 512;
 /// Successor-list neighbours each statistics-gossip round pushes to, besides
 /// the predecessor (so views spread both ways around the ring).
 const STATS_FANOUT: usize = 3;
+
+/// Gossip intervals without a fresher sequence number after which a node's
+/// statistics entry is evicted, so a departed node stops inflating the
+/// network-wide cardinalities (restarts re-enter with time-seeded ones).
+const STATS_TTL_INTERVALS: u64 = 8;
 
 type Ctx<'a> = Context<'a, PierMsg>;
 
@@ -278,7 +282,8 @@ pub struct PierNode {
     stopped: HashMap<QueryId, SimTime>,
     /// What this node relayed toward the origin for queries whose plan it
     /// has not received: partials, their messages and bytes.  The query's
-    /// trace starts from it when the plan arrives.
+    /// trace starts from it when the plan arrives; a stop folds it into the
+    /// node's counters.
     relayed: HashMap<QueryId, OpTrace>,
     timer_purposes: HashMap<u64, TimerPurpose>,
     /// Result rows produced during the current engine tick, coalesced per
@@ -288,9 +293,9 @@ pub struct PierNode {
     /// per-epoch order in which rows were produced.
     pending_results: Vec<((QueryId, u64), Vec<Tuple>)>,
     /// Point-to-point payloads (results, partials, statistics gossip) staged
-    /// during the current engine tick and flushed, one direct message each,
-    /// at every upcall drain.
-    pending_direct: Vec<(NodeAddr, DirectStream, PierPayload)>,
+    /// during the current engine tick, already charged to their traces, and
+    /// flushed, one direct message each, at every upcall drain.
+    pending_direct: Vec<(NodeAddr, PierPayload)>,
     plan_cache: PlanCache,
     /// Origin-side trace collection (`EXPLAIN ANALYZE`): number of nodes
     /// that reported plus the merged network-wide trace, per query.
@@ -315,6 +320,9 @@ pub struct PierNode {
     next_token: u64,
     next_query_seq: u32,
     publish_seq: u64,
+    /// This node's own counters: publishes, statistics gossip, trace-fed
+    /// re-plans, and the traces of the queries stopped here, folded in at
+    /// the stop.  [`stats`](Self::stats) adds the live traces.
     stats: EngineStats,
 }
 
@@ -362,11 +370,15 @@ impl PierNode {
         &self.catalog
     }
 
-    /// Engine activity counters.
+    /// Engine activity counters: this node's own events plus the traces of
+    /// the queries it runs or relays partials for.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats;
         stats.plan_cache_hits = self.plan_cache.hits();
         stats.plan_cache_misses = self.plan_cache.misses();
+        for trace in self.queries.values().map(|q| &q.trace).chain(self.relayed.values()) {
+            stats.add_trace(trace);
+        }
         stats
     }
 
@@ -567,18 +579,20 @@ impl PierNode {
 
     /// A `StopQuery` reached this node, whether or not it runs the query.
     fn on_stop(&mut self, ctx: &mut Ctx<'_>, id: QueryId) {
-        // Ship this query's buffered result rows while the trace can still
-        // account for them — a buffer shipped after the query is removed
-        // would count bytes/messages the (frozen) trace can no longer
-        // mirror — then keep the trace so a later `EXPLAIN ANALYZE` trace
+        // Ship this query's buffered result rows while its trace can still
+        // be charged for them, then fold the final trace into the node's
+        // counters and keep a copy so a later `EXPLAIN ANALYZE` trace
         // request can still be answered.
         self.flush_query(ctx, id);
         if let Some(q) = self.queries.remove(&id) {
+            self.stats.add_trace(&q.trace);
             self.retire_trace(id, q.trace);
+        }
+        if let Some(relayed) = self.relayed.remove(&id) {
+            self.stats.add_trace(&relayed);
         }
         self.origin_sql.remove(&id);
         self.early_arrivals.remove(&id);
-        self.relayed.remove(&id);
         self.pending_fetch.retain(|_, (query, ..)| *query != id);
         let now = ctx.now();
         self.stopped.retain(|_, until| *until > now);

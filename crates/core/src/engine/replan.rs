@@ -4,7 +4,7 @@
 //! (`PierConfig::feedback`) — that stage a new spec for every node's next
 //! epoch boundary.
 
-use super::{continuous_epoch, Ctx, PierNode, STATS_FANOUT};
+use super::{continuous_epoch, Ctx, PierNode, STATS_FANOUT, STATS_TTL_INTERVALS};
 use crate::payload::PierPayload;
 use crate::planner::{ObservedStats, PlannedQuery, Planner};
 use crate::query::{JoinStrategy, QueryId, QueryKind, QuerySpec};
@@ -115,14 +115,10 @@ impl PierNode {
         self.gossip_seq = self.gossip_seq.max(now.as_micros()) + 1;
         self.gossip.update_self(self.addr, self.gossip_seq, summaries, now.as_micros());
         // Gossip entry expiry: a node whose summaries stopped refreshing for
-        // `stats_ttl_intervals` gossip rounds is permanently gone (restarts
+        // `STATS_TTL_INTERVALS` gossip rounds is permanently gone (restarts
         // re-enter with fresher time-seeded sequence numbers) — evict it so
         // it stops inflating the network-wide totals.
-        let ttl = self
-            .config
-            .stats_interval
-            .as_micros()
-            .saturating_mul(self.config.stats_ttl_intervals as u64);
+        let ttl = self.config.stats_interval.as_micros().saturating_mul(STATS_TTL_INTERVALS);
         self.gossip.expire(now.as_micros(), ttl);
         let totals = self.gossip.totals();
         apply_totals(&mut self.catalog, &totals);
@@ -145,7 +141,7 @@ impl PierNode {
         for peer in peers {
             self.stats.stats_gossip_sent += 1;
             let payload = PierPayload::StatsGossip { entries: entries.clone() };
-            self.pending_direct.push((peer, super::DirectStream::Gossip, payload));
+            self.pending_direct.push((peer, payload));
         }
         self.process_upcalls(ctx);
     }
@@ -174,7 +170,6 @@ impl PierNode {
     ) -> Option<(Rc<QuerySpec>, u64)> {
         let q = self.queries.get_mut(&id)?;
         let epoch = q.spec.continuous.map_or(0, |c| continuous_epoch(now, &c));
-        let mut replanned = false;
         if let Some(new_spec) = q.pending_spec.take() {
             if new_spec.kind != q.spec.kind {
                 q.trace.replans += 1;
@@ -183,23 +178,17 @@ impl PierNode {
                     strategy_label(&q.spec.kind),
                     strategy_label(&new_spec.kind)
                 ));
+                // The origin's result bookkeeping mirrors the live spec.
+                if let Some(res) = self.results.get_mut(&id) {
+                    res.spec = (*new_spec).clone();
+                }
                 q.spec = new_spec;
                 q.kernels = None;
                 q.agg.spec_swapped(epoch);
-                replanned = true;
             }
         }
         q.trace.epochs_run += 1;
-        let spec = q.spec.clone();
-        if replanned {
-            self.stats.replans += 1;
-            // The origin's result bookkeeping mirrors the live spec.
-            if let Some(res) = self.results.get_mut(&id) {
-                res.spec = (*spec).clone();
-            }
-        }
-        self.stats.epochs_run += 1;
-        Some((spec, epoch))
+        Some((q.spec.clone(), epoch))
     }
 
     /// Stage `planned` for `id` when it differs from the live spec, and

@@ -2,6 +2,7 @@
 //! node's soft state, the scan-batch memo, the compiled kernels every
 //! per-epoch hot loop runs, and the streaming `SELECT` epoch.
 
+use super::flush::charge;
 use super::{group_by_key, Ctx, PierError, PierNode, BATCH_MAX};
 use crate::catalog::TableDef;
 use crate::column::{Column, ColumnarBatch};
@@ -9,6 +10,7 @@ use crate::encoding::TupleBlock;
 use crate::kernel::Kernel;
 use crate::payload::PierPayload;
 use crate::query::{QueryId, QueryKind, QuerySpec};
+use crate::trace::OpTrace;
 use crate::tuple::Tuple;
 use pier_dht::ResourceKey;
 use pier_simnet::SimTime;
@@ -114,7 +116,8 @@ impl PierNode {
     /// Publish many tuples of one table with coalesced wire traffic: tuples
     /// sharing a partitioning value travel (and are stored) as a single
     /// `TupleBatch`, and batches whose first routing hop coincides share one
-    /// wire message.
+    /// wire message.  The traffic belongs to no query: it is charged to a
+    /// trace of its own, which the node's counters absorb.
     pub fn publish_batch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -124,6 +127,7 @@ impl PierNode {
         let def = self.table_def(table)?;
         let groups = group_by_key(tuples.into_iter().map(|t| (def.resource_of(&t), t)));
         let mut items = Vec::new();
+        let mut wire = OpTrace::default();
         for (resource, group) in groups {
             for chunk in group.chunks(BATCH_MAX) {
                 let key =
@@ -134,12 +138,12 @@ impl PierNode {
                     PierPayload::TupleBatch(TupleBlock::columnar(chunk.to_vec()))
                 };
                 self.stats.tuples_published += chunk.len() as u64;
-                self.note_payload(&payload);
+                charge(&mut wire, &payload, 0);
                 items.push((key, payload, def.ttl));
             }
         }
-        let sent = self.dht.put_batch(ctx, items);
-        self.stats.messages_sent += sent as u64;
+        wire.messages_sent = self.dht.put_batch(ctx, items) as u64;
+        self.stats.add_trace(&wire);
         self.process_upcalls(ctx);
         Ok(())
     }
@@ -197,10 +201,9 @@ impl PierNode {
         batch
     }
 
-    /// Count `rows` tuples scanned on behalf of a query, in the node's
-    /// counters and the query's execution trace.
+    /// Count `rows` tuples scanned on behalf of a query in its execution
+    /// trace.
     pub(super) fn count_scanned(&mut self, id: QueryId, rows: usize) {
-        self.stats.tuples_scanned += rows as u64;
         if let Some(q) = self.queries.get_mut(&id) {
             q.trace.tuples_scanned += rows as u64;
         }

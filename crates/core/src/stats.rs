@@ -23,9 +23,9 @@
 //! it was last *refreshed* (a strictly newer sequence number arrived), and
 //! [`GossipView::expire`] evicts entries stale for longer than a TTL — so a
 //! permanently departed node's last summary stops inflating the totals
-//! after `PierConfig::stats_ttl_intervals` missed gossip rounds.  Evicted
-//! nodes leave a tombstone holding their last sequence number; peers keep
-//! re-gossiping the stale entry, and only a strictly fresher summary (a
+//! after eight missed gossip rounds (the engine's `STATS_TTL_INTERVALS`).
+//! Evicted nodes leave a tombstone holding their last sequence number; peers
+//! keep re-gossiping the stale entry, and only a strictly fresher summary (a
 //! genuine restart — sequence numbers are seeded from virtual time) may
 //! re-enter the view, so expired entries cannot flap back in.
 

@@ -1,12 +1,13 @@
 //! Per-query execution traces — the data plane behind `EXPLAIN ANALYZE`.
 //!
 //! Every [`PierNode`](crate::engine::PierNode) keeps one [`OpTrace`] per
-//! installed query, incremented at exactly the points where the node's
-//! [`EngineStats`](crate::engine::EngineStats) counters are incremented — but
-//! scoped to that query, so the two views reconcile: in a deployment running a
-//! single query whose tables were populated with `publish_local`, the
-//! network-wide merge of the per-query traces equals the network-wide sum of
-//! the engine counters.
+//! installed query, and counts each of the query's events there and nowhere
+//! else.  The node's [`EngineStats`](crate::engine::EngineStats) are computed
+//! from these traces plus the node's own events (publishes, statistics
+//! gossip, trace-fed re-plans, the plan cache), so the two views reconcile
+//! by construction: in a deployment whose tables were populated with
+//! `publish_local`, the network-wide merge of every query's traces equals
+//! the network-wide sum of the query-path engine counters.
 //!
 //! `EXPLAIN ANALYZE` collects these traces over the DHT: the origin broadcasts
 //! a `TraceRequest`, every node answers with a `TraceReport` carrying its
@@ -30,11 +31,10 @@ use std::collections::BTreeMap;
 
 /// Per-operator execution counters of one query at one node.
 ///
-/// Counter semantics mirror the like-named fields of
-/// [`EngineStats`](crate::engine::EngineStats); all counters are
-/// *producer-side* (a node counts what it scanned, shipped, probed, or
-/// produced — never what it received), so merging the traces of every node
-/// counts each event exactly once.
+/// The like-named fields of [`EngineStats`](crate::engine::EngineStats) are
+/// sums of these; all counters are *producer-side* (a node counts what it
+/// scanned, shipped, probed, or produced — never what it received), so
+/// merging the traces of every node counts each event exactly once.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OpTrace {
     /// Epoch evaluations this node performed for the query (node-epochs).
@@ -231,6 +231,7 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
                     "  join [{:?}]: {} tuples shipped, {} probes, {} matches\n",
                     stages[0].strategy, trace.tuples_shipped, trace.probes_sent, trace.join_matches
                 ));
+                push_bloom_rate(&mut out, trace, 0, "    ");
             } else {
                 out.push_str(&format!(
                     "  staged join: {} tuples shipped, {} probes, {} matches\n",
@@ -246,23 +247,24 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
                          {matches} matches\n",
                         s.strategy, s.right_table
                     ));
-                    if let Some(&tested) = trace.stage_bloom_tested.get(&stage) {
-                        let passed = trace.stage_bloom_passed.get(&stage).copied().unwrap_or(0);
-                        let rate =
-                            if tested > 0 { 100.0 * passed as f64 / tested as f64 } else { 100.0 };
-                        out.push_str(&format!(
-                            "      bloom: {passed}/{tested} right tuples passed \
-                             ({rate:.1}% pass rate)\n"
-                        ));
-                    }
+                    push_bloom_rate(&mut out, trace, stage, "      ");
                 }
             }
             match aggregate {
-                Some(agg) if agg.hierarchical => out.push_str(&format!(
-                    "  aggregate over the join (hierarchical): {} partials sent, \
-                     {} merged in-network\n",
-                    trace.partials_sent, trace.partials_merged
-                )),
+                Some(agg) if agg.hierarchical => {
+                    out.push_str(&format!(
+                        "  aggregate over the join (hierarchical): {} partials sent, \
+                         {} merged in-network",
+                        trace.partials_sent, trace.partials_merged
+                    ));
+                    if trace.finalized_on_completion + trace.finalized_on_timer > 0 {
+                        out.push_str(&format!(
+                            ", {} epochs finalized on completion, {} on the timer",
+                            trace.finalized_on_completion, trace.finalized_on_timer
+                        ));
+                    }
+                    out.push('\n');
+                }
                 Some(_) => out.push_str(
                     "  aggregate over the join: raw matched rows streamed to the origin\n",
                 ),
@@ -283,6 +285,12 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
             out.push_str(&format!("  recurse: {} expansions sent\n", trace.expands_sent));
         }
         QueryKind::Select { .. } => {}
+    }
+    if trace.late_partials_dropped > 0 {
+        out.push_str(&format!(
+            "  late partials: {} dropped after their epoch finalized\n",
+            trace.late_partials_dropped
+        ));
     }
     out.push_str(&format!("  results: {} rows shipped to the origin\n", trace.results_sent));
     out.push_str(&format!(
@@ -319,6 +327,19 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
         out.push_str(&format!("  rows per epoch: {}\n", per_epoch.join(" ")));
     }
     out
+}
+
+/// Append stage `stage`'s Bloom pass rate when its filter tested any right
+/// tuples.
+fn push_bloom_rate(out: &mut String, trace: &OpTrace, stage: u8, indent: &str) {
+    let tested = trace.stage_bloom_tested.get(&stage).copied().unwrap_or(0);
+    if tested > 0 {
+        let passed = trace.stage_bloom_passed.get(&stage).copied().unwrap_or(0);
+        let rate = 100.0 * passed as f64 / tested as f64;
+        out.push_str(&format!(
+            "{indent}bloom: {passed}/{tested} right tuples passed ({rate:.1}% pass rate)\n"
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -380,36 +401,53 @@ mod tests {
             left_scan: None,
             out_to: None,
         };
-        let kind = QueryKind::Join {
+        let join = |stages, aggregate| QueryKind::Join {
             left_table: "l".into(),
             left_filter: None,
-            stages: vec![stage("r")],
+            stages,
             project: vec![Expr::col(0)],
-            aggregate: None,
+            aggregate,
             order_by: vec![],
             limit: None,
         };
-        let text = render_network_trace(7, &sample(), &kind);
+        let text = render_network_trace(7, &sample(), &join(vec![stage("r")], None));
         assert!(text.contains("7 nodes reporting"), "{text}");
         assert!(text.contains("tuples scanned"), "{text}");
         assert!(text.contains("join [SymmetricHash]"), "{text}");
         assert!(text.contains("re-planning"), "{text}");
         assert!(text.contains("rows per epoch: 0:1 1:2"), "{text}");
+        // Counters that stayed zero print nothing.
+        assert!(!text.contains("bloom:"), "{text}");
+        assert!(!text.contains("late partials"), "{text}");
+
+        // A two-way Bloom join prints its pass rate; an aggregate over the
+        // join prints why its epochs finalized and the late partials its
+        // root dropped.
+        let mut t = sample();
+        t.stage_bloom_tested = [(0u8, 40u64)].into_iter().collect();
+        t.stage_bloom_passed = [(0u8, 10u64)].into_iter().collect();
+        t.finalized_on_completion = 5;
+        t.finalized_on_timer = 1;
+        t.late_partials_dropped = 2;
+        let agg = crate::query::JoinAggregate {
+            group_exprs: vec![],
+            aggs: vec![],
+            having: None,
+            final_project: vec![],
+            hierarchical: true,
+            window: None,
+            colocated: false,
+        };
+        let text = render_network_trace(7, &t, &join(vec![stage("r")], Some(agg)));
+        assert!(text.contains("    bloom: 10/40 right tuples passed (25.0% pass rate)"), "{text}");
+        assert!(text.contains("5 epochs finalized on completion, 1 on the timer"), "{text}");
+        assert!(text.contains("late partials: 2 dropped"), "{text}");
 
         // Multi-stage joins get a per-stage section.
-        let kind = QueryKind::Join {
-            left_table: "l".into(),
-            left_filter: None,
-            stages: vec![stage("r"), stage("s")],
-            project: vec![Expr::col(0)],
-            aggregate: None,
-            order_by: vec![],
-            limit: None,
-        };
         let mut t = sample();
         t.stage_shipped = [(0u8, 3u64), (1, 1)].into_iter().collect();
         t.stage_matches = [(0u8, 2u64), (1, 1)].into_iter().collect();
-        let text = render_network_trace(7, &t, &kind);
+        let text = render_network_trace(7, &t, &join(vec![stage("r"), stage("s")], None));
         assert!(text.contains("staged join"), "{text}");
         assert!(text.contains("stage 0 [SymmetricHash] ⋈ 'r': 3 shipped"), "{text}");
         assert!(text.contains("stage 1 [SymmetricHash] ⋈ 's': 1 shipped"), "{text}");

@@ -2,8 +2,9 @@
 //! trace is aggregated over the DHT back to the origin, the rendered report
 //! shows the network-wide totals next to the static plan, and — the key
 //! property — the totals **reconcile** with the engine-wide counters
-//! (`PierTestbed::engine_totals`), because the trace increments at exactly the
-//! same points, scoped per query.
+//! (`PierTestbed::engine_totals`): each query event is counted once, in its
+//! query's trace, and a node's engine counters are computed from those
+//! traces.
 
 use pier::core::{EngineStats, OpTrace};
 use pier::prelude::*;
@@ -170,6 +171,110 @@ fn explain_analyze_totals_reconcile_with_engine_totals() {
     assert_eq!(trace.alerts_emitted, totals.alerts_emitted);
     assert_eq!(trace.messages_sent, totals.messages_sent);
     assert_eq!(trace.bytes_shipped, totals.bytes_shipped);
+}
+
+/// Every query-path field of the engine totals equals the like-named
+/// counter of `sum`, the traces of every query summed over every node.
+fn assert_totals_are_trace_sums(sum: &OpTrace, totals: &EngineStats, what: &str) {
+    let bloom_tested: u64 = sum.stage_bloom_tested.values().sum();
+    let bloom_passed: u64 = sum.stage_bloom_passed.values().sum();
+    let pairs = [
+        ("epochs_run", sum.epochs_run, totals.epochs_run),
+        ("tuples_scanned", sum.tuples_scanned, totals.tuples_scanned),
+        ("join_tuples_sent", sum.tuples_shipped, totals.join_tuples_sent),
+        ("join_matches", sum.join_matches, totals.join_matches),
+        ("expands_sent", sum.expands_sent, totals.expands_sent),
+        ("partials_sent", sum.partials_sent, totals.partials_sent),
+        ("partials_merged", sum.partials_merged, totals.partials_merged),
+        ("results_sent", sum.results_sent, totals.results_sent),
+        ("messages_sent", sum.messages_sent, totals.messages_sent),
+        ("batches_sent", sum.batches_sent, totals.batches_sent),
+        ("bytes_shipped", sum.bytes_shipped, totals.bytes_shipped),
+        ("replans", sum.replans, totals.replans),
+        ("bloom_tested", bloom_tested, totals.bloom_tested),
+        ("bloom_passed", bloom_passed, totals.bloom_passed),
+        ("bloom_fallbacks", sum.bloom_fallbacks, totals.bloom_fallbacks),
+        ("windows_closed", sum.windows_closed, totals.windows_closed),
+        ("window_late_dropped", sum.window_late_dropped, totals.window_late_dropped),
+        ("window_late_patched", sum.window_late_patched, totals.window_late_patched),
+        ("late_partials_dropped", sum.late_partials_dropped, totals.late_partials_dropped),
+        ("alerts_emitted", sum.alerts_emitted, totals.alerts_emitted),
+        ("finalized_on_completion", sum.finalized_on_completion, totals.finalized_on_completion),
+        ("finalized_on_timer", sum.finalized_on_timer, totals.finalized_on_timer),
+    ];
+    for (field, traced, total) in pairs {
+        assert_eq!(traced, total, "{field}: traces vs engine totals, {what}");
+    }
+}
+
+#[test]
+fn two_concurrent_queries_reconcile_with_engine_totals() {
+    // A continuous aggregate and a continuous join run side by side from
+    // different origins; one of them is stopped while an epoch's traffic is
+    // in flight.  The traces of both queries, summed over every node, still
+    // equal the engine totals field for field: the stopped query's final
+    // trace is what the nodes' counters keep.
+    const AGG: &str = "SELECT COUNT(*) AS n, SUM(out_rate) AS total FROM netstats \
+                       CONTINUOUS EVERY 5 SECONDS WINDOW 600 SECONDS";
+    let join_sql = FIG1_JOIN.trim_start_matches("EXPLAIN ANALYZE ");
+    for (stop_agg, offset_ms) in [(true, 60), (true, 250), (false, 40), (false, 180)] {
+        let name = if stop_agg { "aggregate" } else { "join" };
+        let what = format!("stopping the {name} {offset_ms} ms into an epoch");
+        let mut bed = monitoring_bed(40, 2004);
+        let (agg_origin, join_origin) = (bed.nodes()[1], bed.nodes()[2]);
+        let agg = bed.submit_sql(agg_origin, AGG).unwrap();
+        let join = bed.submit_sql(join_origin, join_sql).unwrap();
+        // `offset_ms` past the fifth epoch boundary after submission.
+        let period = 5_000_000;
+        let stop_at = (bed.now().as_micros() / period + 5) * period + offset_ms * 1_000;
+        bed.run_until(SimTime::from_micros(stop_at));
+        let (origin, stopped) = if stop_agg { (agg_origin, agg) } else { (join_origin, join) };
+        bed.stop_query(origin, stopped);
+        bed.run_for(Duration::from_secs(8));
+
+        let mut sum = OpTrace::default();
+        for &addr in bed.nodes() {
+            let node = bed.node(addr).unwrap();
+            for trace in [agg, join].iter().filter_map(|&id| node.query_trace(id)) {
+                sum.merge(trace);
+            }
+        }
+        assert!(sum.partials_sent > 0 && sum.finalized_on_completion > 0, "{what}");
+        assert!(sum.tuples_shipped > 0 && sum.join_matches > 0, "{what}");
+        assert_totals_are_trace_sums(&sum, &bed.engine_totals(), &what);
+    }
+}
+
+#[test]
+fn a_stop_keeps_what_a_node_relayed_before_the_plan_reached_it() {
+    // The origin's predecessor restarts just after the query went out, so
+    // it has no plan until the origin re-disseminates it at its third epoch
+    // boundary.  Meanwhile it relays the partials climbing through it, and
+    // counts them in its relay trace.  A stop before the plan arrives folds
+    // that trace into the node's own counters instead of dropping it.
+    let mut bed = monitoring_bed(40, 2004);
+    let origin = bed.nodes()[1];
+    let relay = bed.node(origin).unwrap().dht.predecessor().unwrap().addr;
+    bed.kill_node(relay);
+    let id = bed
+        .submit_sql(
+            origin,
+            "SELECT COUNT(*) AS n FROM netstats CONTINUOUS EVERY 5 SECONDS WINDOW 600 SECONDS",
+        )
+        .unwrap();
+    bed.run_for(Duration::from_millis(500));
+    bed.restart_node(relay);
+    bed.run_until(SimTime::from_secs(41));
+
+    let before = bed.node(relay).unwrap().stats();
+    assert!(bed.node(relay).unwrap().query_trace(id).is_none(), "the plan arrived too early");
+    assert!(before.partials_sent > 0, "no partial climbed through the restarted node");
+    bed.stop_query(origin, id);
+    bed.run_for(Duration::from_secs(2));
+    let after = bed.node(relay).unwrap().stats();
+    assert_eq!(after.partials_sent, before.partials_sent);
+    assert_eq!(after.messages_sent, before.messages_sent);
+    assert_eq!(after.bytes_shipped, before.bytes_shipped);
 }
 
 #[test]

@@ -201,12 +201,11 @@ fn stats_driven_flip_replans_mid_flight_with_identical_epoch_results() {
 fn departed_node_summaries_expire_after_ttl_of_missed_epochs() {
     // A node holding the lion's share of a table crashes permanently.  Its
     // last gossiped summary keeps circulating among the survivors, but no
-    // fresher sequence number ever arrives — so after
-    // `stats_ttl_intervals` gossip rounds every survivor evicts the entry
-    // and the catalogs stop counting the departed node's tuples.
+    // fresher sequence number ever arrives — so after eight gossip rounds
+    // (16 s of virtual time) every survivor evicts the entry and the
+    // catalogs stop counting the departed node's tuples.
     let nodes = 10;
-    let mut pier = auto_stats_config(2_000);
-    pier.stats_ttl_intervals = 4; // 8s of virtual time
+    let pier = auto_stats_config(2_000);
     let mut bed = PierTestbed::new(TestbedConfig { nodes, seed: 1611, pier, ..Default::default() });
     let readings = TableDef::new(
         "readings",
