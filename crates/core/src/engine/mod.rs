@@ -168,9 +168,9 @@ struct RunningQuery {
 }
 
 impl RunningQuery {
-    fn new(spec: QuerySpec) -> Self {
+    fn new(spec: Rc<QuerySpec>) -> Self {
         RunningQuery {
-            spec: Rc::new(spec),
+            spec,
             epoch: 0,
             trace: OpTrace::default(),
             pending_spec: None,
@@ -513,7 +513,7 @@ impl PierNode {
         let spec = QuerySpec { id, kind, output_names, continuous };
         self.results.insert(id, QueryResults::new(spec.clone()));
         // Disseminate to every node (including ourselves, which installs it).
-        self.dht.broadcast(ctx, PierPayload::Query(spec));
+        self.dht.broadcast(ctx, PierPayload::Query(Rc::new(spec)));
         self.process_upcalls(ctx);
         Ok(id)
     }
@@ -558,7 +558,7 @@ impl PierNode {
                     Upcall::GetResult { req_id, items, .. } => {
                         self.on_get_result(ctx, req_id, items)
                     }
-                    Upcall::NewItem { .. } | Upcall::Joined | Upcall::LookupResult { .. } => {}
+                    Upcall::Joined | Upcall::LookupResult { .. } => {}
                 }
             }
         }
@@ -671,7 +671,7 @@ impl PierNode {
     // Query installation & epochs
     // ------------------------------------------------------------------
 
-    fn install_query(&mut self, ctx: &mut Ctx<'_>, spec: QuerySpec) {
+    fn install_query(&mut self, ctx: &mut Ctx<'_>, spec: Rc<QuerySpec>) {
         let id = spec.id;
         if self.is_stopped(id, ctx.now()) {
             // A plan broadcast the stop overtook.
@@ -683,7 +683,7 @@ impl PierNode {
             // this node's next epoch evaluation so no single node-epoch mixes
             // strategies.  A matching spec clears any staged one — the origin
             // may have reverted a re-plan before this node ever applied it.
-            q.pending_spec = (q.spec.kind != spec.kind).then(|| Rc::new(spec));
+            q.pending_spec = (q.spec.kind != spec.kind).then_some(spec);
             return;
         }
         let continuous = spec.continuous;
@@ -752,7 +752,7 @@ impl PierNode {
         // plan every few epochs so nodes that joined (or rejoined after a
         // failure) start participating.
         if spec.origin() == self.addr && evaluations % 3 == 0 {
-            self.dht.broadcast(ctx, PierPayload::Query((*spec).clone()));
+            self.dht.broadcast(ctx, PierPayload::Query(spec));
         }
         self.run_epoch(ctx, id);
         let delay = epoch_align_delay(ctx.now(), &c);

@@ -59,13 +59,17 @@ impl PierNode {
     }
 
     /// Answer an `EXPLAIN ANALYZE` trace request: merge locally at the
-    /// origin, report directly otherwise.  Observability traffic is *not*
+    /// origin, report directly otherwise.  A node the plan has not reached
+    /// yet answers with what it relayed.  Observability traffic is *not*
     /// counted in the query-path counters it measures.
     pub(super) fn answer_trace_request(&mut self, ctx: &mut Ctx<'_>, id: QueryId) {
-        let Some(trace) = self.query_trace(id).cloned() else { return };
+        let Some(trace) = self.query_trace(id).or_else(|| self.relayed.get(&id)).cloned() else {
+            return;
+        };
         if id.origin() == self.addr {
             self.merge_trace_report(id, &trace);
         } else {
+            let trace = Box::new(trace);
             let payload = PierPayload::TraceReport { query: id, node: self.addr, trace };
             self.dht.send_direct(ctx, id.origin(), payload);
         }
@@ -213,13 +217,13 @@ impl PierNode {
                 .switches
                 .push(format!("epoch {epoch}: feedback: trace-corrected {old} -> {new}"));
         }
-        let spec = QuerySpec {
+        let spec = Rc::new(QuerySpec {
             id,
             kind: planned.kind,
             output_names: planned.output_names,
             continuous: q.spec.continuous,
-        };
-        q.pending_spec = Some(Rc::new(spec.clone()));
+        });
+        q.pending_spec = Some(spec.clone());
         self.dht.broadcast(ctx, PierPayload::Query(spec));
         self.process_upcalls(ctx);
         true

@@ -90,11 +90,8 @@ impl PierNode {
     // Publishing
     // ------------------------------------------------------------------
 
-    fn table_def(&self, table: &str) -> Result<TableDef, PierError> {
-        self.catalog
-            .get(table)
-            .cloned()
-            .ok_or_else(|| PierError::new(format!("unknown table '{table}'")))
+    fn table_def(&self, table: &str) -> Result<&TableDef, PierError> {
+        self.catalog.get(table).ok_or_else(|| PierError::new(format!("unknown table '{table}'")))
     }
 
     /// A fresh instance id for a published item: unique per (node, publish).
@@ -125,13 +122,13 @@ impl PierNode {
         tuples: Vec<Tuple>,
     ) -> Result<(), PierError> {
         let def = self.table_def(table)?;
+        let (name, ttl) = (def.name.clone(), def.ttl);
         let groups = group_by_key(tuples.into_iter().map(|t| (def.resource_of(&t), t)));
         let mut items = Vec::new();
         let mut wire = OpTrace::default();
         for (resource, group) in groups {
             for chunk in group.chunks(BATCH_MAX) {
-                let key =
-                    ResourceKey::new(def.name.clone(), resource.clone(), self.next_instance());
+                let key = ResourceKey::new(name.clone(), resource.clone(), self.next_instance());
                 let payload = if chunk.len() == 1 {
                     PierPayload::Tuple(chunk[0].clone())
                 } else {
@@ -139,7 +136,7 @@ impl PierNode {
                 };
                 self.stats.tuples_published += chunk.len() as u64;
                 charge(&mut wire, &payload, 0);
-                items.push((key, payload, def.ttl));
+                items.push((key, payload, ttl));
             }
         }
         wire.messages_sent = self.dht.put_batch(ctx, items) as u64;
@@ -158,8 +155,9 @@ impl PierNode {
         tuple: Tuple,
     ) -> Result<(), PierError> {
         let def = self.table_def(table)?;
-        let key = ResourceKey::new(def.name.clone(), def.resource_of(&tuple), self.next_instance());
-        self.dht.local_put(now, key, PierPayload::Tuple(tuple), def.ttl);
+        let (name, resource, ttl) = (def.name.clone(), def.resource_of(&tuple), def.ttl);
+        let key = ResourceKey::new(name, resource, self.next_instance());
+        self.dht.local_put(now, key, PierPayload::Tuple(tuple), ttl);
         self.stats.tuples_published += 1;
         Ok(())
     }

@@ -16,12 +16,15 @@ use crate::trace::OpTrace;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use pier_simnet::{NodeAddr, WireSize};
+use std::rc::Rc;
 
 /// Application-level message / stored value.
 ///
-/// Variant sizes differ wildly (a disseminated `QuerySpec` vs a stop token);
-/// payloads are moved, not stored in bulk, so boxing would only add churn.
-#[allow(clippy::large_enum_variant)]
+/// Every stored item and every queued message holds one, so its size is paid
+/// per tuple and per hop.  The two rare, large variants therefore hold their
+/// contents behind a pointer: a disseminated plan (sent once per broadcast,
+/// shared by every node that installs it) and an `EXPLAIN ANALYZE` trace
+/// report.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PierPayload {
     /// A base-table tuple stored in the DHT.
@@ -33,8 +36,9 @@ pub enum PierPayload {
     /// [`PierPayload::tuples`].  The block carries its wire encoding (plain
     /// row-major or compressed columnar) and sizes itself accordingly.
     TupleBatch(TupleBlock),
-    /// A query plan being disseminated to all nodes.
-    Query(QuerySpec),
+    /// A query plan being disseminated to all nodes.  Every node adopts the
+    /// origin's shared spec as its running plan.
+    Query(Rc<QuerySpec>),
     /// Tear down a (continuous) query everywhere.
     StopQuery(QueryId),
     /// Partial aggregation state climbing toward the query origin, every
@@ -146,7 +150,7 @@ pub enum PierPayload {
         /// The reporting node.
         node: NodeAddr,
         /// Its producer-side counters for the query.
-        trace: OpTrace,
+        trace: Box<OpTrace>,
     },
     /// Automatic-statistics gossip: the sender's entire epoch-stamped view of
     /// per-node table summaries, pushed to a ring neighbour (anti-entropy).
@@ -347,6 +351,14 @@ mod tests {
             combined: false,
         };
         assert!(bloom.wire_size() > 64 * 8);
+    }
+
+    #[test]
+    fn payloads_and_messages_stay_small() {
+        // Every stored item and queued message holds a payload; a variant
+        // outgrowing these bounds belongs behind a pointer.
+        assert!(std::mem::size_of::<PierPayload>() <= 128);
+        assert!(std::mem::size_of::<crate::engine::PierMsg>() <= 256);
     }
 
     #[test]

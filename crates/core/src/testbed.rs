@@ -247,11 +247,10 @@ impl PierTestbed {
     /// Re-register every known table definition on a node whose catalog lost
     /// them (e.g. because churn restarted it with fresh state).
     fn ensure_tables(&mut self, addr: NodeAddr) {
-        let defs = self.table_defs.clone();
         if let Some(node) = self.sim.node_mut(addr) {
-            for def in defs {
+            for def in &self.table_defs {
                 if node.catalog().get(&def.name).is_none() {
-                    node.create_table(def);
+                    node.create_table(def.clone());
                 }
             }
         }
@@ -301,9 +300,8 @@ impl PierTestbed {
     pub fn publish_local(&mut self, at: NodeAddr, table: &str, tuple: Tuple) {
         self.ensure_tables(at);
         let now = self.sim.now();
-        let table = table.to_string();
         if let Some(node) = self.sim.node_mut(at) {
-            node.publish_local(now, &table, tuple).expect("publish_local failed");
+            node.publish_local(now, table, tuple).expect("publish_local failed");
         }
     }
 

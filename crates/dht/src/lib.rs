@@ -12,7 +12,7 @@
 //!   triples, with TTL expiry and local scans ([`storage`], [`key`]);
 //! * a recursive broadcast used for query dissemination;
 //! * the application API PIER programs against: `put`, `get`, `send_to_key`,
-//!   `send_direct`, `lscan`, `broadcast`, plus `newData`-style upcalls
+//!   `send_direct`, `lscan`, `broadcast`, plus upcalls for what arrives
 //!   ([`messages::Upcall`]).
 //!
 //! The crate is transport-agnostic: all I/O goes through the deterministic

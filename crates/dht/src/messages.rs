@@ -290,6 +290,8 @@ impl<P: WireSize> WireSize for DhtMsg<P> {
 }
 
 /// Events the DHT reports to the application layered on top of it (PIER).
+/// Storing an item reports nothing: PIER reads stored items through local
+/// scans and `get`s, never one by one as they arrive.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Upcall<P> {
     /// This node has successfully joined the ring.
@@ -301,13 +303,6 @@ pub enum Upcall<P> {
         key: ResourceKey,
         /// The payload.
         payload: P,
-    },
-    /// A new item was stored locally (PIER's `newData` callback).
-    NewItem {
-        /// The stored item's key.
-        key: ResourceKey,
-        /// The stored item's value.
-        value: P,
     },
     /// The answer to an earlier `get`.
     GetResult {

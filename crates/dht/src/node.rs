@@ -406,10 +406,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
     /// belongs to this node, not to its key's owner, so hand-off leaves it
     /// here.
     pub fn local_put(&mut self, now: SimTime, key: ResourceKey, value: P, ttl: Duration) {
-        let is_new = self.store.put_local(key.clone(), value.clone(), now, ttl);
-        if is_new {
-            self.upcalls.push(Upcall::NewItem { key, value });
-        }
+        self.store.put_local(key, value, now, ttl);
     }
 
     // ------------------------------------------------------------------
@@ -449,15 +446,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
             DhtMsg::Handoff { items } => {
                 let now = ctx.now();
                 for item in items {
-                    let is_new = self.store.put(
-                        item.key.clone(),
-                        item.value.clone(),
-                        now,
-                        Duration::from_micros(item.ttl_us),
-                    );
-                    if is_new {
-                        self.upcalls.push(Upcall::NewItem { key: item.key, value: item.value });
-                    }
+                    self.store.put(item.key, item.value, now, Duration::from_micros(item.ttl_us));
                 }
             }
             DhtMsg::GetReply { req_id, key, items } => {
@@ -638,12 +627,8 @@ impl<P: Clone + WireSize> DhtNode<P> {
         self.stats.delivery_hops += hops as u64;
         match body {
             RouteBody::Put { item } => {
-                let now = ctx.now();
                 let ttl = Duration::from_micros(item.ttl_us);
-                let is_new = self.store.put(item.key.clone(), item.value.clone(), now, ttl);
-                if is_new {
-                    self.upcalls.push(Upcall::NewItem { key: item.key, value: item.value });
-                }
+                self.store.put(item.key, item.value, ctx.now(), ttl);
             }
             RouteBody::Get { key, req_id, origin, since } => {
                 let now = ctx.now();
@@ -1036,15 +1021,19 @@ mod tests {
         n.local_put(SimTime::ZERO, ResourceKey::new("t", "b", 0), 43, ttl);
         let items = n.lscan("t", SimTime::from_secs(1));
         assert_eq!(items.len(), 2);
-        let ups = n.take_upcalls();
-        assert_eq!(ups.iter().filter(|u| matches!(u, Upcall::NewItem { .. })).count(), 2);
-        // Renewal does not produce a second NewItem upcall.
-        n.local_put(SimTime::from_secs(1), ResourceKey::new("t", "a", 0), 42, ttl);
+        // A renewal replaces the item in place.
+        n.local_put(SimTime::from_secs(1), ResourceKey::new("t", "a", 0), 44, ttl);
+        let items = n.lscan("t", SimTime::from_secs(1));
+        assert_eq!(
+            items,
+            vec![(ResourceKey::new("t", "a", 0), 44), (ResourceKey::new("t", "b", 0), 43)]
+        );
+        // Storing is silent: nothing above the DHT reads a per-item upcall.
         assert!(n.take_upcalls().is_empty());
     }
 
     #[test]
-    fn deliver_put_stores_and_upcalls() {
+    fn deliver_put_stores_without_an_upcall() {
         let mut n = DhtNode::<u64>::new(NodeAddr(0), DhtConfig::fast_test(), None);
         with_ctx(0, |ctx| n.start(ctx));
         n.take_upcalls();
@@ -1063,8 +1052,8 @@ mod tests {
             );
         });
         assert_eq!(n.store_len(), 1);
-        let ups = n.take_upcalls();
-        assert!(matches!(&ups[0], Upcall::NewItem { key: k, value: 11 } if *k == key));
+        assert_eq!(n.lscan("t", SimTime::from_secs(1)), vec![(key, 11)]);
+        assert!(n.take_upcalls().is_empty());
         assert_eq!(n.stats().deliveries, 1);
         assert_eq!(n.stats().delivery_hops, 2);
     }

@@ -84,7 +84,11 @@ impl<V: Clone> SoftStateStore<V> {
     }
 
     fn insert(&mut self, item: Item<V>) -> bool {
-        let ns = self.namespaces.entry(item.key.namespace.clone()).or_default();
+        // Allocate the namespace's name only the first time it is stored.
+        let ns = match self.namespaces.get_mut(&item.key.namespace) {
+            Some(ns) => ns,
+            None => self.namespaces.entry(item.key.namespace.clone()).or_default(),
+        };
         let existed = ns.insert((item.key.resource.clone(), item.key.instance), item).is_some();
         if !existed {
             self.item_count += 1;

@@ -14,7 +14,7 @@ use crate::metrics::Metrics;
 use crate::node::{Action, Context, Node, NodeAddr, TimerId, WireSize};
 use crate::rng::DetRng;
 use crate::time::{Duration, SimTime};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Static configuration of a simulation run.
@@ -55,30 +55,6 @@ enum EventKind<M> {
     NodeUp { node: NodeAddr },
 }
 
-struct Event<M> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so earliest event pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 struct NodeSlot<N> {
     handler: N,
     rng: DetRng,
@@ -91,7 +67,17 @@ pub struct Simulation<N: Node> {
     config: SimConfig,
     factory: Box<dyn FnMut(NodeAddr) -> N>,
     nodes: Vec<NodeSlot<N>>,
-    queue: BinaryHeap<Event<N::Msg>>,
+    /// Pending events' `(at, seq, slot)` keys, earliest first.  `seq` is
+    /// unique, so `(at, seq)` alone fixes the dispatch order.
+    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// The queued events themselves, each in the slot its key names, so a
+    /// heap sift moves 24-byte keys, never messages.  A popped event's slot
+    /// goes on `free_slots` for the next push.
+    events: Vec<Option<EventKind<N::Msg>>>,
+    free_slots: Vec<usize>,
+    /// The actions buffer lent to each handler's [`Context`], reused across
+    /// calls.
+    actions: Vec<Action<N::Msg>>,
     cancelled_timers: HashSet<u64>,
     partitions: PartitionSet,
     now: SimTime,
@@ -111,6 +97,9 @@ impl<N: Node> Simulation<N> {
             factory: Box::new(factory),
             nodes: Vec::new(),
             queue: BinaryHeap::new(),
+            events: Vec::new(),
+            free_slots: Vec::new(),
+            actions: Vec::new(),
             cancelled_timers: HashSet::new(),
             partitions: PartitionSet::none(),
             now: SimTime::ZERO,
@@ -211,7 +200,7 @@ impl<N: Node> Simulation<N> {
             addr,
             now,
             rng: &mut slot.rng,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             next_timer_id: &mut self.next_timer_id,
         };
         let out = f(&mut slot.handler, &mut ctx);
@@ -276,13 +265,15 @@ impl<N: Node> Simulation<N> {
             if self.config.max_events_per_run > 0 && processed >= self.config.max_events_per_run {
                 break;
             }
-            let Some(head) = self.queue.peek() else { break };
-            if head.at > deadline {
+            let Some(&Reverse((at, _, slot))) = self.queue.peek() else { break };
+            if at > deadline {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked event must pop");
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev);
+            self.queue.pop();
+            let kind = self.events[slot].take().expect("a queued key's slot holds its event");
+            self.free_slots.push(slot);
+            self.now = self.now.max(at);
+            self.dispatch(kind);
             processed += 1;
         }
         // Even if nothing was pending, time advances to the deadline.
@@ -306,11 +297,21 @@ impl<N: Node> Simulation<N> {
     fn push_event(&mut self, at: SimTime, kind: EventKind<N::Msg>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { at, seq, kind });
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.events[slot] = Some(kind);
+                slot
+            }
+            None => {
+                self.events.push(Some(kind));
+                self.events.len() - 1
+            }
+        };
+        self.queue.push(Reverse((at, seq, slot)));
     }
 
-    fn dispatch(&mut self, ev: Event<N::Msg>) {
-        match ev.kind {
+    fn dispatch(&mut self, kind: EventKind<N::Msg>) {
+        match kind {
             EventKind::Deliver { from, to, msg, sent_at, bytes } => {
                 if !self.is_alive(to) {
                     self.metrics.on_drop_dead();
@@ -351,7 +352,7 @@ impl<N: Node> Simulation<N> {
             addr,
             now,
             rng: &mut slot.rng,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             next_timer_id: &mut self.next_timer_id,
         };
         match call {
@@ -364,8 +365,10 @@ impl<N: Node> Simulation<N> {
         self.apply_actions(addr, actions);
     }
 
-    fn apply_actions(&mut self, from: NodeAddr, actions: Vec<Action<N::Msg>>) {
-        for action in actions {
+    /// Apply a handler's actions, then keep the emptied buffer for the next
+    /// handler call.
+    fn apply_actions(&mut self, from: NodeAddr, mut actions: Vec<Action<N::Msg>>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     let bytes = msg.wire_size();
@@ -393,6 +396,7 @@ impl<N: Node> Simulation<N> {
                 }
             }
         }
+        self.actions = actions;
     }
 }
 
@@ -616,6 +620,77 @@ mod tests {
         // Invoking a dead node returns None.
         sim.kill_node(NodeAddr(1));
         assert_eq!(sim.invoke(NodeAddr(1), |_n, _c| 1), None);
+    }
+
+    /// Logs every message and timer it handles, in dispatch order.
+    struct LogNode {
+        log: Vec<(u64, char, u64)>,
+    }
+
+    impl Node for LogNode {
+        type Msg = u64;
+
+        fn on_message(&mut self, ctx: &mut Context<u64>, _from: NodeAddr, msg: u64) {
+            self.log.push((ctx.now().as_millis(), 'm', msg));
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<u64>, token: u64) {
+            self.log.push((ctx.now().as_millis(), 't', token));
+            if token == 101 {
+                // Queued behind everything already due now, into a slot an
+                // event of this instant just freed.
+                ctx.set_timer(Duration::ZERO, 104);
+            }
+        }
+    }
+
+    #[test]
+    fn same_instant_events_dispatch_in_queue_order_through_reused_slots() {
+        let mut sim = Simulation::new(
+            SimConfig {
+                seed: 13,
+                latency: LatencyModel::Constant(Duration::from_millis(10)),
+                ..Default::default()
+            },
+            |_| LogNode { log: Vec::new() },
+        );
+        let me = sim.add_node();
+        let mut peak = 0;
+        // Eight events due at 10 ms fill eight slots, and free them all.
+        sim.invoke(me, |_, ctx| {
+            for n in 0..5 {
+                ctx.send(me, n);
+                if n < 3 {
+                    ctx.set_timer(Duration::from_millis(10), n);
+                }
+            }
+        });
+        peak = peak.max(sim.pending_events());
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(sim.pending_events(), 0);
+        // Seven more due at 30 ms take freed slots in the free list's order,
+        // not in the order they were queued; one timer is cancelled.
+        sim.invoke(me, |_, ctx| {
+            ctx.send(me, 1);
+            ctx.set_timer(Duration::from_millis(10), 101);
+            ctx.send(me, 2);
+            let cancelled = ctx.set_timer(Duration::from_millis(10), 102);
+            ctx.send(me, 3);
+            ctx.set_timer(Duration::from_millis(10), 103);
+            ctx.cancel_timer(cancelled);
+            ctx.send(me, 4);
+        });
+        peak = peak.max(sim.pending_events());
+        sim.run_until(SimTime::from_millis(40));
+        let log = &sim.node(me).unwrap().log;
+        let at_30: Vec<(char, u64)> =
+            log.iter().filter(|(at, ..)| *at == 30).map(|&(_, kind, n)| (kind, n)).collect();
+        let expected = [('m', 1), ('t', 101), ('m', 2), ('m', 3), ('t', 103), ('m', 4), ('t', 104)];
+        assert_eq!(at_30, expected);
+        assert_eq!(log.len(), 8 + expected.len());
+        assert_eq!(sim.metrics().timers_cancelled(), 1);
+        assert_eq!(peak, 8);
+        assert_eq!(sim.events.len(), peak, "slots grew past the queue's peak");
     }
 
     #[test]

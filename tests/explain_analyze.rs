@@ -245,13 +245,12 @@ fn two_concurrent_queries_reconcile_with_engine_totals() {
     }
 }
 
-#[test]
-fn a_stop_keeps_what_a_node_relayed_before_the_plan_reached_it() {
-    // The origin's predecessor restarts just after the query went out, so
-    // it has no plan until the origin re-disseminates it at its third epoch
-    // boundary.  Meanwhile it relays the partials climbing through it, and
-    // counts them in its relay trace.  A stop before the plan arrives folds
-    // that trace into the node's own counters instead of dropping it.
+/// The origin's predecessor restarts just after a continuous count goes
+/// out, so it has no plan until the origin re-disseminates it at its third
+/// epoch boundary.  Meanwhile it relays the partials climbing through it,
+/// and counts them in its relay trace.  Returns the bed, the origin, the
+/// restarted node and the query.
+fn restarted_relay() -> (PierTestbed, NodeAddr, NodeAddr, QueryId) {
     let mut bed = monitoring_bed(40, 2004);
     let origin = bed.nodes()[1];
     let relay = bed.node(origin).unwrap().dht.predecessor().unwrap().addr;
@@ -264,6 +263,14 @@ fn a_stop_keeps_what_a_node_relayed_before_the_plan_reached_it() {
         .unwrap();
     bed.run_for(Duration::from_millis(500));
     bed.restart_node(relay);
+    (bed, origin, relay, id)
+}
+
+#[test]
+fn a_stop_keeps_what_a_node_relayed_before_the_plan_reached_it() {
+    // A stop before the plan arrives folds the relay trace into the node's
+    // own counters instead of dropping it.
+    let (mut bed, origin, relay, id) = restarted_relay();
     bed.run_until(SimTime::from_secs(41));
 
     let before = bed.node(relay).unwrap().stats();
@@ -275,6 +282,25 @@ fn a_stop_keeps_what_a_node_relayed_before_the_plan_reached_it() {
     assert_eq!(after.partials_sent, before.partials_sent);
     assert_eq!(after.messages_sent, before.messages_sent);
     assert_eq!(after.bytes_shipped, before.bytes_shipped);
+}
+
+#[test]
+fn a_trace_request_counts_what_a_node_relayed_before_the_plan_reached_it() {
+    // Asked for its trace while it still has no plan, the restarted node
+    // answers with its relay trace, so the network-wide trace reconciles
+    // with the engine totals between two epochs.
+    let (mut bed, origin, relay, id) = restarted_relay();
+    bed.run_until(SimTime::from_millis(42_500));
+
+    assert!(bed.node(relay).unwrap().query_trace(id).is_none(), "the plan arrived too early");
+    assert!(bed.node(relay).unwrap().stats().partials_sent > 0, "nothing was relayed");
+    bed.sim().invoke(origin, move |node, ctx| node.request_traces(ctx, id));
+    bed.run_until(SimTime::from_secs(44));
+    let totals = bed.engine_totals();
+    let (_, trace) = bed.node(origin).unwrap().collected_trace(id).unwrap();
+    assert_eq!(trace.partials_sent, totals.partials_sent);
+    assert_eq!(trace.messages_sent, totals.messages_sent);
+    assert_eq!(trace.bytes_shipped, totals.bytes_shipped);
 }
 
 #[test]
