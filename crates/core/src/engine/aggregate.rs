@@ -1,7 +1,7 @@
 //! Aggregation layer: local folds, the in-network partial climb toward the
-//! query origin, which is every aggregate's root, finalization there,
-//! epoch-count windows with their late-data policy, and `HAVING`-triggered
-//! alerts.
+//! query origin, which is every aggregate's root, finalization there into
+//! epoch-count windows (a plain aggregate's window is its epoch), late-data
+//! patching, and `HAVING`-triggered alerts.
 //!
 //! Completion, not a timer, closes the epochs of continuous aggregates.
 //!
@@ -34,7 +34,7 @@
 //! scan — the timer decides.
 
 use super::flush::charge;
-use super::{Ctx, PierNode, TimerPurpose, WindowLatePolicy};
+use super::{Ctx, PierNode, TimerPurpose};
 use crate::aggregate::AggState;
 use crate::dataflow::ops::{sort_tuples, GroupAggregator, GroupKey};
 use crate::expr::Expr;
@@ -48,8 +48,8 @@ use pier_simnet::{Duration, NodeAddr, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// How many closed windows' worth of state the root retains for late-data
-/// patching under [`WindowLatePolicy::Patch`]; late partials for windows
-/// older than this many slides behind the newest close degrade to `Drop`.
+/// patching: a late partial for a window more than this many slides behind
+/// the newest closed one is dropped and counted.
 const WINDOW_PATCH_RETAIN: u64 = 4;
 
 /// How many recent epochs' forwarded-contributor counts a hop keeps: the
@@ -95,6 +95,13 @@ impl Pending {
     fn new(merged: Merged, now: SimTime) -> Self {
         Pending { merged, credit: Credit::NONE, grew: now, holddown: None }
     }
+}
+
+/// One window at the root: the merged states of the finalized epochs it
+/// covers, late partials included, and whether it has been reported.
+struct Window {
+    merged: Merged,
+    closed: bool,
 }
 
 /// The aggregation root's accumulation for one epoch, removed at finalize.
@@ -152,23 +159,21 @@ pub(super) struct AggQuery {
     root: HashMap<u64, RootEpoch>,
     /// Epochs this node has already finalized as the aggregation root, with
     /// what they recorded for the next epoch's completion rule.  Late
-    /// partials for these epochs add to that record; their groups are
-    /// discarded rather than double-reported.
+    /// partials for these epochs add to that record, and their groups patch
+    /// the epoch's windows.
     finalized: HashMap<u64, Finalized>,
     /// The first epoch whose count the completion rule trusts.  Nodes apply
     /// a re-planned spec up to an epoch apart, so the epochs around a swap
     /// mix plans and their counts mean nothing for the next.
     expect_from: u64,
-    /// Windowed aggregates, root side: per-window merged group states (each
-    /// finalized epoch's accumulator folded into every window covering it)
-    /// and the best per-epoch contributor count among them.
-    windows: HashMap<u64, Merged>,
+    /// Root side: per-window merged group states (each finalized epoch's
+    /// accumulator folded into every window covering it) and the best
+    /// per-epoch contributor count among them.  Open windows, and closed
+    /// ones from the [`horizon`](Self::horizon) on, which late partials
+    /// patch; a plain aggregate's window is its epoch ([`result_windows`]).
+    windows: HashMap<u64, Window>,
     /// Highest epoch this root has finalized — the window-close watermark.
     watermark: Option<u64>,
-    /// Windows already closed and reported.  Under
-    /// [`WindowLatePolicy::Patch`] late data re-opens them transiently (the
-    /// corrected window is re-emitted); under `Drop` it is discarded.
-    closed: HashSet<u64>,
     /// Epochs for which this node already counted itself as a contributor
     /// (aggregates over joins produce partials incrementally as matches
     /// arrive, so the first batch of an epoch counts the node).
@@ -194,6 +199,21 @@ impl AggQuery {
     pub(super) fn spec_swapped(&mut self, epoch: u64) {
         self.expect_from = epoch + 1;
     }
+
+    /// The oldest window the root still holds: windows more than
+    /// [`WINDOW_PATCH_RETAIN`] slides behind the newest one the watermark
+    /// has closed are freed, and late data for them is dropped.
+    fn horizon(&self, wspec: WindowSpec) -> u64 {
+        let closable = self.watermark.and_then(|m| (m + 1).checked_sub(u64::from(wspec.size)));
+        closable.map_or(0, |c| (c / u64::from(wspec.slide)).saturating_sub(WINDOW_PATCH_RETAIN))
+    }
+}
+
+/// The windows an aggregate's epochs close into at the origin: the declared
+/// window, or one epoch each for a plain aggregate, so every aggregate
+/// finalizes, reports and patches late data the same way.
+fn result_windows(spec: &QuerySpec) -> WindowSpec {
+    spec.kind.window_spec().unwrap_or(WindowSpec::tumbling(1))
 }
 
 /// Do contributor counts close this query's epochs?  A continuous
@@ -469,10 +489,11 @@ impl PierNode {
         self.forward_partials(ctx, id, epoch);
     }
 
-    /// A partial for an epoch the root already finalized.  Plain continuous
-    /// queries drop its groups (best-effort soft state, as in PIER) and
-    /// count it; windowed queries judge lateness per covering window, and
-    /// the configured policy decides what happens to already-closed ones.
+    /// A partial for an epoch the root already finalized.  Its groups join
+    /// every window covering the epoch: an open window reports them when it
+    /// closes, a closed one is patched and re-emitted, and one past the
+    /// [`horizon`](AggQuery::horizon) is gone, so the partial is dropped and
+    /// counted.
     fn absorb_late(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -481,45 +502,26 @@ impl PierNode {
         groups: Partials,
         contributors: u64,
     ) {
-        let policy = self.config.window_late_policy;
         let Some(q) = self.queries.get_mut(&id) else { return };
-        let Some(wspec) = q.spec.kind.window_spec() else {
-            q.trace.late_partials_dropped += 1;
-            return;
-        };
-        let Some(parts) = q.spec.kind.partial_agg_parts() else { return };
         let mut dropped = false;
         let mut reemit: Vec<u64> = Vec::new();
-        for w in wspec.windows_of(epoch) {
-            if q.agg.closed.contains(&w) {
-                match (policy, q.agg.windows.get_mut(&w)) {
-                    (WindowLatePolicy::Patch, Some(win)) => {
-                        // The late subtree never made it into the epoch's
-                        // contributor total, so it adds here.
-                        win.absorb(groups.clone(), contributors);
+        for w in result_windows(&q.spec).windows_of(epoch) {
+            match q.agg.windows.get_mut(&w) {
+                Some(win) => {
+                    // The late subtree never made it into the epoch's
+                    // contributor total, so it adds here.
+                    win.merged.absorb(groups.clone(), contributors);
+                    if win.closed {
                         reemit.push(w);
                     }
-                    // Drop policy, or Patch past its retention horizon: the
-                    // window's state is gone.
-                    _ => dropped = true,
                 }
-            } else {
-                // The window is still open — the data is not late for *it*.
-                // Fold it in; the window reports it when the watermark
-                // closes it.
-                q.agg
-                    .windows
-                    .entry(w)
-                    .or_insert_with(|| Merged::new(parts))
-                    .absorb(groups.clone(), contributors);
+                None => dropped = true,
             }
         }
-        if dropped {
-            q.trace.window_late_dropped += 1;
-        }
-        q.trace.window_late_patched += reemit.len() as u64;
+        q.trace.late_dropped += u64::from(dropped);
+        q.trace.late_patched += reemit.len() as u64;
         for w in reemit {
-            self.emit_window(ctx, id, w, true);
+            self.emit_window(ctx, id, w);
         }
     }
 
@@ -628,57 +630,36 @@ impl PierNode {
         } else {
             q.trace.finalized_on_timer += 1;
         }
-        let spec = q.spec.clone();
         let Merged { acc, contributors } = root.merged;
         self.check_complete(ctx, id, epoch + 1);
-
-        if let Some(wspec) = spec.kind.window_spec() {
-            // Windowed aggregate: the epoch's merged state is not reported
-            // on its own — it is folded into every window covering it, and
-            // whole windows are reported when the watermark closes them.
-            self.fold_epoch_into_windows(ctx, id, epoch, acc, contributors, wspec);
-            return;
-        }
-        // Both aggregation shapes finalize here: the classic single-table
-        // aggregate, and the hierarchical aggregate terminating a join.
-        let Some(finish) = spec.kind.agg_finish() else { return };
-        let (rows, _) = having_top_k(&finish, acc.finalize(), false);
-        self.report(id, epoch, rows, contributors, false);
+        self.fold_epoch_into_windows(ctx, id, epoch, acc, contributors);
     }
 
-    /// Store one finalized epoch's (or closed window's) rows and
-    /// contributor count in the origin's results, replacing the window's
-    /// earlier report when `retract` re-emits a patched one.  Rows are kept
-    /// pre-projection (hidden aggregates included) so the results can
-    /// re-sort on any ORDER BY key; they are projected when read.
-    fn report(
-        &mut self,
-        id: QueryId,
-        epoch: u64,
-        rows: Vec<Tuple>,
-        contributors: u64,
-        retract: bool,
-    ) {
+    /// Store one closed window's rows and contributor count in the origin's
+    /// results, replacing an earlier report of the window, and count the
+    /// rows by how many more (or fewer) the origin now stores for it.  Rows
+    /// are kept pre-projection (hidden aggregates included) so the results
+    /// can re-sort on any ORDER BY key; they are projected when read.
+    fn report(&mut self, id: QueryId, window: u64, rows: Vec<Tuple>, contributors: u64) {
         let n = rows.len() as u64;
-        if let Some(q) = self.queries.get_mut(&id) {
-            q.trace.results_sent += n;
-            if n > 0 {
-                *q.trace.epoch_rows.entry(epoch).or_insert(0) += n;
-            }
-        }
+        let mut replaced = 0;
         if let Some(res) = self.results.get_mut(&id) {
-            let stored = res.rows.entry(epoch).or_default();
-            if retract {
-                stored.clear();
+            replaced = res.rows.insert(window, rows).map_or(0, |old| old.len() as u64);
+            res.contributors.insert(window, contributors);
+        }
+        if let Some(q) = self.queries.get_mut(&id) {
+            q.trace.results_sent = q.trace.results_sent + n - replaced;
+            let counted = q.trace.epoch_rows.remove(&window).unwrap_or(0) + n - replaced;
+            if counted > 0 {
+                q.trace.epoch_rows.insert(window, counted);
             }
-            stored.extend(rows);
-            res.contributors.insert(epoch, contributors);
         }
     }
 
     /// Fold one finalized epoch's root accumulator into every window
-    /// covering it, advance the watermark, and close (report) every window
-    /// the watermark has passed.
+    /// covering it, advance the watermark, close (report) every window the
+    /// watermark has passed, and free the closed windows behind the
+    /// [`horizon`](AggQuery::horizon).
     fn fold_epoch_into_windows(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -686,73 +667,66 @@ impl PierNode {
         epoch: u64,
         acc: GroupAggregator,
         contributors: u64,
-        wspec: WindowSpec,
     ) {
         let Some(q) = self.queries.get_mut(&id) else { return };
+        let wspec = result_windows(&q.spec);
         let agg = &mut q.agg;
+        let horizon = agg.horizon(wspec);
         for w in wspec.windows_of(epoch) {
-            if agg.closed.contains(&w) {
-                // A straggler epoch whose windows all reported already; the
-                // late-partial path owns that case.
-                continue;
-            }
-            // "Responding nodes" for a window: the best (largest)
-            // epoch-level turnout among the epochs it covers.
             match agg.windows.get_mut(&w) {
-                Some(win) => {
-                    win.acc.merge(&acc);
-                    win.contributors = win.contributors.max(contributors);
+                // "Responding nodes" for a window: the best (largest)
+                // epoch-level turnout among the epochs it covers.
+                Some(win) if !win.closed => {
+                    win.merged.acc.merge(&acc);
+                    win.merged.contributors = win.merged.contributors.max(contributors);
                 }
-                None => {
-                    agg.windows.insert(w, Merged { acc: acc.clone(), contributors });
+                None if w >= horizon => {
+                    let merged = Merged { acc: acc.clone(), contributors };
+                    agg.windows.insert(w, Window { merged, closed: false });
                 }
+                // A straggler epoch finalized after this window had closed.
+                _ => {}
             }
         }
         let watermark = agg.watermark.map_or(epoch, |m| m.max(epoch));
         agg.watermark = Some(watermark);
         let mut close: Vec<u64> = agg
             .windows
-            .keys()
-            .copied()
-            .filter(|&w| wspec.closing_epoch(w) <= watermark && !agg.closed.contains(&w))
+            .iter()
+            .filter(|(&w, win)| !win.closed && wspec.closing_epoch(w) <= watermark)
+            .map(|(&w, _)| w)
             .collect();
         close.sort_unstable();
         for w in close {
-            self.emit_window(ctx, id, w, false);
+            self.emit_window(ctx, id, w);
+        }
+        if let Some(q) = self.queries.get_mut(&id) {
+            let horizon = q.agg.horizon(wspec);
+            q.agg.windows.retain(|&w, _| w >= horizon);
         }
     }
 
-    /// Close one window at the origin: finalize its merged state, apply
-    /// HAVING / ORDER BY / LIMIT, store the rows under the window id, and
-    /// publish alert tuples if the query has a `HAVING` trigger.  `reemit`
-    /// marks a late-data correction under [`WindowLatePolicy::Patch`]: the
-    /// corrected rows replace the window's earlier ones.
-    fn emit_window(&mut self, ctx: &mut Ctx<'_>, id: QueryId, window: u64, reemit: bool) {
-        let retain = self.config.window_late_policy == WindowLatePolicy::Patch;
+    /// Close one window at the origin, or re-emit a closed one that late
+    /// data patched: finalize its merged state, apply HAVING / ORDER BY /
+    /// LIMIT, and store the rows under the window id.  A declared window
+    /// counts its close and publishes alert tuples if the query has a
+    /// `HAVING` trigger; a plain aggregate's epoch does neither.
+    fn emit_window(&mut self, ctx: &mut Ctx<'_>, id: QueryId, window: u64) {
         let Some(q) = self.queries.get_mut(&id) else { return };
-        let Some(win) = q.agg.windows.get(&window) else { return };
-        let rows = win.acc.finalize();
-        let contributors = win.contributors;
-        q.agg.closed.insert(window);
-        if retain {
-            // Keep a bounded horizon of closed-window state so late partials
-            // can patch recent windows; anything older is freed (and further
-            // late data for it degrades to Drop).
-            let cutoff = window.saturating_sub(WINDOW_PATCH_RETAIN);
-            let closed = &q.agg.closed;
-            q.agg.windows.retain(|w, _| !(*w < cutoff && closed.contains(w)));
-        } else {
-            q.agg.windows.remove(&window);
-        }
-        if !reemit {
+        let Some(win) = q.agg.windows.get_mut(&window) else { return };
+        let reemit = std::mem::replace(&mut win.closed, true);
+        let rows = win.merged.acc.finalize();
+        let contributors = win.merged.contributors;
+        let declared = q.spec.kind.window_spec().is_some();
+        if declared && !reemit {
             q.trace.windows_closed += 1;
         }
         let spec = q.spec.clone();
         let Some(finish) = spec.kind.agg_finish() else { return };
         // Trigger form: every row surviving HAVING is an alert for this
         // window, captured before ORDER BY / LIMIT trim the report.
-        let (rows, alert_rows) = having_top_k(&finish, rows, true);
-        self.report(id, window, rows, contributors, reemit);
+        let (rows, alert_rows) = having_top_k(&finish, rows, declared);
+        self.report(id, window, rows, contributors);
         if !alert_rows.is_empty() {
             self.publish_alerts(ctx, &spec, &finish, window, alert_rows);
         }
@@ -775,8 +749,8 @@ impl PierNode {
         let ttl = spec
             .continuous
             .map(|c| {
-                let wspec = spec.kind.window_spec().unwrap_or(WindowSpec::tumbling(1));
-                let span = c.period.as_micros().saturating_mul(4 * wspec.size as u64);
+                let span =
+                    c.period.as_micros().saturating_mul(4 * result_windows(spec).size as u64);
                 Duration::from_micros(span.max(Duration::from_secs(60).as_micros()))
             })
             .unwrap_or(Duration::from_secs(60));

@@ -1,32 +1,9 @@
-//! Engine configuration ([`PierConfig`] and its presets), the windowed
-//! late-data policy, and the per-node activity counters ([`EngineStats`]).
+//! Engine configuration ([`PierConfig`] and its presets) and the per-node
+//! activity counters ([`EngineStats`]).
 
 use crate::trace::OpTrace;
 use pier_dht::DhtConfig;
 use pier_simnet::Duration;
-
-/// What the origin of a windowed continuous query, its aggregation root,
-/// does with partials that arrive for an epoch whose window(s) it has
-/// already closed and reported (see [`crate::query::WindowSpec`]).
-///
-/// Windows close when the root's *watermark* — the highest epoch it has
-/// finalized — passes the window's last epoch.  A partial that reaches the
-/// root after its epoch finalized — on completion, or at the end of the
-/// collect-and-extend grace period — is *late*; this policy decides
-/// whether its data is lost or folded in retroactively.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WindowLatePolicy {
-    /// Discard late partials (counted in
-    /// [`EngineStats::window_late_dropped`]).  Closed windows are immutable
-    /// and their state is freed at close — the cheap, at-most-once default.
-    Drop,
-    /// Merge late partials into the retained window state and re-emit the
-    /// corrected window: its updated rows replace the previous ones in the
-    /// origin's results.  Closed-window state is kept for a bounded number
-    /// of slides, so very late data (beyond the retention horizon) is still
-    /// dropped.
-    Patch,
-}
 
 /// Engine configuration.
 ///
@@ -103,15 +80,6 @@ pub struct PierConfig {
     /// next epoch boundary.  Off by default: plans then come from catalog
     /// statistics only.
     pub feedback: bool,
-    /// What the origin does with partials that arrive after the windows
-    /// covering their epoch have closed (windowed continuous aggregates
-    /// only; see [`WindowLatePolicy`]).  Interacts with
-    /// `collect_delay` and `holddown`: the shorter those grace periods are
-    /// relative to network latency, the more data arrives late and the more
-    /// this policy matters.  Completion closes an epoch once last epoch's
-    /// contributors have reported, so a contributor new this epoch (a node
-    /// that just joined) can arrive after the close and become late data.
-    pub window_late_policy: WindowLatePolicy,
 }
 
 impl Default for PierConfig {
@@ -127,7 +95,6 @@ impl Default for PierConfig {
             auto_stats: false,
             stats_interval: Duration::from_millis(5_000),
             feedback: false,
-            window_late_policy: WindowLatePolicy::Drop,
         }
     }
 }
@@ -162,7 +129,8 @@ pub struct EngineStats {
     /// Tuples read by local scans.
     pub tuples_scanned: u64,
     /// Result rows shipped to query origins, or finalized there: a
-    /// finalized aggregate epoch's or window's rows count at the origin.
+    /// finalized aggregate epoch's or window's rows count at the origin,
+    /// once, however often late data re-emits them.
     pub results_sent: u64,
     /// Partial-aggregate messages sent.
     pub partials_sent: u64,
@@ -217,18 +185,15 @@ pub struct EngineStats {
     /// Epoch-count windows this node closed and reported as an aggregation
     /// root (windowed continuous aggregates).
     pub windows_closed: u64,
-    /// Late partial-aggregate payloads discarded because the windows
-    /// covering their epoch had already closed
-    /// ([`WindowLatePolicy::Drop`], or `Patch` past its retention horizon).
-    pub window_late_dropped: u64,
-    /// Already-closed windows re-opened, corrected, and re-emitted because
-    /// a late partial arrived under [`WindowLatePolicy::Patch`].
-    pub window_late_patched: u64,
-    /// Late partial-aggregate payloads whose groups a non-windowed query's
-    /// root discarded because their epoch had already been finalized.
-    /// Their contributors or credit still raise the count the next epoch
-    /// expects.
-    pub late_partials_dropped: u64,
+    /// Closed epochs or windows this node, as the origin of an aggregate,
+    /// corrected with a late partial and re-emitted: the corrected rows
+    /// replace the earlier ones.  A plain aggregate's window is its epoch.
+    pub late_patched: u64,
+    /// Late partial-aggregate payloads this node, as the origin of an
+    /// aggregate, discarded because a window covering their epoch was past
+    /// the retention horizon.  The contributors or credit of every late
+    /// partial still raise the count the next epoch expects.
+    pub late_dropped: u64,
     /// Alert tuples published into a query's `pier:alert:<id>` namespace
     /// (windowed aggregates with a `HAVING` trigger).
     pub alerts_emitted: u64,
@@ -272,9 +237,8 @@ impl EngineStats {
         self.shared_frames += other.shared_frames;
         self.feedback_replans += other.feedback_replans;
         self.windows_closed += other.windows_closed;
-        self.window_late_dropped += other.window_late_dropped;
-        self.window_late_patched += other.window_late_patched;
-        self.late_partials_dropped += other.late_partials_dropped;
+        self.late_patched += other.late_patched;
+        self.late_dropped += other.late_dropped;
         self.alerts_emitted += other.alerts_emitted;
         self.finalized_on_completion += other.finalized_on_completion;
         self.finalized_on_timer += other.finalized_on_timer;
@@ -299,9 +263,8 @@ impl EngineStats {
         self.bloom_passed += t.stage_bloom_passed.values().sum::<u64>();
         self.bloom_fallbacks += t.bloom_fallbacks;
         self.windows_closed += t.windows_closed;
-        self.window_late_dropped += t.window_late_dropped;
-        self.window_late_patched += t.window_late_patched;
-        self.late_partials_dropped += t.late_partials_dropped;
+        self.late_patched += t.late_patched;
+        self.late_dropped += t.late_dropped;
         self.alerts_emitted += t.alerts_emitted;
         self.finalized_on_completion += t.finalized_on_completion;
         self.finalized_on_timer += t.finalized_on_timer;

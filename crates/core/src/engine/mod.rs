@@ -44,7 +44,7 @@ mod join;
 mod replan;
 mod scan;
 
-pub use config::{EngineStats, PierConfig, WindowLatePolicy};
+pub use config::{EngineStats, PierConfig};
 
 use crate::bloom::BloomFilter;
 use crate::catalog::{Catalog, TableDef};

@@ -86,9 +86,7 @@ pub use bloom::BloomFilter;
 pub use catalog::{Catalog, TableDef, TableStats};
 pub use column::{Column, ColumnData, ColumnarBatch};
 pub use encoding::{ColumnarWire, TupleBlock, WireColumn};
-pub use engine::{
-    EngineStats, PierConfig, PierError, PierMsg, PierNode, QueryResults, WindowLatePolicy,
-};
+pub use engine::{EngineStats, PierConfig, PierError, PierMsg, PierNode, QueryResults};
 pub use expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 pub use kernel::Kernel;
 pub use payload::{Credit, PierPayload};
@@ -107,7 +105,7 @@ pub use value::{DataType, Value};
 /// Commonly used items, for `use pier_core::prelude::*`.
 pub mod prelude {
     pub use crate::catalog::{TableDef, TableStats};
-    pub use crate::engine::{PierConfig, PierNode, WindowLatePolicy};
+    pub use crate::engine::{PierConfig, PierNode};
     pub use crate::query::{ContinuousSpec, JoinStrategy, QueryId, QueryKind, WindowSpec};
     pub use crate::testbed::{PierTestbed, TestbedConfig};
     pub use crate::tuple::{Schema, Tuple};

@@ -17,13 +17,14 @@
 //!
 //! The trace also records the **adaptivity plane**'s actions: every mid-flight
 //! re-plan (a join-strategy switch driven by gossiped statistics) is counted in
-//! [`OpTrace::replans`] and described in [`OpTrace::switches`].  Windowed
-//! continuous aggregates add the **window plane**: windows closed at this
-//! node as aggregation root, late partials dropped or patched under the
-//! configured [`WindowLatePolicy`](crate::engine::WindowLatePolicy), and
-//! `HAVING`-trigger alert tuples published ([`OpTrace::windows_closed`] and
-//! friends); `render_network_trace` prints a `windows:` line whenever any of
-//! them fired.
+//! [`OpTrace::replans`] and described in [`OpTrace::switches`].  Every
+//! aggregate's root counts the late partials that patched a closed epoch or
+//! window and those it dropped past the retention horizon
+//! ([`OpTrace::late_patched`], [`OpTrace::late_dropped`]); windowed
+//! continuous aggregates add the windows closed and the `HAVING`-trigger
+//! alert tuples published ([`OpTrace::windows_closed`],
+//! [`OpTrace::alerts_emitted`]).  `render_network_trace` prints a
+//! `late partials:` line and a `windows:` line whenever any of them fired.
 
 use crate::query::QueryKind;
 use pier_simnet::WireSize;
@@ -51,7 +52,9 @@ pub struct OpTrace {
     pub partials_sent: u64,
     /// Partial-aggregate messages this node merged in-network.
     pub partials_merged: u64,
-    /// Result rows this node shipped toward the origin.
+    /// Result rows this node shipped toward the origin, or as an
+    /// aggregate's origin stored for its closed epochs and windows (a
+    /// patched re-emit counts only the rows it adds or removes).
     pub results_sent: u64,
     /// Recursive expansion messages this node sent.
     pub expands_sent: u64,
@@ -68,7 +71,8 @@ pub struct OpTrace {
     /// `"epoch 4: SymmetricHash -> BloomFilter"`.  Deduplicated on merge
     /// (every node that applied the same switch records the same line).
     pub switches: Vec<String>,
-    /// Result rows produced per epoch (producer-side row counts).
+    /// Result rows produced per epoch (producer-side row counts); an
+    /// aggregate's origin counts the rows it stores per epoch or window.
     pub epoch_rows: BTreeMap<u64, u64>,
     /// Tuples shipped per join stage (base-table rehashes at stage 0 and
     /// 1-side rehashes at every stage; intermediate tuples count against the
@@ -107,16 +111,12 @@ pub struct OpTrace {
     /// Epoch-count windows this node closed and reported as the query's
     /// aggregation root (windowed continuous aggregates).
     pub windows_closed: u64,
-    /// Late partial payloads this root discarded because the windows
-    /// covering their epoch had already closed (drop policy, or patch past
-    /// its retention horizon).
-    pub window_late_dropped: u64,
-    /// Already-closed windows this root re-opened and re-emitted for late
-    /// data (patch policy).
-    pub window_late_patched: u64,
-    /// Late partial payloads this root discarded because their epoch was
-    /// already finalized (non-windowed queries).
-    pub late_partials_dropped: u64,
+    /// Closed epochs or windows this root corrected with a late partial and
+    /// re-emitted (a plain aggregate's window is its epoch).
+    pub late_patched: u64,
+    /// Late partial payloads this root discarded because a window covering
+    /// their epoch was past the retention horizon.
+    pub late_dropped: u64,
     /// Alert tuples this root published into the query's alert namespace
     /// (`HAVING` trigger on a windowed aggregate).
     pub alerts_emitted: u64,
@@ -180,9 +180,8 @@ impl OpTrace {
         }
         self.bloom_fallbacks += other.bloom_fallbacks;
         self.windows_closed += other.windows_closed;
-        self.window_late_dropped += other.window_late_dropped;
-        self.window_late_patched += other.window_late_patched;
-        self.late_partials_dropped += other.late_partials_dropped;
+        self.late_patched += other.late_patched;
+        self.late_dropped += other.late_dropped;
         self.alerts_emitted += other.alerts_emitted;
         self.finalized_on_completion += other.finalized_on_completion;
         self.finalized_on_timer += other.finalized_on_timer;
@@ -196,9 +195,9 @@ impl OpTrace {
 
 impl WireSize for OpTrace {
     fn wire_size(&self) -> usize {
-        // 21 fixed u64 counters + per-switch strings + per-epoch and
+        // 20 fixed u64 counters + per-switch strings + per-epoch and
         // per-stage pairs.
-        21 * 8
+        20 * 8
             + self.switches.iter().map(|s| s.len() + 2).sum::<usize>()
             + self.epoch_rows.len() * 16
             + (self.stage_shipped.len()
@@ -286,10 +285,11 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
         }
         QueryKind::Select { .. } => {}
     }
-    if trace.late_partials_dropped > 0 {
+    if trace.late_patched + trace.late_dropped > 0 {
         out.push_str(&format!(
-            "  late partials: {} dropped after their epoch finalized\n",
-            trace.late_partials_dropped
+            "  late partials: {} closed epochs or windows patched and re-emitted, {} dropped past \
+             the retention horizon\n",
+            trace.late_patched, trace.late_dropped
         ));
     }
     out.push_str(&format!("  results: {} rows shipped to the origin\n", trace.results_sent));
@@ -297,13 +297,10 @@ pub fn render_network_trace(reporters: u64, trace: &OpTrace, kind: &QueryKind) -
         "  wire: {} messages, {} batches, {} payload bytes\n",
         trace.messages_sent, trace.batches_sent, trace.bytes_shipped
     ));
-    if trace.windows_closed > 0 || trace.window_late_dropped > 0 || trace.window_late_patched > 0 {
+    if trace.windows_closed > 0 {
         out.push_str(&format!(
-            "  windows: {} closed, {} late drops, {} late patches, {} alerts\n",
-            trace.windows_closed,
-            trace.window_late_dropped,
-            trace.window_late_patched,
-            trace.alerts_emitted
+            "  windows: {} closed, {} alerts\n",
+            trace.windows_closed, trace.alerts_emitted
         ));
     }
     if trace.bloom_fallbacks > 0 {
@@ -421,14 +418,15 @@ mod tests {
         assert!(!text.contains("late partials"), "{text}");
 
         // A two-way Bloom join prints its pass rate; an aggregate over the
-        // join prints why its epochs finalized and the late partials its
-        // root dropped.
+        // join prints why its epochs finalized and what its root did with
+        // late partials.
         let mut t = sample();
         t.stage_bloom_tested = [(0u8, 40u64)].into_iter().collect();
         t.stage_bloom_passed = [(0u8, 10u64)].into_iter().collect();
         t.finalized_on_completion = 5;
         t.finalized_on_timer = 1;
-        t.late_partials_dropped = 2;
+        t.late_patched = 3;
+        t.late_dropped = 2;
         let agg = crate::query::JoinAggregate {
             group_exprs: vec![],
             aggs: vec![],
@@ -441,7 +439,8 @@ mod tests {
         let text = render_network_trace(7, &t, &join(vec![stage("r")], Some(agg)));
         assert!(text.contains("    bloom: 10/40 right tuples passed (25.0% pass rate)"), "{text}");
         assert!(text.contains("5 epochs finalized on completion, 1 on the timer"), "{text}");
-        assert!(text.contains("late partials: 2 dropped"), "{text}");
+        assert!(text.contains("late partials: 3 closed epochs or windows patched"), "{text}");
+        assert!(text.contains("2 dropped past the retention horizon"), "{text}");
 
         // Multi-stage joins get a per-stage section.
         let mut t = sample();

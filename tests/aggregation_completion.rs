@@ -48,8 +48,8 @@ fn table() -> TableDef {
 /// A 40-node deployment in which every node stores one row about itself
 /// (`publish_local`), so the query's partials are the only query traffic.
 /// Returns the testbed and each node's row.
-fn deployment() -> (PierTestbed, Vec<(NodeAddr, Tuple)>) {
-    let mut bed = PierTestbed::quick(NODES, SEED);
+fn deployment(seed: u64) -> (PierTestbed, Vec<(NodeAddr, Tuple)>) {
+    let mut bed = PierTestbed::quick(NODES, seed);
     bed.create_table_everywhere(&table());
     let mut rows = Vec::new();
     for (i, &addr) in bed.nodes().to_vec().iter().enumerate() {
@@ -122,7 +122,7 @@ impl Poller {
 
 #[test]
 fn continuous_aggregate_epochs_close_on_completion() {
-    let (mut bed, rows) = deployment();
+    let (mut bed, rows) = deployment(SEED);
     let origin = bed.nodes()[1];
     advance_into_next_epoch(&mut bed, 2_500);
     let q = bed.submit_sql(origin, CONTINUOUS).unwrap();
@@ -164,7 +164,7 @@ fn continuous_aggregate_epochs_close_on_completion() {
 
 #[test]
 fn a_lost_contributor_falls_back_to_the_timer_then_completes_again() {
-    let (mut bed, rows) = deployment();
+    let (mut bed, rows) = deployment(SEED);
     let origin = bed.nodes()[1];
     let victim = bed.nodes()[NODES / 2];
     advance_into_next_epoch(&mut bed, 2_500);
@@ -215,7 +215,7 @@ fn killing_the_former_root_keys_owner_loses_no_epoch() {
     // and those after its restart until the plan reached it again, reported
     // nothing.  The origin is every aggregate's root now, so that node's
     // failure only removes its own contribution.
-    let (mut bed, rows) = deployment();
+    let (mut bed, rows) = deployment(SEED);
     let origin = bed.nodes()[1];
     advance_into_next_epoch(&mut bed, 2_500);
     let q = bed.submit_sql(origin, CONTINUOUS).unwrap();
@@ -319,7 +319,7 @@ fn tumbling_window_closes_on_completion() {
 #[test]
 fn one_shot_aggregate_still_waits_for_collect_delay() {
     const SQL: &str = "SELECT COUNT(*) AS c, SUM(v) AS s FROM m";
-    let (mut bed, rows) = deployment();
+    let (mut bed, rows) = deployment(SEED);
     let origin = bed.nodes()[1];
     let submitted = now_ms(&bed);
     let q = bed.submit_sql(origin, SQL).unwrap();
@@ -595,9 +595,10 @@ fn a_restarted_node_counts_again_from_the_epoch_after_it_rejoins() {
     // with its rows re-published.  Once it runs the query again, 40 nodes
     // inject credit while the root expects the 39 of the last epoch, so the
     // rejoin epoch may close with a join site's groups still in flight.
-    // Their credit arrives late, and must raise the count the next epoch
-    // expects: from the epoch after the rejoin on, every epoch equals the
-    // reference again, and still closes on completion.
+    // Their groups arrive late and patch the rejoin epoch, and their credit
+    // raises the count the next epoch expects: from the rejoin epoch on,
+    // every epoch equals the reference again, and still closes on
+    // completion.
     let sql = colocated_sql();
     let planned = plan(&sql);
     let (mut bed, rows) = join_deployment(false);
@@ -636,7 +637,7 @@ fn a_restarted_node_counts_again_from_the_epoch_after_it_rejoins() {
     bed.run_until(at(end, 0));
     let after = stats(&bed);
 
-    for e in rejoined + 1..end - 1 {
+    for e in rejoined..end - 1 {
         let got = bed.results(origin, q, e);
         assert!(
             same_rows(&got, &all),
@@ -645,9 +646,60 @@ fn a_restarted_node_counts_again_from_the_epoch_after_it_rejoins() {
             all.len()
         );
     }
-    assert!(after.late_partials_dropped > 0, "the rejoin epoch closed before its last partial");
+    assert!(after.late_patched > 0, "the rejoin epoch closed before its last partial");
     assert_eq!(after.finalized_on_timer, before.finalized_on_timer, "{after:?}");
     assert!(after.finalized_on_completion >= before.finalized_on_completion + 4, "{after:?}");
+}
+
+#[test]
+fn the_restart_epoch_reads_every_node() {
+    // Ten nodes are killed 150 ms into an epoch and restarted 30 s later
+    // with their rows re-published.  Once the plan reaches them again, 40
+    // nodes contribute while the origin expects the 30 of the last epoch,
+    // so the restart epoch can close before their partials arrive.  Those
+    // partials patch it: from the restart epoch on, every epoch reads all
+    // 40 rows from 40 contributors.  Seed 7 shows the race; the default
+    // seed does not.
+    let (mut bed, rows) = deployment(7);
+    let origin = bed.nodes()[1];
+    advance_into_next_epoch(&mut bed, 2_500);
+    let q = bed.submit_sql(origin, CONTINUOUS).unwrap();
+    let first = now_ms(&bed) / PERIOD_MS;
+    let all = reference(CONTINUOUS, rows.iter().map(|(_, r)| r.clone()));
+    let at = |e: u64, ms: u64| SimTime::from_micros((e * PERIOD_MS + ms) * 1_000);
+
+    let victims = &rows[20..30];
+    let lost = first + 4;
+    bed.run_until(at(lost, 150));
+    for (addr, _) in victims {
+        bed.kill_node(*addr);
+    }
+    bed.run_for(Duration::from_secs(30));
+    for (addr, row) in victims {
+        bed.restart_node(*addr);
+        bed.publish_local(*addr, "m", row.clone());
+    }
+    // The restart epoch is the one in which the last restarted node runs
+    // the query again, once the origin's periodic re-dissemination reaches
+    // it.
+    let mut restarted = None;
+    for e in lost + 6..lost + 14 {
+        bed.run_until(at(e + 1, 0));
+        if victims.iter().all(|(a, _)| bed.node(*a).unwrap().active_queries() > 0) {
+            restarted = Some(e);
+            break;
+        }
+    }
+    let restarted = restarted.expect("every restarted node must get the plan again");
+    let end = restarted + 4;
+    bed.run_until(at(end + 1, 0));
+    let turnout: Vec<(u64, u64)> =
+        (lost..end).map(|e| (e, bed.contributors(origin, q, e))).collect();
+    for e in restarted..end {
+        let got = bed.results(origin, q, e);
+        assert!(same_rows(&got, &all), "epoch {e} (restart epoch {restarted}): {got:?}");
+        assert_eq!(bed.contributors(origin, q, e), NODES as u64, "epoch {e}: {turnout:?}");
+    }
 }
 
 #[test]

@@ -195,9 +195,8 @@ fn assert_totals_are_trace_sums(sum: &OpTrace, totals: &EngineStats, what: &str)
         ("bloom_passed", bloom_passed, totals.bloom_passed),
         ("bloom_fallbacks", sum.bloom_fallbacks, totals.bloom_fallbacks),
         ("windows_closed", sum.windows_closed, totals.windows_closed),
-        ("window_late_dropped", sum.window_late_dropped, totals.window_late_dropped),
-        ("window_late_patched", sum.window_late_patched, totals.window_late_patched),
-        ("late_partials_dropped", sum.late_partials_dropped, totals.late_partials_dropped),
+        ("late_patched", sum.late_patched, totals.late_patched),
+        ("late_dropped", sum.late_dropped, totals.late_dropped),
         ("alerts_emitted", sum.alerts_emitted, totals.alerts_emitted),
         ("finalized_on_completion", sum.finalized_on_completion, totals.finalized_on_completion),
         ("finalized_on_timer", sum.finalized_on_timer, totals.finalized_on_timer),

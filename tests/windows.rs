@@ -1,5 +1,6 @@
 //! Windowed continuous queries: tumbling/sliding epoch windows, the
-//! watermark-driven close, the late-data policies, the `HAVING` trigger with
+//! watermark-driven close, late data patching closed windows (and a plain
+//! aggregate's closed epochs, its windows of one), the `HAVING` trigger with
 //! alert publication, and window alignment across a mid-flight re-plan.
 //!
 //! Epoch attribution: nodes evaluate epoch `e` just after its boundary and a
@@ -7,7 +8,7 @@
 //! published at the *middle* of epoch `p` is counted in epoch `p + 1`.  The
 //! tests publish mid-epoch and build their reference answers from that rule.
 
-use pier::core::{same_rows, WindowLatePolicy};
+use pier::core::same_rows;
 use pier::prelude::*;
 use pier::simnet::{DetRng, LatencyModel};
 use std::collections::BTreeMap;
@@ -139,7 +140,8 @@ fn tumbling_windows_match_reference() {
         bed.engine_totals()
     };
     assert!(totals.windows_closed >= nonempty, "root must count closed windows");
-    assert_eq!(totals.window_late_dropped, 0, "nothing is late under test latencies");
+    assert_eq!(totals.late_patched, 0, "nothing is late under test latencies");
+    assert_eq!(totals.late_dropped, 0, "nothing is late under test latencies");
 }
 
 #[test]
@@ -178,13 +180,12 @@ fn sliding_windows_match_reference() {
 /// needs ≥ 300 ms of fixed network latency per hop, so each window's final
 /// epoch is reported before the remote data for it arrives.
 fn late_data_run(
-    policy: WindowLatePolicy,
+    sql: &str,
     seed: u64,
 ) -> (PierTestbed, NodeAddr, QueryId, BTreeMap<u64, Vec<Tuple>>) {
     let mut pier = PierConfig::fast_test();
     pier.collect_delay = Duration::from_millis(1);
     pier.holddown = Duration::from_millis(1);
-    pier.window_late_policy = policy;
     let bed = PierTestbed::new(TestbedConfig {
         nodes: 8,
         seed,
@@ -193,50 +194,52 @@ fn late_data_run(
         warmup: Duration::from_secs(40),
         ..Default::default()
     });
-    let sql = "SELECT g, COUNT(*) AS n, SUM(v) AS total FROM readings GROUP BY g \
-               WINDOW TUMBLING 2 EPOCHS CONTINUOUS EVERY 2 SECONDS";
     run_windowed(bed, sql, seed ^ 0x1A7E, 8)
 }
 
 #[test]
-fn late_partials_are_dropped_under_drop_policy() {
-    let (mut bed, origin, q, published) = late_data_run(WindowLatePolicy::Drop, 4303);
-    let totals = bed.engine_totals();
-    assert!(totals.window_late_dropped > 0, "remote partials must arrive late: {totals:?}");
-    assert_eq!(totals.window_late_patched, 0);
-
-    // Every window under-reports: the final epoch's remote contributions
-    // arrived after the close.  (Earlier epochs' late data lands in the
-    // still-open window, so results are not empty either.)
-    let windows = bed.epochs(origin, q);
-    let mut under = 0;
-    for &w in &windows {
-        let got: i64 = bed.results(origin, q, w).iter().map(|t| int_at(t, 2)).sum();
-        let want: i64 =
-            reference_rows(&published, 2 * w, 2 * w + 1).iter().map(|t| int_at(t, 2)).sum();
-        assert!(got <= want, "window {w}: drop policy can only lose data ({got} vs {want})");
-        if want > 0 && got < want {
-            under += 1;
-        }
-    }
-    assert!(under > 0, "at least one window must have lost its late data: {windows:?}");
-}
-
-#[test]
 fn late_partials_converge_under_patch_policy() {
-    let (mut bed, origin, q, published) = late_data_run(WindowLatePolicy::Patch, 4303);
-    let totals = bed.engine_totals();
-    assert!(totals.window_late_patched > 0, "late data must have patched windows: {totals:?}");
+    // A declared tumbling window, and a plain aggregate: each of its epochs
+    // is a window of one, covering the tuples attributed to that epoch (its
+    // time window is one period).
+    let queries = [
+        (
+            "SELECT g, COUNT(*) AS n, SUM(v) AS total FROM readings GROUP BY g \
+             WINDOW TUMBLING 2 EPOCHS CONTINUOUS EVERY 2 SECONDS",
+            2,
+        ),
+        (
+            "SELECT g, COUNT(*) AS n, SUM(v) AS total FROM readings GROUP BY g \
+             CONTINUOUS EVERY 2 SECONDS WINDOW 2 SECONDS",
+            1,
+        ),
+    ];
+    for (sql, size) in queries {
+        let (mut bed, origin, q, published) = late_data_run(sql, 4303);
+        let totals = bed.engine_totals();
+        assert!(totals.late_patched > 0, "late data must have patched: {sql}\n{totals:?}");
 
-    // Re-emitted corrections replace the under-reported rows: every closed
-    // window converges to the full reference answer.
-    for &w in &bed.epochs(origin, q) {
-        let got = bed.results(origin, q, w);
-        let expected = reference_rows(&published, 2 * w, 2 * w + 1);
-        assert!(
-            same_rows(&got, &expected),
-            "window {w} did not converge:\n got {got:?}\n want {expected:?}"
-        );
+        // Re-emitted corrections replace the under-reported rows: every
+        // closed window converges to the full reference answer, and the
+        // origin counts each window's rows once, however often it was
+        // re-emitted.
+        let windows = bed.epochs(origin, q);
+        assert!(published.keys().all(|e| windows.contains(&(e / size))), "{sql}: {windows:?}");
+        let trace = bed.node(origin).unwrap().query_trace(q).expect("query is installed").clone();
+        let results = bed.node(origin).unwrap().results(q).expect("origin holds results");
+        let mut stored = 0;
+        for &w in &windows {
+            let got = bed.results(origin, q, w);
+            let expected = reference_rows(&published, size * w, size * w + size - 1);
+            assert!(
+                same_rows(&got, &expected),
+                "{sql}: window {w} did not converge:\n got {got:?}\n want {expected:?}"
+            );
+            let rows = results.raw_rows(w).len() as u64;
+            assert_eq!(trace.epoch_rows.get(&w).copied().unwrap_or(0), rows, "{sql}: window {w}");
+            stored += rows;
+        }
+        assert_eq!(trace.results_sent, stored, "{sql}");
     }
 }
 
