@@ -9,8 +9,11 @@
 //!
 //! [`Id`] is a big-endian 160-bit unsigned integer with the modular arithmetic
 //! the protocol needs: interval membership on the circle, `+ 2^i` for finger
-//! targets, and clockwise distance.
+//! targets, and clockwise distance.  Routing weighs dozens of candidates per
+//! hop, so order and arithmetic run on two native limbs, a `u128` for bytes
+//! 0–15 and a `u32` for bytes 16–19, rather than byte by byte.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Number of bits in an identifier (Chord's `m`).
@@ -18,8 +21,9 @@ pub const ID_BITS: usize = 160;
 /// Number of bytes in an identifier.
 pub const ID_BYTES: usize = ID_BITS / 8;
 
-/// A 160-bit identifier on the Chord ring, stored big-endian.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// A 160-bit identifier on the Chord ring, stored big-endian.  Ids order
+/// as their bytes do.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Id(pub [u8; ID_BYTES]);
 
 impl Id {
@@ -56,33 +60,35 @@ impl Id {
         u64::from_be_bytes(b)
     }
 
+    /// The identifier as two big-endian limbs, bytes 0–15 and bytes 16–19.
+    /// Tuples of limbs order as the bytes do.
+    fn limbs(&self) -> (u128, u32) {
+        let mut hi = [0u8; 16];
+        let mut lo = [0u8; 4];
+        hi.copy_from_slice(&self.0[..16]);
+        lo.copy_from_slice(&self.0[16..]);
+        (u128::from_be_bytes(hi), u32::from_be_bytes(lo))
+    }
+
+    fn from_limbs(hi: u128, lo: u32) -> Id {
+        let mut b = [0u8; ID_BYTES];
+        b[..16].copy_from_slice(&hi.to_be_bytes());
+        b[16..].copy_from_slice(&lo.to_be_bytes());
+        Id(b)
+    }
+
     /// Modular addition: `self + other (mod 2^160)`.
     pub fn wrapping_add(&self, other: &Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut carry = 0u16;
-        for i in (0..ID_BYTES).rev() {
-            let sum = self.0[i] as u16 + other.0[i] as u16 + carry;
-            out[i] = (sum & 0xFF) as u8;
-            carry = sum >> 8;
-        }
-        Id(out)
+        let ((ah, al), (bh, bl)) = (self.limbs(), other.limbs());
+        let (lo, carry) = al.overflowing_add(bl);
+        Id::from_limbs(ah.wrapping_add(bh).wrapping_add(carry as u128), lo)
     }
 
     /// Modular subtraction: `self - other (mod 2^160)`.
     pub fn wrapping_sub(&self, other: &Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut borrow = 0i16;
-        for i in (0..ID_BYTES).rev() {
-            let diff = self.0[i] as i16 - other.0[i] as i16 - borrow;
-            if diff < 0 {
-                out[i] = (diff + 256) as u8;
-                borrow = 1;
-            } else {
-                out[i] = diff as u8;
-                borrow = 0;
-            }
-        }
-        Id(out)
+        let ((ah, al), (bh, bl)) = (self.limbs(), other.limbs());
+        let (lo, borrow) = al.overflowing_sub(bl);
+        Id::from_limbs(ah.wrapping_sub(bh).wrapping_sub(borrow as u128), lo)
     }
 
     /// The identifier `2^k (mod 2^160)`; `2^160` wraps to zero.
@@ -111,14 +117,15 @@ impl Id {
     /// When `a == b` the interval is the whole ring minus `a` itself, matching
     /// Chord's convention (a node whose successor is itself owns everything).
     pub fn in_open_interval(&self, a: &Id, b: &Id) -> bool {
+        let (x, a, b) = (self.limbs(), a.limbs(), b.limbs());
         if a == b {
-            return self != a;
+            return x != a;
         }
         if a < b {
-            a < self && self < b
+            a < x && x < b
         } else {
             // Interval wraps around zero.
-            self > a || self < b
+            x > a || x < b
         }
     }
 
@@ -127,14 +134,15 @@ impl Id {
     /// This is the ownership test: key `k` belongs to node `n` iff
     /// `k ∈ (predecessor(n), n]`.
     pub fn in_half_open_interval(&self, a: &Id, b: &Id) -> bool {
+        let (x, a, b) = (self.limbs(), a.limbs(), b.limbs());
         if a == b {
             // Single-node ring: it owns every key.
             return true;
         }
         if a < b {
-            a < self && self <= b
+            a < x && x <= b
         } else {
-            self > a || self <= b
+            x > a || x <= b
         }
     }
 
@@ -157,6 +165,18 @@ impl Id {
     /// Full hexadecimal representation.
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
+    }
+}
+
+impl Ord for Id {
+    fn cmp(&self, other: &Id) -> Ordering {
+        self.limbs().cmp(&other.limbs())
+    }
+}
+
+impl PartialOrd for Id {
+    fn partial_cmp(&self, other: &Id) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

@@ -85,11 +85,13 @@ pub struct DhtStats {
     pub peers_declared_failed: u64,
     /// Broadcast messages forwarded by this node.
     pub broadcast_forwards: u64,
-    /// Wire messages this node sent carrying application traffic (`put` /
-    /// `send` payloads being routed — originated *or* forwarded — plus
-    /// point-to-point `Direct` sends).  Summed across nodes this is the true
-    /// per-hop DHT message cost of the query wire paths, the quantity
-    /// destination-coalesced batching attacks.
+    /// Wire messages this node sent that carry a `Put` or `AppSend` route
+    /// body, originated *or* forwarded (one per `Route` or `RouteBatch`
+    /// holding at least one), plus point-to-point `Direct` sends.  This is
+    /// the per-hop cost that destination-coalesced batching attacks, not
+    /// all query traffic: `Get` route hops, `GetReply` and `Broadcast`
+    /// messages are left out.  ROADMAP D18 counted 335,494, 90,670 and
+    /// 28,560 of those on perfbench's `fileshare_search`.
     pub app_msgs_sent: u64,
     /// Always 0: every direct payload travels in its own
     /// [`DhtMsg::Direct`] message.  Kept so existing readers of the counter
@@ -536,8 +538,16 @@ impl<P: Clone + WireSize> DhtNode<P> {
     fn closest_preceding(&self, target: &Id) -> Peer {
         let mut best = self.me;
         let mut best_dist = self.me.id.distance_to(target);
+        let mut prev = None;
         let candidates = self.fingers.iter().flatten().chain(self.successors.iter()).copied();
         for peer in candidates {
+            // Neighbouring finger slots hold the same peer in runs.  A repeat
+            // is as far from the target as the one before it, so under the
+            // strict `<` below it could never replace the best.
+            if prev == Some(peer) {
+                continue;
+            }
+            prev = Some(peer);
             if peer.addr == self.me.addr {
                 continue;
             }
@@ -1223,6 +1233,79 @@ mod tests {
         // For a target between a and b, only a precedes it.
         let target2 = my.wrapping_add(&Id::from_u64(5_000));
         assert_eq!(n.closest_preceding(&target2).addr, NodeAddr(10));
+    }
+
+    /// `next_hop` with a scan that weighs every candidate, repeats included:
+    /// the reference the repeat skip in `closest_preceding` must match.
+    fn next_hop_by_full_scan(n: &TestNode, target: &Id) -> Option<Peer> {
+        if n.is_responsible(target) {
+            return None;
+        }
+        let succ = n.successor();
+        if target.in_half_open_interval(&n.me.id, &succ.id) {
+            return Some(succ);
+        }
+        let mut best = n.me;
+        let mut best_dist = n.me.id.distance_to(target);
+        for peer in n.fingers.iter().flatten().chain(n.successors.iter()).copied() {
+            if peer.addr != n.me.addr && peer.id.in_open_interval(&n.me.id, target) {
+                let dist = peer.id.distance_to(target);
+                if dist < best_dist {
+                    best = peer;
+                    best_dist = dist;
+                }
+            }
+        }
+        Some(if best.addr == n.me.addr { succ } else { best })
+    }
+
+    #[test]
+    fn skipping_repeated_candidates_picks_the_hop_a_full_scan_picks() {
+        let mut n = make(1);
+        let one = Id::from_u64(1);
+        // A peer just past `me + 2^bit`.
+        let past =
+            |n: &TestNode, addr, bit| at_offset(n, addr, &Id::power_of_two(bit).wrapping_add(&one));
+        n.predecessor = Some(Peer::new(NodeAddr(9), n.id().wrapping_sub(&Id::power_of_two(100))));
+        let succs = [past(&n, 2, 120), past(&n, 3, 125), past(&n, 4, 129), past(&n, 5, 133)];
+        n.successors = succs.to_vec();
+        // fast_test slot j targets `me + 2^(128 + j)`: each slot holds the
+        // first peer at or past its target, so the slots hold runs.
+        let (p6, p7, p8) = (past(&n, 6, 139), past(&n, 7, 150), past(&n, 8, 159));
+        // Addr 6 under an id it no longer has: equal to its neighbour by
+        // addr, not by id, so it must still be weighed.
+        let stale = past(&n, 6, 144);
+        let runs = [(0..2, succs[2]), (2..6, succs[3]), (6..16, p6), (16..17, stale), (17..23, p7)];
+        for (slots, peer) in runs {
+            for slot in slots {
+                n.fingers[slot] = Some(peer);
+            }
+        }
+        // A gap inside the last run, which a repeat skip must see across.
+        for slot in (23..32).filter(|&s| s != 27) {
+            n.fingers[slot] = Some(p8);
+        }
+
+        let candidates: Vec<Peer> =
+            n.fingers.iter().flatten().chain(&n.successors).copied().collect();
+        let mut rng = pier_simnet::DetRng::new(0x5EED_0F1F);
+        let mut hops = Vec::new();
+        for _ in 0..256 {
+            let target = if rng.chance(0.25) {
+                // On or beside a candidate: the edge of strict precedence.
+                let at = candidates[rng.index(candidates.len())].id;
+                [at.wrapping_sub(&one), at, at.wrapping_add(&one)][rng.index(3)]
+            } else {
+                let offset = Id::power_of_two(100 + rng.index(60));
+                n.id().wrapping_add(&offset.wrapping_add(&Id::from_u64(rng.next_u64())))
+            };
+            let hop = n.next_hop(&target);
+            assert_eq!(hop, next_hop_by_full_scan(&n, &target), "target {target:?}");
+            hops.push(hop);
+        }
+        for peer in [stale, p6, p7, p8] {
+            assert!(hops.contains(&Some(peer)), "no target chose {peer:?}");
+        }
     }
 
     #[test]

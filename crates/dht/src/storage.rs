@@ -50,6 +50,11 @@ pub struct SoftStateStore<V> {
     /// Items removed by [`remove`](Self::remove) and
     /// [`clear_namespace`](Self::clear_namespace) (hand-off, not expiry).
     removals: u64,
+    /// No stored item expires before this instant, so a sweep before it
+    /// can remove nothing.  Inserts lower it; a renewal or a removal leaves
+    /// it early, never late; a full sweep resets it to the earliest expiry
+    /// among the items it keeps.
+    next_expiry: SimTime,
 }
 
 impl<V> Default for SoftStateStore<V> {
@@ -60,6 +65,7 @@ impl<V> Default for SoftStateStore<V> {
             total_puts: 0,
             total_expired: 0,
             removals: 0,
+            next_expiry: SimTime::MAX,
         }
     }
 }
@@ -89,6 +95,7 @@ impl<V: Clone> SoftStateStore<V> {
             Some(ns) => ns,
             None => self.namespaces.entry(item.key.namespace.clone()).or_default(),
         };
+        self.next_expiry = self.next_expiry.min(item.expires_at);
         let existed = ns.insert((item.key.resource.clone(), item.key.instance), item).is_some();
         if !existed {
             self.item_count += 1;
@@ -214,15 +221,27 @@ impl<V: Clone> SoftStateStore<V> {
         }
     }
 
-    /// Drop all expired items; returns how many were removed.
+    /// Drop all expired items; returns how many were removed.  A sweep
+    /// before the earliest stored expiry touches no item.
     pub fn sweep(&mut self, now: SimTime) -> usize {
+        if now < self.next_expiry {
+            return 0;
+        }
         let mut removed = 0;
+        let mut next_expiry = SimTime::MAX;
         self.namespaces.retain(|_, ns| {
             let before = ns.len();
-            ns.retain(|_, item| !item.is_expired(now));
+            ns.retain(|_, item| {
+                let live = !item.is_expired(now);
+                if live {
+                    next_expiry = next_expiry.min(item.expires_at);
+                }
+                live
+            });
             removed += before - ns.len();
             !ns.is_empty()
         });
+        self.next_expiry = next_expiry;
         self.item_count -= removed;
         self.total_expired += removed as u64;
         removed
@@ -302,12 +321,22 @@ mod tests {
         assert_eq!(store.total_puts(), 2);
     }
 
+    /// What a sweep may change: held items, lifetime expiries, mutations.
+    fn counts<V: Clone>(store: &SoftStateStore<V>) -> (usize, u64, u64) {
+        (store.len(), store.total_expired(), store.mutation_count())
+    }
+
     #[test]
     fn expiry_hides_and_sweep_removes() {
         let mut store: SoftStateStore<&'static str> = SoftStateStore::new();
         let t0 = SimTime::ZERO;
         store.put(key("t", "x", 0), "short", t0, Duration::from_secs(10));
         store.put(key("t", "y", 0), "long", t0, Duration::from_secs(100));
+
+        // A sweep before the earliest expiry changes nothing.
+        let before = counts(&store);
+        assert_eq!(store.sweep(SimTime::from_micros(9_999_999)), 0);
+        assert_eq!(counts(&store), before);
 
         let t1 = SimTime::from_secs(11);
         // Expired items are invisible to reads even before sweeping.
@@ -319,9 +348,67 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(store.len(), 1);
         assert_eq!(store.total_expired(), 1);
+        // The sweep re-armed the watermark, so sweeps until then touch no item.
+        assert_eq!(store.next_expiry, SimTime::from_secs(100));
 
-        // Sweeping again removes nothing.
+        // Sweeping again removes nothing, and the next expiry is honoured.
         assert_eq!(store.sweep(t1), 0);
+        assert_eq!(store.sweep(SimTime::from_secs(99)), 0);
+        assert_eq!(store.sweep(SimTime::from_secs(100)), 1);
+        assert_eq!(counts(&store), (0, 2, before.2));
+    }
+
+    #[test]
+    fn a_renewed_item_goes_at_its_new_expiry() {
+        let mut store: SoftStateStore<u32> = SoftStateStore::new();
+        store.put(key("t", "a", 0), 1, SimTime::ZERO, Duration::from_secs(10));
+        store.put(key("t", "b", 0), 2, SimTime::ZERO, Duration::from_secs(30));
+        // Renewed at 5 s, the earliest item now expires at 15 s.
+        store.put(key("t", "a", 0), 1, SimTime::from_secs(5), Duration::from_secs(10));
+        let before = counts(&store);
+        assert_eq!(store.sweep(SimTime::from_secs(10)), 0);
+        assert_eq!(counts(&store), before);
+        assert_eq!(store.sweep(SimTime::from_secs(14)), 0);
+        assert_eq!(store.sweep(SimTime::from_secs(15)), 1);
+        assert_eq!(store.lscan("t", SimTime::from_secs(15))[0].value, 2);
+        assert_eq!(counts(&store), (1, 1, before.2));
+    }
+
+    #[test]
+    fn after_remove_and_clear_a_sweep_removes_exactly_the_expired_rest() {
+        let mut store: SoftStateStore<u32> = SoftStateStore::new();
+        let put = |store: &mut SoftStateStore<u32>, ns, res, secs| {
+            store.put(key(ns, res, 0), 0, SimTime::ZERO, Duration::from_secs(secs));
+        };
+        put(&mut store, "t", "a", 10);
+        put(&mut store, "t", "b", 20);
+        put(&mut store, "u", "c", 10);
+        put(&mut store, "v", "d", 20);
+        put(&mut store, "v", "e", 40);
+        // Both items due at 10 s leave by hand-off, not expiry.
+        assert!(store.remove(&key("t", "a", 0)));
+        assert_eq!(store.clear_namespace("u"), 1);
+        assert_eq!(store.sweep(SimTime::from_secs(10)), 0);
+        assert_eq!(store.sweep(SimTime::from_secs(20)), 2);
+        assert_eq!(store.namespaces(), vec!["v"]);
+        assert_eq!(counts(&store), (1, 2, 7));
+        assert_eq!(store.sweep(SimTime::from_secs(40)), 1);
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn an_emptied_store_sweeps_nothing_until_an_insert_rearms_it() {
+        let mut store: SoftStateStore<u32> = SoftStateStore::new();
+        assert_eq!(store.sweep(SimTime::from_secs(1)), 0);
+        store.put(key("t", "a", 0), 1, SimTime::ZERO, Duration::from_secs(10));
+        assert!(store.remove(&key("t", "a", 0)));
+        let before = counts(&store);
+        assert_eq!(store.sweep(SimTime::from_secs(10)), 0);
+        assert_eq!(counts(&store), before);
+        store.put(key("t", "b", 0), 2, SimTime::from_secs(20), Duration::from_secs(5));
+        assert_eq!(store.sweep(SimTime::from_secs(24)), 0);
+        assert_eq!(store.sweep(SimTime::from_secs(25)), 1);
+        assert_eq!(counts(&store), (0, 1, before.2 + 1));
     }
 
     #[test]

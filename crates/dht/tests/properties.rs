@@ -94,6 +94,134 @@ fn half_open_interval_endpoints() {
     }
 }
 
+/// Byte-wise `a + b (mod 2^160)`: the definition the limb arithmetic of
+/// `Id::wrapping_add` must match.
+fn ref_add(a: &Id, b: &Id) -> Id {
+    let mut out = [0u8; 20];
+    let mut carry = 0u16;
+    for i in (0..20).rev() {
+        let sum = a.0[i] as u16 + b.0[i] as u16 + carry;
+        out[i] = (sum & 0xFF) as u8;
+        carry = sum >> 8;
+    }
+    Id(out)
+}
+
+/// Byte-wise `a - b (mod 2^160)`, the reference for `Id::wrapping_sub`.
+fn ref_sub(a: &Id, b: &Id) -> Id {
+    let mut out = [0u8; 20];
+    let mut borrow = 0i16;
+    for i in (0..20).rev() {
+        let diff = a.0[i] as i16 - b.0[i] as i16 - borrow;
+        if diff < 0 {
+            out[i] = (diff + 256) as u8;
+            borrow = 1;
+        } else {
+            out[i] = diff as u8;
+            borrow = 0;
+        }
+    }
+    Id(out)
+}
+
+/// `x ∈ (a, b)` under the byte order, the reference for `in_open_interval`.
+fn ref_in_open(x: &Id, a: &Id, b: &Id) -> bool {
+    let (x, a, b) = (&x.0, &a.0, &b.0);
+    if a == b {
+        x != a
+    } else if a < b {
+        a < x && x < b
+    } else {
+        x > a || x < b
+    }
+}
+
+/// `x ∈ (a, b]` under the byte order, the reference for
+/// `in_half_open_interval`.
+fn ref_in_half_open(x: &Id, a: &Id, b: &Id) -> bool {
+    let (x, a, b) = (&x.0, &a.0, &b.0);
+    if a == b {
+        true
+    } else if a < b {
+        a < x && x <= b
+    } else {
+        x > a || x <= b
+    }
+}
+
+/// Ids on either side of the limb boundary between bytes 15 and 16, the
+/// ends of the ring, random ids, and random pairs that share bytes 0–15.
+fn limb_cases(rng: &mut DetRng) -> Vec<Id> {
+    let one = Id::from_u64(1);
+    let low_limb_max = Id::from_u64(u32::MAX as u64);
+    let mut ids =
+        vec![Id::ZERO, Id::MAX, one, low_limb_max, Id::power_of_two(32), Id::power_of_two(159)];
+    for _ in 0..9 {
+        let a = arb_id(rng);
+        let mut b = a;
+        rng.fill_bytes(&mut b.0[16..]);
+        ids.extend([a, b]);
+    }
+    ids
+}
+
+/// Order, addition, subtraction and distance on the two limbs agree with
+/// the byte-wise definitions, across the limb boundary too.
+#[test]
+fn limb_arithmetic_matches_the_byte_definition() {
+    let one = Id::from_u64(1);
+    let low_limb_max = Id::from_u64(u32::MAX as u64);
+    // A carry and a borrow across bytes 15/16.
+    assert_eq!(low_limb_max.wrapping_add(&one), Id::power_of_two(32));
+    assert_eq!(Id::power_of_two(32).wrapping_sub(&one), low_limb_max);
+    assert_eq!(Id::MAX.wrapping_add(&one), Id::ZERO);
+    assert_eq!(Id::ZERO.wrapping_sub(&one), Id::MAX);
+
+    let mut rng = DetRng::new(0xD417_000B);
+    let ids = limb_cases(&mut rng);
+    let check = |a: &Id, b: &Id| {
+        assert_eq!(a.wrapping_add(b), ref_add(a, b), "{a:?} + {b:?}");
+        assert_eq!(a.wrapping_sub(b), ref_sub(a, b), "{a:?} - {b:?}");
+        assert_eq!(a.distance_to(b), ref_sub(b, a), "{a:?} -> {b:?}");
+        assert_eq!(a.cmp(b), a.0.cmp(&b.0), "{a:?} cmp {b:?}");
+        assert_eq!(a.partial_cmp(b), Some(a.0.cmp(&b.0)));
+    };
+    for a in &ids {
+        for b in &ids {
+            check(a, b);
+        }
+    }
+    for _ in 0..CASES {
+        check(&arb_id(&mut rng), &arb_id(&mut rng));
+    }
+}
+
+/// Interval membership on the two limbs agrees with the byte-order
+/// definition, endpoints and limb-boundary cases included.
+#[test]
+fn limb_intervals_match_the_byte_definition() {
+    let mut rng = DetRng::new(0xD417_000C);
+    let ids = limb_cases(&mut rng);
+    let check = |x: &Id, a: &Id, b: &Id| {
+        assert_eq!(x.in_open_interval(a, b), ref_in_open(x, a, b), "{x:?} in ({a:?}, {b:?})");
+        assert_eq!(
+            x.in_half_open_interval(a, b),
+            ref_in_half_open(x, a, b),
+            "{x:?} in ({a:?}, {b:?}]"
+        );
+    };
+    for x in &ids {
+        for a in &ids {
+            for b in &ids {
+                check(x, a, b);
+            }
+        }
+    }
+    for _ in 0..CASES {
+        check(&arb_id(&mut rng), &arb_id(&mut rng), &arb_id(&mut rng));
+    }
+}
+
 /// Successor ownership intervals of a set of nodes cover every key exactly once.
 #[test]
 fn ownership_partitions_key_space() {
